@@ -1,4 +1,4 @@
-"""Bellman operator and value iteration for the unconstrained problem.
+"""Bellman operator, the shared sweep kernel and value iteration.
 
 The operator acts on vectors over taboo states,
 
@@ -8,6 +8,13 @@ optionally with additive per-(state, action) offsets.  The per-state
 objective is linear in the action distribution, so the minimum over
 distributions is attained at a pure action; ties break to the lowest
 action index.
+
+``_sweep`` is the one fixed-point loop of the package.  Every iterative
+solver minimizes stage cost plus the taboo-block image of the current
+values over its own candidates per state: actions here, admissible pure
+policies or vertices in :mod:`safemdp.constrained`, the one policy
+action in :mod:`safemdp.evaluate`.  Stage costs, taboo block and exit
+masses come from the model view on :class:`~safemdp.model.MdpModel`.
 """
 
 from __future__ import annotations
@@ -16,11 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import chain_quantities
+from .evaluate import _induce, _solve
 from .exceptions import DivergenceError, MaxIterationsError, NotTransientError
 from .model import MdpModel, Policy
 
 DIVERGENCE_FACTOR = 1e6
+_NON_TRANSIENT = (
+    "iterates exceeded {guard:.3g} after {sweep} sweeps; "
+    "some policy appears non-transient"
+)
 
 
 @dataclass(frozen=True)
@@ -37,21 +48,6 @@ class BellmanResult:
     iterations: int
     residual: float
     history: list[np.ndarray] = field(default_factory=list, repr=False)
-
-
-def _taboo_tensor(model: MdpModel) -> np.ndarray:
-    h = model.n_taboo
-    return model.transitions[:h, :, :h]
-
-
-def _stage_cost_matrix(model: MdpModel) -> np.ndarray:
-    # rewards are indexed [action, state]; sweeps want [state, action]
-    return model.rewards[:, : model.n_taboo].T
-
-
-def _exit_mass_matrix(model: MdpModel) -> np.ndarray:
-    h, nu = model.n_taboo, model.n_forbidden
-    return model.transitions[:h, :, h : h + nu].sum(axis=2)
 
 
 def _greedy_policy(model: MdpModel, greedy: np.ndarray) -> Policy:
@@ -82,7 +78,7 @@ def bellman_apply(
     h = model.n_taboo
     if v.shape != (h,):
         raise ValueError(f"value vector has shape {v.shape}, expected {(h,)}")
-    totals = _stage_cost_matrix(model) + _taboo_tensor(model) @ v
+    totals = model.stage_costs + model.taboo_block @ v
     if offsets is not None:
         offsets = np.asarray(offsets, dtype=float)
         if offsets.shape != totals.shape:
@@ -94,45 +90,45 @@ def bellman_apply(
     return totals.min(axis=1), _greedy_policy(model, greedy)
 
 
-def _iterate(
-    model: MdpModel,
+def _sweep(
     stage: np.ndarray,
+    Q: np.ndarray,
     v0: np.ndarray,
     tol: float,
     max_iter: int,
-    keep_history: bool,
-) -> BellmanResult:
-    """Shared sweep loop for any per-(state, action) stage-cost matrix."""
-    h = model.n_taboo
-    PH = _taboo_tensor(model)
-    guard = DIVERGENCE_FACTOR * (1.0 + np.abs(stage).max(initial=0.0) * h)
+    diverged: str | None = None,
+    history: list | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sweep ``v(i) <- min_k [stage(i, k) + sum_j Q(i, k, j) v(j)]`` from ``v0``.
+
+    ``stage`` has shape (h, k) and ``Q`` shape (h, k, h): row k of state i
+    is its k-th candidate, and a +inf stage cost marks a padding slot.
+    Stops after the first sweep whose sup-norm change is at most ``tol``
+    and returns the values, the minimizing candidate per state (ties go
+    to the first) and the sweep count; past ``max_iter`` sweeps raises
+    MaxIterationsError carrying the last iterate.  A ``diverged`` message
+    arms the divergence guard: an iterate beyond ``1e6 * (1 + max|finite
+    stage| * h)`` raises DivergenceError with that message, formatted with
+    ``guard`` and ``sweep``.  ``history`` receives a copy of every iterate.
+    """
+    h = stage.shape[0]
+    if diverged is not None:
+        finite = np.abs(stage[np.isfinite(stage)])
+        guard = DIVERGENCE_FACTOR * (1.0 + finite.max(initial=0.0) * h)
     v = np.asarray(v0, dtype=float).copy()
-    history = [v.copy()] if keep_history else []
-    greedy = np.zeros(h, dtype=int)
+    diff = np.inf
     for sweep in range(1, max_iter + 1):
-        totals = stage + PH @ v
-        greedy = totals.argmin(axis=1)
+        totals = stage + Q @ v
+        choice = totals.argmin(axis=1)
         nxt = totals.min(axis=1)
-        diff = np.abs(nxt - v).max() if h else 0.0
+        diff = np.abs(nxt - v).max(initial=0.0)
         v = nxt
-        if keep_history:
+        if history is not None:
             history.append(v.copy())
-        if np.abs(v).max(initial=0.0) > guard:
-            raise DivergenceError(
-                f"iterates exceeded {guard:.3g} after {sweep} sweeps; "
-                "some policy appears non-transient"
-            )
+        if diverged is not None and np.abs(v).max(initial=0.0) > guard:
+            raise DivergenceError(diverged.format(guard=guard, sweep=sweep))
         if diff <= tol:
-            residual = float(
-                np.abs((stage + PH @ v).min(axis=1) - v).max() if h else 0.0
-            )
-            return BellmanResult(
-                value=v,
-                policy=_greedy_policy(model, greedy),
-                iterations=sweep,
-                residual=residual,
-                history=history,
-            )
+            return v, choice, sweep
     raise MaxIterationsError(
         f"no convergence within {max_iter} sweeps (last change {diff:.3g})", last=v
     )
@@ -155,7 +151,12 @@ def value_iteration(
     v0 = np.zeros(h) if v0 is None else np.asarray(v0, dtype=float)
     if (v0 < 0).any():
         raise ValueError("starting values must be nonnegative")
-    return _iterate(model, _stage_cost_matrix(model), v0, tol, max_iter, keep_history)
+    stage, PH = model.stage_costs, model.taboo_block
+    history = [v0.copy()] if keep_history else None
+    v, greedy, sweeps = _sweep(stage, PH, v0, tol, max_iter, _NON_TRANSIENT, history)
+    residual = float(np.abs((stage + PH @ v).min(axis=1) - v).max(initial=0.0))
+    policy = _greedy_policy(model, greedy)
+    return BellmanResult(v, policy, sweeps, residual, history or [])
 
 
 def safest_policy(
@@ -167,10 +168,10 @@ def safest_policy(
     cost; the fixed point is the coordinate-wise minimal safety over all
     policies.
     """
-    result = _iterate(
-        model, _exit_mass_matrix(model), np.zeros(model.n_taboo), tol, max_iter, False
-    )
-    return result.value, result.policy
+    start = np.zeros(model.n_taboo)
+    K, PH = model.forbidden_exit, model.taboo_block
+    v, greedy, _ = _sweep(K, PH, start, tol, max_iter, _NON_TRANSIENT)
+    return v, _greedy_policy(model, greedy)
 
 
 @dataclass(frozen=True)
@@ -200,25 +201,19 @@ def certify_supremum(
     (policy index, state index, excess).
     """
     v_star = np.asarray(v_star, dtype=float)
-    h = model.n_taboo
     membership: list[tuple[int, int, float]] = []
     dominance: list[tuple[int, int, float]] = []
     skipped = 0
-    PH = _taboo_tensor(model)
-    rewards_h = model.rewards[:, :h]
     for k, pol in enumerate(sample_policies):
-        pi_h = pol.matrix[:h]
-        q = np.einsum("iu,iuj->ij", pi_h, PH)
-        r = np.einsum("iu,ui->i", pi_h, rewards_h)
-        slack = (v_star - q @ v_star) - r
+        _, blocks, inputs = _induce(model, pol)
+        slack = (v_star - blocks.q @ v_star) - inputs.stage_cost
         for i in np.nonzero(slack > tol)[0]:
             membership.append((k, int(i), float(slack[i])))
         try:
-            cq = chain_quantities(model, pol)
+            v_pi, _ = _solve(blocks.q, inputs.stage_cost)
         except NotTransientError:
             skipped += 1
             continue
-        v_pi = cq.green @ cq.inputs.stage_cost
         excess = v_star - v_pi
         for i in np.nonzero(excess > tol)[0]:
             dominance.append((k, int(i), float(excess[i])))

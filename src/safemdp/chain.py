@@ -106,6 +106,14 @@ def check_transient(Q: np.ndarray) -> TransienceReport:
     return TransienceReport(bool(radius < 1.0 - TRANSIENCE_MARGIN), float(radius))
 
 
+def _require_transient(Q: np.ndarray) -> float:
+    """Raise NotTransientError unless Q is transient; return its radius estimate."""
+    transient, radius = check_transient(Q)
+    if not transient:
+        raise NotTransientError(radius)
+    return radius
+
+
 def green(Q: np.ndarray) -> np.ndarray:
     """Green operator of a transient taboo block, ``G = (I - Q)^{-1}``.
 
@@ -120,9 +128,7 @@ def green(Q: np.ndarray) -> np.ndarray:
         transience threshold; carries the estimate.
     """
     Q = np.asarray(Q, dtype=float)
-    transient, radius = check_transient(Q)
-    if not transient:
-        raise NotTransientError(radius)
+    _require_transient(Q)
     h = Q.shape[0]
     return np.linalg.solve(np.eye(h) - Q, np.eye(h))
 
@@ -135,9 +141,7 @@ def green_neumann(Q: np.ndarray, tail_tol: float = NEUMANN_TAIL_TOL) -> np.ndarr
     two routes can be compared in tests.
     """
     Q = np.asarray(Q, dtype=float)
-    transient, radius = check_transient(Q)
-    if not transient:
-        raise NotTransientError(radius)
+    _require_transient(Q)
     h = Q.shape[0]
     total = np.eye(h)
     term = np.eye(h)

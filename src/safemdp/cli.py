@@ -304,12 +304,8 @@ def cmd_simulate(args, report: dict, started: float) -> int:
         },
     }
     if start < model.n_taboo:
-        cq = evaluate.chain_quantities(model, policy)
-        analytic = {
-            "safety": float((cq.green @ cq.inputs.to_forbidden)[start]),
-            "reach": float((cq.green @ cq.inputs.to_target)[start]),
-            "value": float((cq.green @ cq.inputs.stage_cost)[start]),
-        }
+        exact = evaluate._exact(model, policy)[:, start]
+        analytic = dict(zip(("value", "safety", "reach"), map(float, exact)))
         results["analytic"] = analytic
         results["deviation_in_se"] = {
             name: (
@@ -346,11 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run an optimizer")
     p_solve.add_argument("model")
-    p_solve.add_argument("--mode", choices=SOLVE_MODES, required=True)
+    p_solve.add_argument(
+        "--mode",
+        choices=SOLVE_MODES,
+        required=True,
+        help="optimizer to run; p-safe enumerates every pure policy (m^H for m "
+        "actions and H taboo states, exponential in H) and exits 6 when that "
+        "count exceeds the cap of 10^6",
+    )
     p_solve.add_argument("--p", type=float, help="safety level for p-safe/lp/dual")
     p_solve.add_argument("--q", type=float, help="relative level for --mode relative")
     p_solve.add_argument("--tol", type=float, default=1e-10)
-    p_solve.add_argument("--seed", type=int, default=0, help="echoed into the report")
     p_solve.add_argument(
         "--oracle",
         action="store_true",

@@ -22,6 +22,13 @@ faster than the p-discharge subtracts it, so the unrestricted search is
 unbounded even on feasible models.  Constant vectors keep the dual value
 equal to the penalized-cost optimum and reproduce the no-gap behaviour
 the rest of the package tests against.
+
+Shared machinery: every solver here reads the stage costs, taboo block
+and exit masses from the model view on :class:`~safemdp.model.MdpModel`;
+the dual inner problem, ``constrained_vi_pure`` and ``relative_vi`` run
+the one sweep kernel of :mod:`safemdp.bellman` over their own candidates
+(actions, admissible pure policies, vertices); every exact policy
+evaluation goes through the evaluation core of :mod:`safemdp.evaluate`.
 """
 
 from __future__ import annotations
@@ -32,20 +39,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bellman import _iterate, _stage_cost_matrix, safest_policy
-from .evaluate import chain_quantities
-from .exceptions import (
-    CapExceededError,
-    DivergenceError,
-    InfeasibleError,
-    MaxIterationsError,
-    NotTransientError,
-)
+from .bellman import _NON_TRANSIENT, _greedy_policy, _sweep, safest_policy
+from .evaluate import _exact, _induce, _solve
+from .exceptions import CapExceededError, InfeasibleError, NotTransientError
 from .model import MdpModel, Policy, pure_policy
 from .simplex import solve_min
 
 ADMISSIBLE_TOL = 1e-10
 RELATIVE_TOL = 1e-12
+_TRAPPED = (
+    "iterates exceeded {guard:.3g}; the admissible vertices trap the process "
+    "in taboo states"
+)
 
 
 @dataclass(frozen=True)
@@ -91,19 +96,6 @@ class AdmissibleSet:
     p: float
 
 
-def _taboo_tensor(model: MdpModel) -> np.ndarray:
-    h = model.n_taboo
-    return model.transitions[:h, :, :h]
-
-
-def _exit_masses(model: MdpModel) -> tuple[np.ndarray, np.ndarray]:
-    """Per-(state, action) one-step mass into forbidden and into target."""
-    h, nu = model.n_taboo, model.n_forbidden
-    k = model.transitions[:h, :, h : h + nu].sum(axis=2)
-    l = model.transitions[:h, :, h + nu :].sum(axis=2)
-    return k, l
-
-
 def _check_multipliers(model: MdpModel, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (model.n_taboo,):
@@ -118,15 +110,13 @@ def _check_multipliers(model: MdpModel, lam) -> np.ndarray:
 def lagrangian(model: MdpModel, policy: Policy, lam, p: float) -> np.ndarray:
     """Penalized value V + lam * (S - p), componentwise over taboo states."""
     lam = _check_multipliers(model, lam)
-    cq = chain_quantities(model, policy)
-    v = cq.green @ cq.inputs.stage_cost
-    s = cq.green @ cq.inputs.to_forbidden
+    v, s, _ = _exact(model, policy)
     return v + lam * (s - p)
 
 
 def _multiplier_offsets(model: MdpModel, lam: np.ndarray, p: float) -> np.ndarray:
-    k, _ = _exit_masses(model)
-    return k * lam[:, None] - p * (lam[:, None] - _taboo_tensor(model) @ lam)
+    k = model.forbidden_exit
+    return k * lam[:, None] - p * (lam[:, None] - model.taboo_block @ lam)
 
 
 def dual_inner(
@@ -147,15 +137,15 @@ def dual_inner(
     converged vector and the greedy pure policy.
     """
     lam = _check_multipliers(model, lam)
-    stage = _stage_cost_matrix(model) + _multiplier_offsets(model, lam, p)
+    stage = model.stage_costs + _multiplier_offsets(model, lam, p)
     start = np.zeros(model.n_taboo) if v0 is None else np.asarray(v0, dtype=float)
-    result = _iterate(model, stage, start, tol, max_iter, False)
-    return result.value, result.policy
+    PH = model.taboo_block
+    v, greedy, _ = _sweep(stage, PH, start, tol, max_iter, _NON_TRANSIENT)
+    return v, _greedy_policy(model, greedy)
 
 
 def _policy_safety(model: MdpModel, policy: Policy) -> np.ndarray:
-    cq = chain_quantities(model, policy)
-    return cq.green @ cq.inputs.to_forbidden
+    return _exact(model, policy)[1]
 
 
 def dual_ascent(
@@ -205,8 +195,8 @@ def dual_ascent(
             best.update(sum=total, t=t, value=q_vec, policy=pol)
         return total, q_vec, pol
 
-    def slope(pol: Policy) -> float:
-        return float(_policy_safety(model, pol).sum()) - p * h
+    def slope(s: np.ndarray) -> float:
+        return float(s.sum()) - p * h
 
     # Stage one: the prescribed subgradient schedule on the level t.
     t = 0.0
@@ -215,8 +205,9 @@ def dual_ascent(
     for n in range(max_outer):
         outer = n + 1
         _, _, pol = evaluate(t)
-        g = slope(pol)
-        if (_policy_safety(model, pol) <= p + ADMISSIBLE_TOL).all():
+        s = _policy_safety(model, pol)
+        g = slope(s)
+        if (s <= p + ADMISSIBLE_TOL).all():
             last_feasible = pol
         t_new = max(0.0, t + alpha0 / (1.0 + n / 50.0) * g)
         if abs(t_new - t) < tol:
@@ -232,12 +223,12 @@ def dual_ascent(
     refine = 0
     _, _, pol_lo = evaluate(0.0)
     refine += 1
-    if slope(pol_lo) > 0:
+    if slope(_policy_safety(model, pol_lo)) > 0:
         lo, hi = 0.0, max(1.0, 2.0 * best["t"])
         for _ in range(60):
             _, _, pol_hi = evaluate(hi)
             refine += 1
-            if slope(pol_hi) <= 0:
+            if slope(_policy_safety(model, pol_hi)) <= 0:
                 break
             lo, hi = hi, 2.0 * hi
         while hi - lo > 1e-11 * (1.0 + hi) and refine < 400:
@@ -344,9 +335,7 @@ def build_lp(model: MdpModel, p: float) -> LpProblem:
     column.
     """
     h, m = model.n_taboo, model.n_actions
-    PH = _taboo_tensor(model)
-    K, _ = _exit_masses(model)
-    stage = _stage_cost_matrix(model)
+    PH, K, stage = model.taboo_block, model.forbidden_exit, model.stage_costs
     with_t = model.n_forbidden > 0
     width = h + 1 if with_t else h
 
@@ -417,20 +406,12 @@ def enumerate_admissible(model: MdpModel, p: float, cap: int = 10**6) -> Admissi
     for assignment in itertools.product(range(m), repeat=h):
         policy = pure_policy(model, dict(enumerate(assignment)))
         try:
-            cq = chain_quantities(model, policy)
+            v, s, _ = _exact(model, policy)
         except NotTransientError:
             skipped.append(assignment)
             continue
-        s = cq.green @ cq.inputs.to_forbidden
         if (s <= p + ADMISSIBLE_TOL).all():
-            members.append(
-                AdmissibleMember(
-                    assignment=assignment,
-                    policy=policy,
-                    value=cq.green @ cq.inputs.stage_cost,
-                    safety=s,
-                )
-            )
+            members.append(AdmissibleMember(assignment, policy, v, s))
     return AdmissibleSet(
         members=tuple(members), non_transient=tuple(skipped), total=total, p=p
     )
@@ -443,10 +424,10 @@ def cone_check(model: MdpModel, policy: Policy, p: float) -> ConeReport:
     forbidden-exit mass; nonnegativity of alpha (up to 1e-10) is
     equivalent to the direct safety filter S_pi <= p.
     """
-    cq = chain_quantities(model, policy)
+    _, blocks, inputs = _induce(model, policy)
     ones = np.ones(model.n_taboo)
-    m_pi = p * (ones - cq.blocks.q @ ones) - cq.inputs.to_forbidden
-    alpha = cq.green @ m_pi
+    m_pi = p * (ones - blocks.q @ ones) - inputs.to_forbidden
+    alpha, _ = _solve(blocks.q, m_pi)
     return ConeReport(admissible=bool((alpha >= -ADMISSIBLE_TOL).all()), alpha=alpha)
 
 
@@ -473,22 +454,11 @@ def constrained_vi_pure(
             f"({adm.total} enumerated, {len(adm.non_transient)} non-transient)"
         )
     h = model.n_taboo
-    PH = _taboo_tensor(model)
-    stage_all = _stage_cost_matrix(model)
-    picks = np.array([m.assignment for m in adm.members])
-    idx = np.arange(h)
-    R = np.stack([stage_all[idx, a] for a in picks])
-    Q = np.stack([PH[idx, a] for a in picks])
-
-    v = np.zeros(h)
-    for sweep in range(1, max_iter + 1):
-        nxt = (R + Q @ v).min(axis=0)
-        diff = np.abs(nxt - v).max()
-        v = nxt
-        if diff <= tol:
-            break
-    else:
-        raise MaxIterationsError(f"no convergence within {max_iter} sweeps", last=v)
+    # Candidate k of state i is the action admissible policy k takes there.
+    picks = np.array([m.assignment for m in adm.members]).T
+    idx = np.arange(h)[:, None]
+    stage, Q = model.stage_costs[idx, picks], model.taboo_block[idx, picks]
+    v, _, sweep = _sweep(stage, Q, np.zeros(h), tol, max_iter)
 
     sums = [float(m.value.sum()) for m in adm.members]
     best = adm.members[int(np.argmin(sums))]
@@ -539,7 +509,7 @@ def relative_admissible(model: MdpModel, q: float) -> list[RelativeVertexSet]:
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    K, L = _exit_masses(model)
+    K, L = model.forbidden_exit, model.target_exit
     out: list[RelativeVertexSet] = []
     m = model.n_actions
     for i in range(model.n_taboo):
@@ -589,8 +559,7 @@ def relative_vi(
                 f"at relative level q={q}"
             )
     h, m = model.n_taboo, model.n_actions
-    PH = _taboo_tensor(model)
-    stage_all = _stage_cost_matrix(model)
+    PH, stage_all = model.taboo_block, model.stage_costs
     counts = [len(vs.vertices) for vs in sets]
     kmax = max(counts)
     stage = np.full((h, kmax), np.inf)
@@ -600,25 +569,7 @@ def relative_vi(
             stage[i, k] = d @ stage_all[i]
             qrows[i, k] = d @ PH[i]
 
-    finite = stage[np.isfinite(stage)]
-    guard = 1e6 * (1.0 + (np.abs(finite).max() if finite.size else 0.0) * h)
-    v = np.zeros(h)
-    chosen = np.zeros(h, dtype=int)
-    for sweep in range(1, max_iter + 1):
-        totals = stage + np.einsum("ikj,j->ik", qrows, v)
-        chosen = totals.argmin(axis=1)
-        nxt = totals.min(axis=1)
-        diff = np.abs(nxt - v).max()
-        v = nxt
-        if np.abs(v).max() > guard:
-            raise DivergenceError(
-                f"iterates exceeded {guard:.3g}; the admissible vertices trap "
-                "the process in taboo states"
-            )
-        if diff <= tol:
-            break
-    else:
-        raise MaxIterationsError(f"no convergence within {max_iter} sweeps", last=v)
+    v, chosen, sweep = _sweep(stage, qrows, np.zeros(h), tol, max_iter, _TRAPPED)
 
     matrix = np.zeros((model.n_states, m))
     for i, vs in enumerate(sets):

@@ -10,6 +10,13 @@ headline quantities over taboo states are
 where R is the policy-averaged stage cost, K the one-step mass sent to
 forbidden states and L the one-step mass sent to target states.  S + T = 1
 on transient chains.
+
+Every exact evaluation in the package goes through one core: ``_induce``
+builds the induced chain and its cost inputs, and ``_solve`` checks the
+taboo block for transience once and solves ``(I - Q) X = B`` by one LU
+factorization, with B = [R, K, L] (``_exact``) or, only when G itself is
+returned, the identity.  The iterative evaluators run the sweep kernel of
+:mod:`safemdp.bellman` with one candidate per state.
 """
 
 from __future__ import annotations
@@ -18,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BlockDecomposition, check_transient, decompose, green
-from .exceptions import MaxIterationsError, NotTransientError
+from .chain import BlockDecomposition, _require_transient, decompose
 from .model import MdpModel, Policy, induced_matrix
 
 
@@ -43,6 +49,40 @@ class ChainQuantities:
     inputs: CostInputs
 
 
+def _induce(model: MdpModel, policy: Policy):
+    """The core's input builder: induced matrix, its blocks and cost inputs.
+
+    Raises PolicyError when the policy shape does not match the model and
+    ValueError when an induced row does not sum to one.
+    """
+    P = induced_matrix(model, policy)
+    blocks = decompose(P, model.partition)
+    pi_h = policy.matrix[: model.n_taboo]
+    inputs = CostInputs(
+        stage_cost=np.einsum("iu,iu->i", pi_h, model.stage_costs),
+        to_forbidden=blocks.hu.sum(axis=1),
+        to_target=blocks.he.sum(axis=1),
+    )
+    return P, blocks, inputs
+
+
+def _solve(Q: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """The core's solve: ``(I - Q) X = rhs`` after one transience check.
+
+    One LU factorization serves every column of ``rhs``.  Returns X and
+    the spectral-radius estimate of Q.
+    """
+    radius = _require_transient(Q)
+    return np.linalg.solve(np.eye(Q.shape[0]) - Q, rhs), radius
+
+
+def _exact(model: MdpModel, policy: Policy) -> np.ndarray:
+    """Rows V, S and T of one policy: ``G(pi) [R, K, L]`` from one solve."""
+    _, blocks, inputs = _induce(model, policy)
+    rhs = np.column_stack((inputs.stage_cost, inputs.to_forbidden, inputs.to_target))
+    return np.ascontiguousarray(_solve(blocks.q, rhs)[0].T)
+
+
 def cost_inputs(model: MdpModel, policy: Policy) -> CostInputs:
     """Average the stage cost and exit masses under a policy.
 
@@ -52,16 +92,7 @@ def cost_inputs(model: MdpModel, policy: Policy) -> CostInputs:
         ``stage_cost[i] = sum_u pi[i, u] rho[u, i]`` and the row sums of the
         H-to-U and H-to-E blocks, all over taboo states.
     """
-    h = model.n_taboo
-    pi_h = policy.matrix[:h]
-    stage = np.einsum("iu,ui->i", pi_h, model.rewards[:, :h])
-    P = induced_matrix(model, policy)
-    blocks = decompose(P, model.partition)
-    return CostInputs(
-        stage_cost=stage,
-        to_forbidden=blocks.hu.sum(axis=1),
-        to_target=blocks.he.sum(axis=1),
-    )
+    return _induce(model, policy)[2]
 
 
 def chain_quantities(model: MdpModel, policy: Policy) -> ChainQuantities:
@@ -72,20 +103,8 @@ def chain_quantities(model: MdpModel, policy: Policy) -> ChainQuantities:
     NotTransientError
         When the taboo block of the induced chain is not transient.
     """
-    P = induced_matrix(model, policy)
-    blocks = decompose(P, model.partition)
-    transient, radius = check_transient(blocks.q)
-    if not transient:
-        raise NotTransientError(radius)
-    G = green(blocks.q)
-    h = model.n_taboo
-    pi_h = policy.matrix[:h]
-    stage = np.einsum("iu,ui->i", pi_h, model.rewards[:, :h])
-    inputs = CostInputs(
-        stage_cost=stage,
-        to_forbidden=blocks.hu.sum(axis=1),
-        to_target=blocks.he.sum(axis=1),
-    )
+    P, blocks, inputs = _induce(model, policy)
+    G, radius = _solve(blocks.q, np.eye(model.n_taboo))
     return ChainQuantities(
         matrix=P, blocks=blocks, green=G, spectral_radius=radius, inputs=inputs
     )
@@ -93,20 +112,17 @@ def chain_quantities(model: MdpModel, policy: Policy) -> ChainQuantities:
 
 def value(model: MdpModel, policy: Policy) -> np.ndarray:
     """Expected accumulated cost before absorption, one entry per taboo state."""
-    cq = chain_quantities(model, policy)
-    return cq.green @ cq.inputs.stage_cost
+    return _exact(model, policy)[0]
 
 
 def safety(model: MdpModel, policy: Policy) -> np.ndarray:
     """Probability of absorption in a forbidden state, per taboo start state."""
-    cq = chain_quantities(model, policy)
-    return cq.green @ cq.inputs.to_forbidden
+    return _exact(model, policy)[1]
 
 
 def reach(model: MdpModel, policy: Policy) -> np.ndarray:
     """Probability of absorption in a target state, per taboo start state."""
-    cq = chain_quantities(model, policy)
-    return cq.green @ cq.inputs.to_target
+    return _exact(model, policy)[2]
 
 
 def value_iterative(
@@ -122,8 +138,7 @@ def value_iterative(
     MaxIterationsError (carrying the last iterate) when the sup-norm change
     still exceeds ``tol`` after ``max_iter`` sweeps.
     """
-    cq = chain_quantities(model, policy)
-    return _affine_iteration(cq.blocks.q, cq.inputs.stage_cost, v0, tol, max_iter)
+    return _iterate_policy(model, policy, "stage_cost", v0, tol, max_iter)
 
 
 def safety_iterative(
@@ -134,21 +149,18 @@ def safety_iterative(
     max_iter: int = 100_000,
 ) -> tuple[np.ndarray, int]:
     """Fixed-point iteration ``S <- Q S + K`` for the policy safety."""
-    cq = chain_quantities(model, policy)
-    return _affine_iteration(cq.blocks.q, cq.inputs.to_forbidden, s0, tol, max_iter)
+    return _iterate_policy(model, policy, "to_forbidden", s0, tol, max_iter)
 
 
-def _affine_iteration(Q, offset, x0, tol, max_iter):
-    x = np.zeros(Q.shape[0]) if x0 is None else np.asarray(x0, dtype=float).copy()
-    for sweep in range(1, max_iter + 1):
-        nxt = offset + Q @ x
-        diff = np.abs(nxt - x).max() if x.size else 0.0
-        x = nxt
-        if diff <= tol:
-            return x, sweep
-    raise MaxIterationsError(
-        f"no convergence within {max_iter} sweeps (last change {diff:.3g})", last=x
-    )
+def _iterate_policy(model, policy, offset, x0, tol, max_iter):
+    from .bellman import _sweep  # bellman imports this module
+
+    _, blocks, inputs = _induce(model, policy)
+    _require_transient(blocks.q)
+    x0 = np.zeros(model.n_taboo) if x0 is None else x0
+    stage = getattr(inputs, offset)[:, None]
+    x, _, sweeps = _sweep(stage, blocks.q[:, None, :], x0, tol, max_iter)
+    return x, sweeps
 
 
 def set_safety(safety_vector: np.ndarray, states) -> float:

@@ -140,6 +140,31 @@ class MdpModel:
             raise KeyError(f"action index {k} out of range")
         return k
 
+    # The model view, derived once and read-only so no caller corrupts it.
+
+    @cached_property
+    def taboo_block(self) -> np.ndarray:
+        """``p[i, u, j]`` for taboo i and j, shape (n_taboo, n_actions, n_taboo)."""
+        h = self.n_taboo
+        return _frozen(self.transitions[:h, :, :h].copy())
+
+    @cached_property
+    def stage_costs(self) -> np.ndarray:
+        """Stage cost ``rho(u, i)`` indexed [i, u], shape (n_taboo, n_actions)."""
+        return _frozen(self.rewards[:, : self.n_taboo].T.copy())
+
+    @cached_property
+    def forbidden_exit(self) -> np.ndarray:
+        """One-step mass into forbidden states, shape (n_taboo, n_actions)."""
+        h, nu = self.n_taboo, self.n_forbidden
+        return _frozen(self.transitions[:h, :, h : h + nu].sum(axis=2))
+
+    @cached_property
+    def target_exit(self) -> np.ndarray:
+        """One-step mass into target states, shape (n_taboo, n_actions)."""
+        h, nu = self.n_taboo, self.n_forbidden
+        return _frozen(self.transitions[:h, :, h + nu :].sum(axis=2))
+
     @property
     def taboo_slice(self) -> slice:
         return slice(0, self.n_taboo)
@@ -269,7 +294,8 @@ def load_model(text: str) -> MdpModel:
     Raises
     ------
     ModelFormatError
-        On malformed JSON, missing sections, unknown labels or duplicates.
+        On malformed JSON, missing sections, unknown labels, duplicates or a
+        probability or cost that is not a JSON number.
     ModelValidationError
         When the parsed model violates an invariant; carries the full
         violation list.
@@ -332,7 +358,9 @@ def load_model(text: str) -> MdpModel:
         if triple in seen_triples:
             raise ModelFormatError(f"duplicate transition triple {triple}")
         seen_triples.add(triple)
-        p[sidx[src], aidx[act], sidx[dst]] = float(prob)
+        if type(prob) not in (int, float):  # not a string, boolean or null
+            raise ModelFormatError(f"transition {triple} p is not a number: {prob!r}")
+        p[sidx[src], aidx[act], sidx[dst]] = prob
 
     rho = np.zeros((m, n))
     seen_pairs = set()
@@ -351,7 +379,9 @@ def load_model(text: str) -> MdpModel:
         if pair in seen_pairs:
             raise ModelFormatError(f"duplicate reward entry {pair}")
         seen_pairs.add(pair)
-        rho[aidx[act], sidx[st]] = float(val)
+        if type(val) not in (int, float):
+            raise ModelFormatError(f"reward {pair} rho is not a number: {val!r}")
+        rho[aidx[act], sidx[st]] = val
 
     model = MdpModel(
         states=tuple(order),

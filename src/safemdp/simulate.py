@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evaluate import chain_quantities
+from .evaluate import _exact
 from .exceptions import CapExceededError, NotTransientError, PathExplosionError
 from .model import MdpModel, Policy, pure_policy
 
@@ -184,7 +184,7 @@ class _Walker:
         m, n_states = model.n_actions, model.n_states
         self.act_table = np.array(self.act_cum).reshape(self.h, m)
         self.trans_table = np.array(self.trans_cum).reshape(self.h * m, n_states)
-        self.reward_table = model.rewards[:, : self.h].T
+        self.reward_table = model.stage_costs
         self.rewards = self.reward_table.tolist()
 
     def run(self, start: int, rng: np.random.Generator, max_steps: int):
@@ -438,14 +438,12 @@ def brute_force_constrained(
     for assignment in product(range(m), repeat=h):
         pol = pure_policy(model, dict(enumerate(assignment)))
         try:
-            cq = chain_quantities(model, pol)
+            v, s, _ = _exact(model, pol)
         except NotTransientError:
             continue
-        s = cq.green @ cq.inputs.to_forbidden
         if (s > p + 1e-10).any():
             continue
         admissible += 1
-        v = cq.green @ cq.inputs.stage_cost
         if float(v.sum()) < best_sum:
             best_sum = float(v.sum())
             best = (assignment, pol, v, s)

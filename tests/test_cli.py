@@ -119,6 +119,26 @@ def test_eval_report_is_deterministic(capsys, model_path, policy_path):
     assert strip_timings(first) == strip_timings(second)
 
 
+@pytest.mark.parametrize(
+    "mode_args",
+    [
+        ("unconstrained",),
+        ("safest",),
+        ("p-safe", "--p", "0.5"),
+        ("relative", "--q", "2.0"),
+        ("lp", "--p", "0.5"),
+        ("dual", "--p", "0.5", "--oracle"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_solve_report_is_deterministic(capsys, model_path, mode_args):
+    argv = ("solve", model_path, "--mode", *mode_args)
+    code, first = run_json(capsys, *argv)
+    assert code == 0
+    _, second = run_json(capsys, *argv)
+    assert strip_timings(first) == strip_timings(second)
+
+
 def test_eval_keys_sorted(capsys, model_path, policy_path):
     _, out = run(capsys, "eval", model_path, policy_path)
     keys = list(json.loads(out))

@@ -75,13 +75,18 @@ def test_reach_complements_safety(ex1_model):
         assert ((0 <= s) & (s <= 1)).all() and ((0 <= t) & (t <= 1)).all()
 
 
-def test_iterative_matches_direct(ex1_model, ex1_policy):
+def test_iterative_matches_direct(ex1_model, ex1_policy, chain_corpus):
     v_direct = sm.value(ex1_model, ex1_policy)
     v_iter, sweeps = sm.value_iterative(ex1_model, ex1_policy, tol=1e-12)
     assert np.abs(v_iter - v_direct).max() <= 1e-10
     assert sweeps < 100
     s_iter, _ = sm.safety_iterative(ex1_model, ex1_policy, tol=1e-12)
     assert np.abs(s_iter - sm.safety(ex1_model, ex1_policy)).max() <= 1e-10
+    for model, policy, _ in chain_corpus:
+        v_iter, _ = sm.value_iterative(model, policy, tol=1e-12)
+        assert np.abs(v_iter - sm.value(model, policy)).max() <= 1e-10
+        s_iter, _ = sm.safety_iterative(model, policy, tol=1e-12)
+        assert np.abs(s_iter - sm.safety(model, policy)).max() <= 1e-10
 
 
 def test_iterative_warm_start(ex1_model, ex1_policy):

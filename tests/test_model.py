@@ -102,6 +102,12 @@ def test_empty_partitions_flagged(ex1_model):
             {"from": "zz", "action": "u1", "to": "a", "p": 1.0}), "unknown"),
         (lambda d: d["transitions"].append(dict(d["transitions"][0])), "duplicate"),
         (lambda d: d.update(actions=[]), "action set is empty"),
+        (lambda d: d["transitions"][0].update(p="0.4"), "p is not a number: '0.4'"),
+        (lambda d: d["transitions"][0].update(p=True), "p is not a number: True"),
+        (lambda d: d["transitions"][0].update(p=None), "p is not a number: None"),
+        (lambda d: d["rewards"][0].update(rho="1"), "rho is not a number: '1'"),
+        (lambda d: d["rewards"][0].update(rho=False), "rho is not a number: False"),
+        (lambda d: d["rewards"][0].update(rho=None), "rho is not a number: None"),
     ],
 )
 def test_format_errors(ex1_model, mangle, message):
@@ -109,6 +115,16 @@ def test_format_errors(ex1_model, mangle, message):
     mangle(doc)
     with pytest.raises(sm.ModelFormatError, match=message):
         sm.load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "view", ["taboo_block", "stage_costs", "forbidden_exit", "target_exit"]
+)
+def test_model_view_is_read_only(ex1_model, view):
+    arr = getattr(ex1_model, view)
+    with pytest.raises(ValueError):
+        arr[0, 0] = 7.0
+    assert getattr(ex1_model, view) is arr
 
 
 def test_not_json():

@@ -1,7 +1,6 @@
 """Trajectory sampling, Monte Carlo estimates, path expansion, enumeration oracle."""
 import importlib
 import json
-import os
 
 import numpy as np
 import pytest
@@ -241,16 +240,12 @@ def test_mc_coverage_on_random_configurations():
 
     Same statistic as the full-size run (the 3 standard-error band does
     not depend on n), sized to keep the suite fast.  The full-size
-    variant below runs when SAFEMDP_SLOW_TESTS is set.
+    variant follows.
     """
     inside = _coverage_count(n=4_000)
     assert inside >= 95
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SAFEMDP_SLOW_TESTS"),
-    reason="several minutes of trajectory walking; set SAFEMDP_SLOW_TESTS=1",
-)
 def test_mc_coverage_full_size():
     assert _coverage_count(n=100_000) >= 95
 
