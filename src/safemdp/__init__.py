@@ -59,7 +59,6 @@ from .evaluate import (
 )
 from .exceptions import (
     CapExceededError,
-    DivergenceError,
     InfeasibleError,
     LpInfeasibleError,
     LpNumericalError,

@@ -23,15 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chain import _trapped
 from .evaluate import _induce, _solve
-from .exceptions import DivergenceError, MaxIterationsError, NotTransientError
+from .exceptions import MaxIterationsError, NotTransientError
 from .model import MdpModel, Policy
-
-DIVERGENCE_FACTOR = 1e6
-_NON_TRANSIENT = (
-    "iterates exceeded {guard:.3g} after {sweep} sweeps; "
-    "some policy appears non-transient"
-)
 
 
 @dataclass(frozen=True)
@@ -96,25 +91,23 @@ def _sweep(
     v0: np.ndarray,
     tol: float,
     max_iter: int,
-    diverged: str | None = None,
     history: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Sweep ``v(i) <- min_k [stage(i, k) + sum_j Q(i, k, j) v(j)]`` from ``v0``.
 
     ``stage`` has shape (h, k) and ``Q`` shape (h, k, h): row k of state i
     is its k-th candidate, and a +inf stage cost marks a padding slot.
-    Stops after the first sweep whose sup-norm change is at most ``tol``
-    and returns the values, the minimizing candidate per state (ties go
-    to the first) and the sweep count; past ``max_iter`` sweeps raises
-    MaxIterationsError carrying the last iterate.  A ``diverged`` message
-    arms the divergence guard: an iterate beyond ``1e6 * (1 + max|finite
-    stage| * h)`` raises DivergenceError with that message, formatted with
-    ``guard`` and ``sweep``.  ``history`` receives a copy of every iterate.
+    Before the first sweep, states from which no choice of finite
+    candidates leaves the taboo set with probability 1 raise
+    NotTransientError naming them.  Stops after the first sweep whose
+    sup-norm change is at most ``tol`` and returns the values, the
+    minimizing candidate per state (ties go to the first) and the sweep
+    count; past ``max_iter`` sweeps raises MaxIterationsError carrying
+    the last iterate.  ``history`` receives a copy of every iterate.
     """
-    h = stage.shape[0]
-    if diverged is not None:
-        finite = np.abs(stage[np.isfinite(stage)])
-        guard = DIVERGENCE_FACTOR * (1.0 + finite.max(initial=0.0) * h)
+    trapped = _trapped(Q, np.isfinite(stage))
+    if trapped.size:
+        raise NotTransientError(trapped)
     v = np.asarray(v0, dtype=float).copy()
     diff = np.inf
     for sweep in range(1, max_iter + 1):
@@ -125,8 +118,6 @@ def _sweep(
         v = nxt
         if history is not None:
             history.append(v.copy())
-        if diverged is not None and np.abs(v).max(initial=0.0) > guard:
-            raise DivergenceError(diverged.format(guard=guard, sweep=sweep))
         if diff <= tol:
             return v, choice, sweep
     raise MaxIterationsError(
@@ -144,8 +135,8 @@ def value_iteration(
     """Value iteration for the minimal expected cost until absorption.
 
     Starts from ``v0`` (zeros by default; must be nonnegative) and sweeps the
-    Bellman operator until the sup-norm change drops to ``tol``.  Divergent
-    growth beyond ``1e6 * (1 + max|rho| * |H|)`` raises DivergenceError.
+    Bellman operator until the sup-norm change drops to ``tol``.  States
+    that no policy leads out of H raise NotTransientError before any sweep.
     """
     h = model.n_taboo
     v0 = np.zeros(h) if v0 is None else np.asarray(v0, dtype=float)
@@ -153,7 +144,7 @@ def value_iteration(
         raise ValueError("starting values must be nonnegative")
     stage, PH = model.stage_costs, model.taboo_block
     history = [v0.copy()] if keep_history else None
-    v, greedy, sweeps = _sweep(stage, PH, v0, tol, max_iter, _NON_TRANSIENT, history)
+    v, greedy, sweeps = _sweep(stage, PH, v0, tol, max_iter, history)
     residual = float(np.abs((stage + PH @ v).min(axis=1) - v).max(initial=0.0))
     policy = _greedy_policy(model, greedy)
     return BellmanResult(v, policy, sweeps, residual, history or [])
@@ -170,7 +161,7 @@ def safest_policy(
     """
     start = np.zeros(model.n_taboo)
     K, PH = model.forbidden_exit, model.taboo_block
-    v, greedy, _ = _sweep(K, PH, start, tol, max_iter, _NON_TRANSIENT)
+    v, greedy, _ = _sweep(K, PH, start, tol, max_iter)
     return v, _greedy_policy(model, greedy)
 
 
@@ -210,7 +201,7 @@ def certify_supremum(
         for i in np.nonzero(slack > tol)[0]:
             membership.append((k, int(i), float(slack[i])))
         try:
-            v_pi, _ = _solve(blocks.q, inputs.stage_cost)
+            v_pi = _solve(blocks.q, inputs.stage_cost)
         except NotTransientError:
             skipped += 1
             continue

@@ -12,10 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import NotTransientError
-from .model import MdpModel, Policy, StatePartition, induced_matrix
+from .model import ROW_SUM_TOL, MdpModel, Policy, StatePartition, induced_matrix
 
-TRANSIENCE_MARGIN = 1e-10
-POWER_ITER_LIMIT = 10_000
 NEUMANN_TAIL_TOL = 1e-12
 
 
@@ -77,41 +75,50 @@ def decompose(P: np.ndarray, partition: StatePartition) -> BlockDecomposition:
     )
 
 
-def check_transient(Q: np.ndarray) -> TransienceReport:
-    """Estimate the spectral radius of the taboo block by power iteration.
+def _trapped(Q: np.ndarray, valid: np.ndarray | bool = True) -> np.ndarray:
+    """Taboo states from which no choice of valid candidates surely leaves H.
 
-    Deterministic start vector 1/|H|, at most 10^4 steps.  The block is
-    declared transient when the radius estimate is below ``1 - 1e-10``.
+    ``Q`` is one block (h, h) or k candidate rows per state (h, k, h), and
+    ``valid`` (h, k) masks the candidates.  A row leaks when its taboo mass
+    is below ``1 - ROW_SUM_TOL``, validate_model's row-sum tolerance.  The
+    kept states are the Prob1 fixpoint: those that reach a leaking row
+    through candidates whose taboo successors all stay kept.
+    """
+    if Q.ndim == 2:
+        Q = Q[:, None, :]
+    support = Q > 0.0
+    leaks = Q.sum(axis=2) < 1.0 - ROW_SUM_TOL
+    kept = np.ones(len(Q), bool)
+    while True:
+        allowed = valid & kept[:, None] & ~(support & ~kept).any(axis=2)
+        edges = (support & allowed[:, :, None]).any(axis=1)
+        reach = (allowed & leaks).any(axis=1)
+        while (grown := reach | edges[:, reach].any(axis=1)).sum() > reach.sum():
+            reach = grown
+        if reach.sum() == kept.sum():
+            return np.flatnonzero(~kept)
+        kept = reach
+
+
+def _require_transient(Q: np.ndarray) -> None:
+    """Raise NotTransientError naming the trapped states unless Q is transient."""
+    trapped = _trapped(Q)
+    if trapped.size:
+        raise NotTransientError(trapped)
+
+
+def check_transient(Q: np.ndarray) -> TransienceReport:
+    """Decide exactly, on the support graph, whether the taboo block is transient.
+
+    Transient iff every taboo state reaches a row that leaks out of H.  The
+    radius is the exact ``max|eig(Q)|``, which is 1 when not transient.
     """
     Q = np.asarray(Q, dtype=float)
-    h = Q.shape[0]
-    if Q.shape != (h, h):
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("taboo block must be square")
-    if h == 0:
-        return TransienceReport(True, 0.0)
-    v = np.full(h, 1.0 / h)
-    radius = 0.0
-    for _ in range(POWER_ITER_LIMIT):
-        w = Q @ v
-        norm = np.abs(w).max()
-        if norm == 0.0:
-            radius = 0.0
-            break
-        estimate = norm / np.abs(v).max()
-        v = w / norm
-        if abs(estimate - radius) < 1e-13:
-            radius = estimate
-            break
-        radius = estimate
-    return TransienceReport(bool(radius < 1.0 - TRANSIENCE_MARGIN), float(radius))
-
-
-def _require_transient(Q: np.ndarray) -> float:
-    """Raise NotTransientError unless Q is transient; return its radius estimate."""
-    transient, radius = check_transient(Q)
-    if not transient:
-        raise NotTransientError(radius)
-    return radius
+    if _trapped(Q).size:
+        return TransienceReport(False, 1.0)
+    return TransienceReport(True, float(np.abs(np.linalg.eigvals(Q)).max(initial=0.0)))
 
 
 def green(Q: np.ndarray) -> np.ndarray:
@@ -124,8 +131,7 @@ def green(Q: np.ndarray) -> np.ndarray:
     Raises
     ------
     NotTransientError
-        When the power-iteration radius estimate is at or above the
-        transience threshold; carries the estimate.
+        When some taboo state cannot reach an exit; carries those states.
     """
     Q = np.asarray(Q, dtype=float)
     _require_transient(Q)
@@ -155,6 +161,13 @@ def green_neumann(Q: np.ndarray, tail_tol: float = NEUMANN_TAIL_TOL) -> np.ndarr
     return total
 
 
+def _absorption(model: MdpModel, blocks: BlockDecomposition, G: np.ndarray, initial):
+    """Occupation ``gamma = mu_H G`` and hitting ``gamma [P_HU P_HE] + mu_exit``."""
+    gamma = initial[model.taboo_slice] @ G
+    exits = np.hstack([blocks.hu, blocks.he])
+    return gamma, gamma @ exits + initial[model.exit_slice]
+
+
 def occupation(model: MdpModel, policy: Policy, initial: np.ndarray) -> np.ndarray:
     """Expected visit counts over taboo states before absorption.
 
@@ -170,10 +183,8 @@ def occupation(model: MdpModel, policy: Policy, initial: np.ndarray) -> np.ndarr
         ``gamma = initial|_H  G``.
     """
     initial = _check_initial(model, initial)
-    P = induced_matrix(model, policy)
-    blocks = decompose(P, model.partition)
-    G = green(blocks.q)
-    return initial[model.taboo_slice] @ G
+    blocks = decompose(induced_matrix(model, policy), model.partition)
+    return _absorption(model, blocks, green(blocks.q), initial)[0]
 
 
 def hitting(model: MdpModel, policy: Policy, initial: np.ndarray) -> np.ndarray:
@@ -187,12 +198,8 @@ def hitting(model: MdpModel, policy: Policy, initial: np.ndarray) -> np.ndarray:
         transient chains.
     """
     initial = _check_initial(model, initial)
-    P = induced_matrix(model, policy)
-    blocks = decompose(P, model.partition)
-    G = green(blocks.q)
-    gamma = initial[model.taboo_slice] @ G
-    exits = np.hstack([blocks.hu, blocks.he])
-    return gamma @ exits + initial[model.exit_slice]
+    blocks = decompose(induced_matrix(model, policy), model.partition)
+    return _absorption(model, blocks, green(blocks.q), initial)[1]
 
 
 def evolution_residual(

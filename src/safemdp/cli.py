@@ -7,9 +7,11 @@ values.  Every command prints a JSON report to stdout with sorted keys
 and floats rounded to 12 significant digits; everything except the
 ``timings`` block is a pure function of the inputs and the seed.
 
-Exit codes: 0 success, 2 validation or parameter problems, 3 unreadable
-input files, 4 non-transient chain, 5 infeasible constraint, 6
-enumeration cap exceeded.
+Exit codes: 0 success, 1 every other solver error (MaxIterationsError,
+LpInfeasibleError, LpNumericalError), 2 validation or parameter
+problems, 3 unreadable input files, 4 non-transient chain, including
+taboo states that no policy can lead out (reported before any sweep),
+5 infeasible constraint, 6 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 from . import bellman, chain, constrained, evaluate
 from .exceptions import (
     CapExceededError,
-    DivergenceError,
     InfeasibleError,
     LpUnboundedError,
     ModelFormatError,
@@ -134,7 +135,7 @@ def cmd_validate(args, report: dict, started: float) -> int:
 
 
 def _load_pair(args) -> tuple[MdpModel, Policy]:
-    model = load_model(_read(args.model))
+    model = args.loaded_model = load_model(_read(args.model))
     policy = load_policy(_read(args.policy), model)
     return model, policy
 
@@ -149,8 +150,7 @@ def cmd_eval(args, report: dict, started: float) -> int:
     h = model.n_taboo
     initial = np.zeros(model.n_states)
     initial[:h] = 1.0 / h
-    gamma = chain.occupation(model, policy, initial)
-    lam = chain.hitting(model, policy, initial)
+    gamma, lam = chain._absorption(model, cq.blocks, cq.green, initial)
     residual = chain.evolution_residual(initial, gamma, lam, cq.matrix)
     report["results"] = {
         "value": _labeled(model, v),
@@ -182,9 +182,15 @@ def _emit_eval_csv(model: MdpModel, results: dict) -> None:
 
 def cmd_solve(args, report: dict, started: float) -> int:
     report["inputs"] = {"model": _digest(args.model)}
-    model = load_model(_read(args.model))
+    model = args.loaded_model = load_model(_read(args.model))
     mode = args.mode
     results: dict = {"mode": mode}
+
+    for flag in ("p", "q", "tol"):
+        x = getattr(args, flag)
+        if x is not None and not (np.isfinite(x) and (flag == "p" or x >= 0)):
+            need = "finite" if flag == "p" else "finite and nonnegative"
+            raise ParameterError(f"--{flag} must be {need}, got {x}")
 
     if mode in ("p-safe", "lp", "dual") and args.p is None:
         raise ParameterError(f"--mode {mode} requires --p")
@@ -389,10 +395,10 @@ def main(argv=None) -> int:
     except (ModelFormatError, ModelValidationError, PolicyError, ValueError) as exc:
         return _error_report(report, started, "Invalid", str(exc), EXIT_INVALID)
     except NotTransientError as exc:
-        report.setdefault("results", {})["spectral_radius"] = exc.spectral_radius
+        results = report.setdefault("results", {})
+        results["spectral_radius"] = exc.spectral_radius
+        results["trapped"] = [str(args.loaded_model.states[i]) for i in exc.trapped]
         return _error_report(report, started, "NotTransient", str(exc), EXIT_NOT_TRANSIENT)
-    except DivergenceError as exc:
-        return _error_report(report, started, "Diverging", str(exc), EXIT_NOT_TRANSIENT)
     except (InfeasibleError, LpUnboundedError) as exc:
         return _error_report(report, started, "Infeasible", str(exc), EXIT_INFEASIBLE)
     except CapExceededError as exc:

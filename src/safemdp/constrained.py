@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bellman import _NON_TRANSIENT, _greedy_policy, _sweep, safest_policy
+from .bellman import _greedy_policy, _sweep, safest_policy
 from .evaluate import _exact, _induce, _solve
 from .exceptions import CapExceededError, InfeasibleError, NotTransientError
 from .model import MdpModel, Policy, pure_policy
@@ -47,10 +47,6 @@ from .simplex import solve_min
 
 ADMISSIBLE_TOL = 1e-10
 RELATIVE_TOL = 1e-12
-_TRAPPED = (
-    "iterates exceeded {guard:.3g}; the admissible vertices trap the process "
-    "in taboo states"
-)
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,7 @@ def dual_inner(
     stage = model.stage_costs + _multiplier_offsets(model, lam, p)
     start = np.zeros(model.n_taboo) if v0 is None else np.asarray(v0, dtype=float)
     PH = model.taboo_block
-    v, greedy, _ = _sweep(stage, PH, start, tol, max_iter, _NON_TRANSIENT)
+    v, greedy, _ = _sweep(stage, PH, start, tol, max_iter)
     return v, _greedy_policy(model, greedy)
 
 
@@ -427,7 +423,7 @@ def cone_check(model: MdpModel, policy: Policy, p: float) -> ConeReport:
     _, blocks, inputs = _induce(model, policy)
     ones = np.ones(model.n_taboo)
     m_pi = p * (ones - blocks.q @ ones) - inputs.to_forbidden
-    alpha, _ = _solve(blocks.q, m_pi)
+    alpha = _solve(blocks.q, m_pi)
     return ConeReport(admissible=bool((alpha >= -ADMISSIBLE_TOL).all()), alpha=alpha)
 
 
@@ -569,7 +565,7 @@ def relative_vi(
             stage[i, k] = d @ stage_all[i]
             qrows[i, k] = d @ PH[i]
 
-    v, chosen, sweep = _sweep(stage, qrows, np.zeros(h), tol, max_iter, _TRAPPED)
+    v, chosen, sweep = _sweep(stage, qrows, np.zeros(h), tol, max_iter)
 
     matrix = np.zeros((model.n_states, m))
     for i, vs in enumerate(sets):

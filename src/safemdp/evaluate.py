@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BlockDecomposition, _require_transient, decompose
+from .chain import BlockDecomposition, _require_transient, check_transient, decompose
 from .model import MdpModel, Policy, induced_matrix
 
 
@@ -66,21 +66,20 @@ def _induce(model: MdpModel, policy: Policy):
     return P, blocks, inputs
 
 
-def _solve(Q: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve(Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The core's solve: ``(I - Q) X = rhs`` after one transience check.
 
-    One LU factorization serves every column of ``rhs``.  Returns X and
-    the spectral-radius estimate of Q.
+    One LU factorization serves every column of ``rhs``.
     """
-    radius = _require_transient(Q)
-    return np.linalg.solve(np.eye(Q.shape[0]) - Q, rhs), radius
+    _require_transient(Q)
+    return np.linalg.solve(np.eye(Q.shape[0]) - Q, rhs)
 
 
 def _exact(model: MdpModel, policy: Policy) -> np.ndarray:
     """Rows V, S and T of one policy: ``G(pi) [R, K, L]`` from one solve."""
     _, blocks, inputs = _induce(model, policy)
     rhs = np.column_stack((inputs.stage_cost, inputs.to_forbidden, inputs.to_target))
-    return np.ascontiguousarray(_solve(blocks.q, rhs)[0].T)
+    return np.ascontiguousarray(_solve(blocks.q, rhs).T)
 
 
 def cost_inputs(model: MdpModel, policy: Policy) -> CostInputs:
@@ -104,7 +103,8 @@ def chain_quantities(model: MdpModel, policy: Policy) -> ChainQuantities:
         When the taboo block of the induced chain is not transient.
     """
     P, blocks, inputs = _induce(model, policy)
-    G, radius = _solve(blocks.q, np.eye(model.n_taboo))
+    G = _solve(blocks.q, np.eye(model.n_taboo))
+    radius = check_transient(blocks.q).spectral_radius
     return ChainQuantities(
         matrix=P, blocks=blocks, green=G, spectral_radius=radius, inputs=inputs
     )
@@ -156,7 +156,6 @@ def _iterate_policy(model, policy, offset, x0, tol, max_iter):
     from .bellman import _sweep  # bellman imports this module
 
     _, blocks, inputs = _induce(model, policy)
-    _require_transient(blocks.q)
     x0 = np.zeros(model.n_taboo) if x0 is None else x0
     stage = getattr(inputs, offset)[:, None]
     x, _, sweeps = _sweep(stage, blocks.q[:, None, :], x0, tol, max_iter)

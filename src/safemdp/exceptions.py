@@ -30,16 +30,19 @@ class PolicyError(SafeMdpError):
 
 
 class NotTransientError(SafeMdpError):
-    """The taboo block of the induced chain is not transient.
+    """Some taboo state cannot leave the taboo set with probability 1.
 
     Attributes
     ----------
+    trapped : tuple of int
+        Taboo indices from which no available choice surely leads out of H.
     spectral_radius : float
-        Estimated spectral radius of the taboo block.
+        Exactly 1, the radius of every non-transient substochastic block.
     """
 
-    def __init__(self, spectral_radius: float):
-        self.spectral_radius = float(spectral_radius)
+    def __init__(self, trapped):
+        self.trapped = tuple(int(i) for i in trapped)
+        self.spectral_radius = 1.0
         super().__init__(
             f"taboo block is not transient (spectral radius {self.spectral_radius:.12g})"
         )
@@ -57,10 +60,6 @@ class MaxIterationsError(SafeMdpError):
     def __init__(self, message: str, last=None):
         self.last = last
         super().__init__(message)
-
-
-class DivergenceError(SafeMdpError):
-    """Iterates grew past the divergence guard, indicating a non-transient policy."""
 
 
 class InfeasibleError(SafeMdpError):

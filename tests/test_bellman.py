@@ -64,8 +64,9 @@ def test_value_iteration_divergence_guard():
         "rewards": [{"state": "h0", "action": "a0", "rho": 1.0}],
     }
     model = sm.load_model(json.dumps(doc))
-    with pytest.raises(sm.DivergenceError):
-        sm.value_iteration(model, max_iter=10**8)
+    with pytest.raises(sm.NotTransientError) as err:
+        sm.value_iteration(model)
+    assert err.value.trapped == (0,)
 
 
 def test_single_action_model_reduces_to_evaluation():

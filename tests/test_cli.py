@@ -160,6 +160,39 @@ def test_eval_non_transient_exits_4(capsys, loop_policy):
     assert code == 4
     assert report["error"]["kind"] == "NotTransient"
     assert report["results"]["spectral_radius"] == pytest.approx(1.0, abs=1e-9)
+    assert report["results"]["trapped"] == ["h0", "h1"]
+
+
+def test_eval_evaluates_the_policy_once(capsys, monkeypatch, model_path, policy_path):
+    """Occupation and hitting come from the one chain_quantities solve."""
+    code, before = run_json(capsys, "eval", model_path, policy_path)
+
+    def refuse(Q):
+        raise AssertionError("eval inverted the taboo block a second time")
+
+    monkeypatch.setattr("safemdp.chain.green", refuse)
+    code, after = run_json(capsys, "eval", model_path, policy_path)
+    assert code == 0
+    assert strip_timings(after) == strip_timings(before)
+
+
+def test_solve_trapped_state_exits_4_before_sweeping(capsys, tmp_path):
+    doc = {
+        "states": ["h0", "e0"],
+        "actions": ["a0"],
+        "partition": {"taboo": ["h0"], "forbidden": [], "target": ["e0"]},
+        "transitions": [
+            {"from": "h0", "action": "a0", "to": "h0", "p": 1.0},
+            {"from": "e0", "action": "a0", "to": "e0", "p": 1.0},
+        ],
+        "rewards": [{"state": "h0", "action": "a0", "rho": 1.0}],
+    }
+    path = tmp_path / "trap.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "solve", str(path), "--mode", "unconstrained")
+    assert code == 4
+    assert report["error"]["kind"] == "NotTransient"
+    assert report["results"]["trapped"] == ["h0"]
 
 
 def test_solve_unconstrained(capsys, model_path):
@@ -255,6 +288,26 @@ def test_solve_requires_level_parameter(capsys, model_path):
     code, report = run_json(capsys, "solve", model_path, "--mode", "p-safe")
     assert code == 2
     assert report["error"]["kind"] == "Parameter"
+
+
+@pytest.mark.parametrize(
+    "flag_args",
+    [
+        ("unconstrained", "--tol", "-1"),
+        ("unconstrained", "--tol", "nan"),
+        ("dual", "--p", "nan"),
+        ("relative", "--q", "nan"),
+        ("relative", "--q", "-0.5"),
+        ("lp", "--p", "inf"),
+    ],
+    ids=lambda args: " ".join(args[1:]),
+)
+def test_solve_rejects_bad_numeric_parameters(capsys, model_path, flag_args):
+    mode, flag, x = flag_args
+    code, report = run_json(capsys, "solve", model_path, "--mode", mode, flag, x)
+    assert code == 2
+    assert report["error"]["kind"] == "Parameter"
+    assert flag in report["error"]["message"]
 
 
 def test_solve_cap_exceeded_exits_6(capsys, tmp_path):
