@@ -3,7 +3,7 @@
 The safety constraint asks every start state to reach the forbidden set
 with probability at most p. The package solves that three ways: by
 enumerating admissible pure policies, by a linear program over the
-value candidates, and by subgradient ascent on the Lagrangian dual.
+value candidates, and by bisection on the slope of the Lagrangian dual.
 At p = 0.5 all three agree on the worked example; at p = 0.3 the
 instance is infeasible and each route reports that in its own way.
 """
@@ -74,7 +74,7 @@ def main():
     dual = sm.dual_ascent(model, p)
     print("\ndual ascent on the multiplier level:")
     print(f"  value {np.round(dual.value, 6)}, level {dual.info['level']:.6g},"
-          f" stopped after {dual.info['outer_iterations']} outer steps"
+          f" inner solves {dual.info['outer_iterations']}"
           f" ({dual.info['exit']})")
 
     brute = sm.brute_force_constrained(model, p)

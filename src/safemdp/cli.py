@@ -256,7 +256,7 @@ def cmd_solve(args, report: dict, started: float) -> int:
                     "admissible_count": oracle.admissible_count,
                 }
         rep = constrained.dual_ascent(
-            model, args.p, tol=args.tol, oracle_total=oracle_total
+            model, args.p, oracle_total=oracle_total, inner_tol=args.tol
         )
         if not rep.feasible:
             results.update(

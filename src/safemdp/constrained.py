@@ -3,7 +3,8 @@
 Four routes to the same problem, minimizing expected cost subject to a
 bound on the probability of absorption in a forbidden state:
 
-* Lagrangian dual ascent over multiplier levels,
+* the Lagrangian dual over one multiplier level, maximized by bisection
+  on the sign of its slope,
 * a linear program over pure-policy constraint rows,
 * exact enumeration of the admissible pure policies,
 * value iteration restricted to the enumerated admissible set.
@@ -13,13 +14,14 @@ distributions are constrained by the ratio of forbidden-exit to
 target-exit mass.
 
 On multipliers: the per-state dual function is evaluated exactly as
-written by ``lagrangian`` and ``dual_inner``, but the outer search in
+written by ``lagrangian`` and ``dual_inner``, but the bisection in
 ``dual_ascent`` and the LP in ``build_lp`` restrict multipliers to a
-common level across states (a vector t*1).  Along any per-state
-direction that loads a single multiplier coordinate, the penalized value
-grows without bound whenever the occupation weights amplify the penalty
-faster than the p-discharge subtracts it, so the unrestricted search is
-unbounded even on feasible models.  Constant vectors keep the dual value
+common level across states (a vector t*1), along which the summed dual
+is concave and piecewise linear.  Along any per-state direction that
+loads a single multiplier coordinate, the penalized value grows without
+bound whenever the occupation weights amplify the penalty faster than
+the p-discharge subtracts it, so the unrestricted search is unbounded
+even on feasible models.  Constant vectors keep the dual value
 equal to the penalized-cost optimum and reproduce the no-gap behaviour
 the rest of the package tests against.
 
@@ -140,28 +142,32 @@ def dual_inner(
     return v, _greedy_policy(model, greedy)
 
 
-def _policy_safety(model: MdpModel, policy: Policy) -> np.ndarray:
-    return _exact(model, policy)[1]
-
-
 def dual_ascent(
     model: MdpModel,
     p: float,
-    alpha0: float = 1.0,
-    tol: float = 1e-6,
-    max_outer: int = 2000,
     oracle_total: float | None = None,
     inner_tol: float = 1e-10,
 ) -> ConstrainedSolveReport:
     """Maximize the dual function over multiplier levels t >= 0.
 
-    Stage one follows the projected subgradient schedule
-    ``t <- max(0, t + alpha0/(1 + n/50) * sum(S - p))`` driven by the
-    safety of the inner greedy policy.  Stage two shrinks a bracket
-    around the best level by ternary search; the summed dual value is
-    concave and piecewise linear in t, so the bracket converges to the
-    maximizer.  Infeasibility (some coordinate of the minimal safety
-    above p) is detected up front and reported, not raised.
+    Summed over taboo states, D(t) = sum_i min_pi [V(i) + t (S(i) - p)]
+    is concave and piecewise linear in t, and its slope at t is
+    sum(S - p) for the greedy policy of ``dual_inner`` there.  The search
+    evaluates t = 0; if the slope there is positive it doubles a bracket
+    [lo, hi] from [0, 1] until the slope at hi is not (at most 60 times),
+    then halves it on the sign of the slope at the midpoint until
+    hi - lo <= 1e-11 (1 + hi).  A slope counts as non-positive when
+    sum(S - p) <= |H| ADMISSIBLE_TOL, the tolerance of the feasibility
+    test, so a p within that tolerance below the minimal safety does not
+    send the bracket off to the doubling cap.
+
+    ``value`` and ``multipliers`` come from the evaluated level with the
+    largest summed dual value; ``policy`` is the evaluated greedy policy
+    with the least summed exact value among those within p (up to
+    ADMISSIBLE_TOL) at every state, or the safest policy if there is
+    none.  ``oracle_total`` only fills ``gap``.  Infeasibility (some
+    coordinate of the minimal safety above p) is detected up front and
+    reported, not raised.
     """
     h = model.n_taboo
     ones = np.ones(h)
@@ -178,92 +184,51 @@ def dual_ascent(
             info={"min_safety": s_star, "p": p},
         )
 
-    best = {"sum": -np.inf, "t": 0.0, "value": None, "policy": None}
-    last_feasible: Policy | None = None
+    best = {"sum": -np.inf, "t": 0.0, "value": None, "feasible": False}
+    chosen = {"sum": np.inf, "policy": safe_pol}
     warm = np.zeros(h)
+    evaluations = 0
 
-    def evaluate(t: float) -> tuple[float, np.ndarray, Policy]:
-        nonlocal warm
-        q_vec, pol = dual_inner(model, t * ones, p, tol=inner_tol, v0=warm)
-        warm = q_vec
-        total = float(q_vec.sum())
+    def rising(t: float) -> bool:
+        """Evaluate level t; True when the dual's slope there is positive."""
+        nonlocal warm, evaluations
+        warm, pol = dual_inner(model, t * ones, p, tol=inner_tol, v0=warm)
+        evaluations += 1
+        v, s, _ = _exact(model, pol)
+        total, feasible = float(warm.sum()), bool((s <= p + ADMISSIBLE_TOL).all())
         if total > best["sum"]:
-            best.update(sum=total, t=t, value=q_vec, policy=pol)
-        return total, q_vec, pol
+            best.update(sum=total, t=t, value=warm, feasible=feasible)
+        if feasible and v.sum() < chosen["sum"]:
+            chosen.update(sum=float(v.sum()), policy=pol)
+        return float((s - p).sum()) > h * ADMISSIBLE_TOL
 
-    def slope(s: np.ndarray) -> float:
-        return float(s.sum()) - p * h
-
-    # Stage one: the prescribed subgradient schedule on the level t.
-    t = 0.0
-    outer = 0
-    exit_reason = "max_outer"
-    for n in range(max_outer):
-        outer = n + 1
-        _, _, pol = evaluate(t)
-        s = _policy_safety(model, pol)
-        g = slope(s)
-        if (s <= p + ADMISSIBLE_TOL).all():
-            last_feasible = pol
-        t_new = max(0.0, t + alpha0 / (1.0 + n / 50.0) * g)
-        if abs(t_new - t) < tol:
-            exit_reason = "stationary"
-            t = t_new
-            break
-        if oracle_total is not None and oracle_total - best["sum"] < tol:
-            exit_reason = "oracle-gap"
-            break
-        t = t_new
-
-    # Stage two: bracket the maximizer and shrink by ternary search.
-    refine = 0
-    _, _, pol_lo = evaluate(0.0)
-    refine += 1
-    if slope(_policy_safety(model, pol_lo)) > 0:
-        lo, hi = 0.0, max(1.0, 2.0 * best["t"])
-        for _ in range(60):
-            _, _, pol_hi = evaluate(hi)
-            refine += 1
-            if slope(_policy_safety(model, pol_hi)) <= 0:
-                break
-            lo, hi = hi, 2.0 * hi
-        while hi - lo > 1e-11 * (1.0 + hi) and refine < 400:
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            f1, _, _ = evaluate(m1)
-            f2, _, _ = evaluate(m2)
-            refine += 2
-            if f1 < f2:
-                lo = m1
+    lo = hi = 0.0
+    if rising(0.0):
+        # Probe hi while doubling (``grow`` doublings left), then midpoints.
+        hi, grow = 1.0, 60
+        while hi - lo > 1e-11 * (1.0 + hi):
+            t = hi if grow else 0.5 * (lo + hi)
+            if not rising(t):
+                hi, grow = t, 0
+            elif grow:
+                lo, hi, grow = t, 2.0 * t, grow - 1
             else:
-                hi = m2
-        evaluate(0.5 * (lo + hi))
-        refine += 1
+                lo = t
 
-    policy = best["policy"]
-    try:
-        policy_feasible = bool(
-            (_policy_safety(model, policy) <= p + ADMISSIBLE_TOL).all()
-        )
-    except NotTransientError:
-        policy_feasible = False
-    if policy_feasible:
-        last_feasible = policy
-    reported = last_feasible if last_feasible is not None else safe_pol
     gap = None if oracle_total is None else float(oracle_total - best["sum"])
     return ConstrainedSolveReport(
         value=best["value"],
-        policy=reported,
+        policy=chosen["policy"],
         multipliers=best["t"] * ones,
         method="dual-ascent",
         feasible=True,
         gap=gap,
         info={
             "level": best["t"],
-            "outer_iterations": outer,
-            "refinement_evaluations": refine,
-            "exit": exit_reason,
-            "inner_policy_feasible": policy_feasible,
+            "outer_iterations": evaluations,
+            "bracket": (lo, hi),
+            "exit": "bracket" if hi > 0.0 else "unconstrained",
+            "inner_policy_feasible": best["feasible"],
         },
     )
 

@@ -240,6 +240,12 @@ def validate_model(model: MdpModel) -> list[str]:
         return v
     if not np.isfinite(model.rewards).all():
         v.append("reward table contains non-finite entries")
+    negative = np.argwhere(model.rewards.T < 0)
+    if negative.size:
+        j, u = negative[0]
+        v.append(
+            f"reward negative on state {model.states[j]!r} (action {model.actions[u]})"
+        )
 
     for i in range(n):
         for u in range(m):

@@ -80,7 +80,7 @@ class McReport:
 class PathBounds:
     """Exact bounds from expanding every support path to a fixed depth.
 
-    ``s_lo <= S <= s_hi`` always; ``v_lo <= V`` for nonnegative rewards.
+    ``s_lo <= S <= s_hi`` and ``v_lo <= V`` always.
     ``mass_remaining`` is the probability still in taboo states at the
     depth cutoff.
     """
@@ -368,7 +368,7 @@ def exhaustive_paths(
     Yields exact absorption bounds: the mass absorbed in forbidden
     states so far, plus the unresolved taboo mass as the gap to the
     upper bound.  Rewards accumulate along each expanded edge, giving a
-    lower bound on the value when rewards are nonnegative.
+    lower bound on the value.
     """
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in [0, {MAX_DEPTH}]")

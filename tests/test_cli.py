@@ -273,6 +273,8 @@ def test_solve_dual_with_oracle(capsys, model_path):
     assert results["value"] == {"a": 1.0, "b": 3.6, "c": 4.0}
     assert results["oracle"]["admissible_count"] == 4
     assert abs(results["gap"]) <= 1e-6
+    assert results["info"]["exit"] == "unconstrained"
+    assert len(results["info"]["bracket"]) == 2
 
 
 def test_solve_dual_infeasible_reports_floor(capsys, model_path):

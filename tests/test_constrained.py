@@ -139,13 +139,11 @@ def test_lp_value_bounded_by_members(solver_corpus):
         assert (sol.value <= members_entrywise_min(adm) + 1e-6).all()
 
 
-def test_lp_raw_variables_can_exceed_members():
-    """With an active multiplier, l alone is not a value bound; l - p t is.
+def risky_safe_model():
+    """One taboo state with a free risky action and a cost-10 safe one.
 
-    One taboo state, a safe expensive action and a risky free one, with p
-    between their exit risks.  The optimum mixes, t goes positive, and the
-    l variable rises above the best pure admissible value while the
-    penalized combination stays below it.
+    Risky exits to the forbidden state with probability 0.5, safe with
+    0.1, so the minimal safety is 0.1.
     """
     doc = {
         "states": ["h0", "u0", "e0"],
@@ -163,7 +161,18 @@ def test_lp_raw_variables_can_exceed_members():
         ],
         "rewards": [{"state": "h0", "action": "safe", "rho": 10.0}],
     }
-    model = sm.load_model(json.dumps(doc))
+    return sm.load_model(json.dumps(doc))
+
+
+def test_lp_raw_variables_can_exceed_members():
+    """With an active multiplier, l alone is not a value bound; l - p t is.
+
+    In the risky/safe model with p between the two exit risks, the
+    optimum mixes, t goes positive, and the l variable rises above the
+    best pure admissible value while the penalized combination stays
+    below it.
+    """
+    model = risky_safe_model()
     sol = sm.solve_lp(sm.build_lp(model, p=0.2))
     best_pure = 10.0
     assert sol.multipliers[0] == pytest.approx(25.0, abs=1e-6)
@@ -199,7 +208,29 @@ def test_dual_ascent_agrees_with_lp(solver_corpus):
         sol = sm.solve_lp(sm.build_lp(model, p))
         rep = sm.dual_ascent(model, p)
         assert rep.feasible
-        assert abs(float(rep.value.sum()) - sol.objective) <= 1e-3
+        assert abs(float(rep.value.sum()) - sol.objective) <= 1e-8
+
+
+def test_dual_ascent_bisection_is_short(solver_corpus):
+    for model, p in solver_corpus:
+        rep = sm.dual_ascent(model, p)
+        assert rep.info["outer_iterations"] <= 60
+
+
+def test_dual_ascent_at_the_tolerance_edge():
+    """p within ADMISSIBLE_TOL below the minimal safety counts as feasible.
+
+    The safe action's slope sum(S - p) = 5e-11 is positive but inside the
+    tolerance, so the bracket must close at the mixing level instead of
+    doubling towards the cap.
+    """
+    model = risky_safe_model()
+    p = 0.1 - 5e-11
+    sol = sm.solve_lp(sm.build_lp(model, p))
+    rep = sm.dual_ascent(model, p)
+    assert rep.feasible
+    assert abs(float(rep.value.sum()) - sol.objective) <= 1e-8
+    assert rep.info["outer_iterations"] <= 60
 
 
 def test_dual_ascent_complementary_slackness(solver_corpus):
@@ -208,6 +239,7 @@ def test_dual_ascent_complementary_slackness(solver_corpus):
         rep = sm.dual_ascent(model, p)
         s = sm.safety(model, rep.policy)
         assert float((rep.multipliers * (s - p)).max()) <= 1e-6
+        assert float(sm.value(model, rep.policy).sum()) >= float(rep.value.sum()) - 1e-9
 
 
 def test_dual_ascent_oracle_gap(ex1_model):

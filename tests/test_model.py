@@ -68,6 +68,18 @@ def test_reward_on_target_rejected(ex1_model):
     assert any("target state 'e'" in v for v in err.value.violations)
 
 
+def test_negative_reward_rejected(ex1_model):
+    """Rewards are costs: the LP's value columns and value iteration's
+    zero start both rest on rho >= 0."""
+    doc = doc_from(ex1_model)
+    for entry in doc["rewards"]:
+        if (entry["state"], entry["action"]) == ("b", "u2"):
+            entry["rho"] = -2.0
+    with pytest.raises(sm.ModelValidationError) as err:
+        sm.load_model(json.dumps(doc))
+    assert err.value.violations == ["reward negative on state 'b' (action u2)"]
+
+
 def test_partition_overlap(ex1_model):
     doc = doc_from(ex1_model)
     doc["partition"]["forbidden"] = ["d", "a"]
