@@ -70,31 +70,23 @@ def _read(path: str) -> str:
 
 
 def _labeled(model: MdpModel, vec) -> dict:
-    return {
-        str(model.states[i]): float(v) for i, v in enumerate(np.asarray(vec, float))
-    }
+    return dict(zip(map(str, model.states), np.asarray(vec, float).tolist()))
 
 
 def _labeled_matrix(model: MdpModel, mat) -> dict:
-    h = np.asarray(mat, float).shape[0]
+    labels = list(map(str, model.states))
     return {
-        str(model.states[i]): {
-            str(model.states[j]): float(mat[i][j]) for j in range(len(mat[i]))
-        }
-        for i in range(h)
+        labels[i]: dict(zip(labels, row))
+        for i, row in enumerate(np.asarray(mat, float).tolist())
     }
 
 
 def _policy_doc(model: MdpModel, policy: Policy) -> dict:
-    out = {}
-    for i in range(model.n_taboo):
-        row = policy.matrix[i]
-        out[str(model.states[i])] = {
-            str(model.actions[u]): float(row[u])
-            for u in range(model.n_actions)
-            if row[u] != 0.0
-        }
-    return out
+    actions = list(map(str, model.actions))
+    return {
+        str(s): {a: x for a, x in zip(actions, row) if x != 0.0}
+        for s, row in zip(model.states, policy.matrix[: model.n_taboo].tolist())
+    }
 
 
 def _emit(report: dict, started: float) -> None:

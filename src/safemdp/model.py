@@ -20,12 +20,17 @@ JSON document format (omitted transition triples and cost entries are zero)::
 Policy documents list one row per state::
 
     {"policy": [{"state": "a", "dist": {"u1": 1.0}}]}
+
+Labels are JSON strings or numbers; probabilities, costs and policy masses
+are JSON numbers.  ``load_model`` touches each entry once and reports the
+first defect in document order; ``serialize_model`` writes the
+``json.dumps(indent=2)`` layout byte for byte without building the dicts.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -215,7 +220,8 @@ def validate_model(model: MdpModel) -> list[str]:
     missing = [s for s in model.states if s not in seen]
     if missing:
         v.append(f"partition does not cover states: {', '.join(map(repr, missing))}")
-    extra = [s for s in canonical if s not in model.states]
+    declared = set(model.states)
+    extra = [s for s in canonical if s not in declared]
     if extra:
         v.append(f"partition names undeclared states: {', '.join(map(repr, extra))}")
     if not extra and not missing and canonical != model.states:
@@ -247,28 +253,24 @@ def validate_model(model: MdpModel) -> list[str]:
             f"reward negative on state {model.states[j]!r} (action {model.actions[u]})"
         )
 
-    for i in range(n):
-        for u in range(m):
-            row = model.transitions[i, u]
-            if (row < 0).any() or (row > 1).any():
-                v.append(
-                    f"transition row ({model.states[i]}, {model.actions[u]}) "
-                    "has entries outside [0, 1]"
-                )
-                continue
-            s = row.sum()
-            if abs(s - 1.0) > ROW_SUM_TOL:
-                v.append(
-                    f"transition row ({model.states[i]}, {model.actions[u]}) sums to {s:.12g}"
-                )
+    t = model.transitions
+    outside = ((t < 0) | (t > 1)).any(axis=2)
+    sums = t.sum(axis=2)
+    for i, u in np.argwhere(outside | (np.abs(sums - 1.0) > ROW_SUM_TOL)).tolist():
+        row = f"transition row ({model.states[i]}, {model.actions[u]})"
+        if outside[i, u]:
+            v.append(f"{row} has entries outside [0, 1]")
+        else:
+            v.append(f"{row} sums to {sums[i, u]:.12g}")
 
+    target = set(part.target)
     for j, s in enumerate(model.states):
-        if s in part.target:
-            col = model.rewards[:, j]
-            if (col != 0).any():
-                u = int(np.nonzero(col)[0][0])
+        if s in target:
+            nonzero = np.flatnonzero(model.rewards[:, j])
+            if nonzero.size:
                 v.append(
-                    f"reward nonzero on target state {s!r} (action {model.actions[u]})"
+                    f"reward nonzero on target state {s!r} "
+                    f"(action {model.actions[nonzero[0]]})"
                 )
     return v
 
@@ -282,6 +284,20 @@ def _require_list(doc: dict, key: str, default=None):
     if not isinstance(val, list):
         raise ModelFormatError(f"{key!r} must be a list")
     return val
+
+
+def _known(labels, label) -> bool:
+    """Whether a dict or set of labels holds ``label``; a list or object never is."""
+    try:
+        return label in labels
+    except TypeError:  # unhashable
+        return False
+
+
+def _unknown(entry: str, refs) -> ModelFormatError:
+    """The error for the first (label, kind, labels) in ``refs`` that is unknown."""
+    label, kind = next((s, kind) for s, kind, labels in refs if not _known(labels, s))
+    return ModelFormatError(f"{entry} names unknown {kind} {label!r}")
 
 
 def load_model(text: str) -> MdpModel:
@@ -300,8 +316,9 @@ def load_model(text: str) -> MdpModel:
     Raises
     ------
     ModelFormatError
-        On malformed JSON, missing sections, unknown labels, duplicates or a
-        probability or cost that is not a JSON number.
+        On malformed JSON, missing sections, list or object labels, unknown
+        labels, duplicates or a probability or cost that is not a JSON
+        number; the first defect in document order wins.
     ModelValidationError
         When the parsed model violates an invariant; carries the full
         violation list.
@@ -315,10 +332,12 @@ def load_model(text: str) -> MdpModel:
 
     states = _require_list(doc, "states")
     actions = _require_list(doc, "actions")
-    if len(set(states)) != len(states):
-        raise ModelFormatError("duplicate state labels")
-    if len(set(actions)) != len(actions):
-        raise ModelFormatError("duplicate action labels")
+    for kind, labels in (("state", states), ("action", actions)):
+        for s in labels:
+            if isinstance(s, (list, dict)):  # unhashable, so it could name nothing
+                raise ModelFormatError(f"{kind} label {s!r} is a list or object")
+        if len(set(labels)) != len(labels):
+            raise ModelFormatError(f"duplicate {kind} labels")
     if not actions:
         raise ModelFormatError("action set is empty")
 
@@ -326,13 +345,13 @@ def load_model(text: str) -> MdpModel:
     if not isinstance(part_doc, dict):
         raise ModelFormatError("'partition' must be an object")
     part = StatePartition(
-        taboo=tuple(part_doc.get("taboo", [])),
-        forbidden=tuple(part_doc.get("forbidden", [])),
-        target=tuple(part_doc.get("target", [])),
+        taboo=tuple(_require_list(part_doc, "taboo", default=[])),
+        forbidden=tuple(_require_list(part_doc, "forbidden", default=[])),
+        target=tuple(_require_list(part_doc, "target", default=[])),
     )
     state_set = set(states)
     for s in part.taboo + part.forbidden + part.target:
-        if s not in state_set:
+        if not _known(state_set, s):
             raise ModelFormatError(f"partition names unknown state {s!r}")
 
     canonical = list(part.taboo + part.forbidden + part.target)
@@ -344,10 +363,12 @@ def load_model(text: str) -> MdpModel:
         order = list(states)
     sidx = {s: i for i, s in enumerate(order)}
     aidx = {u: k for k, u in enumerate(actions)}
+    sget, aget = sidx.get, aidx.get
 
+    # One pass per entry list with the checks in document order; a cell is
+    # the flat index of its entry in the array it fills.
     n, m = len(order), len(actions)
-    p = np.zeros((n, m, n))
-    seen_triples = set()
+    cells, probs, seen = [], [], set()
     for entry in _require_list(doc, "transitions", default=[]):
         if not isinstance(entry, dict):
             raise ModelFormatError("transition entries must be objects")
@@ -355,21 +376,26 @@ def load_model(text: str) -> MdpModel:
             src, act, dst, prob = entry["from"], entry["action"], entry["to"], entry["p"]
         except KeyError as exc:
             raise ModelFormatError(f"transition entry missing key {exc}") from None
-        for label, kind in ((src, "state"), (dst, "state")):
-            if label not in sidx:
-                raise ModelFormatError(f"transition names unknown {kind} {label!r}")
-        if act not in aidx:
-            raise ModelFormatError(f"transition names unknown action {act!r}")
-        triple = (src, act, dst)
-        if triple in seen_triples:
-            raise ModelFormatError(f"duplicate transition triple {triple}")
-        seen_triples.add(triple)
+        try:
+            i, u, j = sget(src), aget(act), sget(dst)
+        except TypeError:  # a list or object names no label
+            i = u = j = None
+        if i is None or u is None or j is None:
+            raise _unknown(
+                "transition", ((src, "state", sidx), (dst, "state", sidx), (act, "action", aidx))
+            )
+        cell = (i * m + u) * n + j
+        if cell in seen:
+            raise ModelFormatError(f"duplicate transition triple {(src, act, dst)}")
+        seen.add(cell)
         if type(prob) not in (int, float):  # not a string, boolean or null
-            raise ModelFormatError(f"transition {triple} p is not a number: {prob!r}")
-        p[sidx[src], aidx[act], sidx[dst]] = prob
+            raise ModelFormatError(f"transition {(src, act, dst)} p is not a number: {prob!r}")
+        cells.append(cell)
+        probs.append(prob)
+    p = np.zeros(n * m * n)
+    p[cells] = probs
 
-    rho = np.zeros((m, n))
-    seen_pairs = set()
+    cells, costs, seen = [], [], set()
     for entry in _require_list(doc, "rewards", default=[]):
         if not isinstance(entry, dict):
             raise ModelFormatError("reward entries must be objects")
@@ -377,24 +403,29 @@ def load_model(text: str) -> MdpModel:
             st, act, val = entry["state"], entry["action"], entry["rho"]
         except KeyError as exc:
             raise ModelFormatError(f"reward entry missing key {exc}") from None
-        if st not in sidx:
-            raise ModelFormatError(f"reward names unknown state {st!r}")
-        if act not in aidx:
-            raise ModelFormatError(f"reward names unknown action {act!r}")
-        pair = (st, act)
-        if pair in seen_pairs:
-            raise ModelFormatError(f"duplicate reward entry {pair}")
-        seen_pairs.add(pair)
+        try:
+            i, u = sget(st), aget(act)
+        except TypeError:
+            i = u = None
+        if i is None or u is None:
+            raise _unknown("reward", ((st, "state", sidx), (act, "action", aidx)))
+        cell = u * n + i
+        if cell in seen:
+            raise ModelFormatError(f"duplicate reward entry {(st, act)}")
+        seen.add(cell)
         if type(val) not in (int, float):
-            raise ModelFormatError(f"reward {pair} rho is not a number: {val!r}")
-        rho[aidx[act], sidx[st]] = val
+            raise ModelFormatError(f"reward {(st, act)} rho is not a number: {val!r}")
+        cells.append(cell)
+        costs.append(val)
+    rho = np.zeros(m * n)
+    rho[cells] = costs
 
     model = MdpModel(
         states=tuple(order),
         actions=tuple(actions),
         partition=part,
-        transitions=p,
-        rewards=rho,
+        transitions=p.reshape(n, m, n),
+        rewards=rho.reshape(m, n),
     )
     violations = validate_model(model)
     if violations:
@@ -403,32 +434,40 @@ def load_model(text: str) -> MdpModel:
 
 
 def serialize_model(model: MdpModel) -> str:
-    """Serialize a model to the JSON document format; inverse of load_model."""
-    transitions = []
-    for i, s in enumerate(model.states):
-        for u, a in enumerate(model.actions):
-            for j, t in enumerate(model.states):
-                prob = model.transitions[i, u, j]
-                if prob != 0.0:
-                    transitions.append({"from": s, "action": a, "to": t, "p": prob})
-    rewards = []
-    for u, a in enumerate(model.actions):
-        for i, s in enumerate(model.states):
-            val = model.rewards[u, i]
-            if val != 0.0:
-                rewards.append({"state": s, "action": a, "rho": val})
-    doc = {
-        "states": list(model.states),
-        "actions": list(model.actions),
-        "partition": {
-            "taboo": list(model.partition.taboo),
-            "forbidden": list(model.partition.forbidden),
-            "target": list(model.partition.target),
-        },
-        "transitions": transitions,
-        "rewards": rewards,
-    }
-    return json.dumps(doc, indent=2)
+    """Serialize a model to the JSON document format; inverse of load_model.
+
+    The text is ``json.dumps(doc, indent=2)`` of the document dict byte for
+    byte; the entries come from ``np.nonzero`` in C order, one f-string each.
+    """
+    s, a = [json.dumps(x) for x in model.states], [json.dumps(x) for x in model.actions]
+    head = json.dumps(
+        {"states": model.states, "actions": model.actions, "partition": asdict(model.partition)},
+        indent=2,
+    )
+    ii, uu, jj = (x.tolist() for x in np.nonzero(model.transitions))
+    transitions = [
+        f'    {{\n      "from": {s[i]},\n      "action": {a[u]},\n      "to": {s[j]},\n'
+        f'      "p": {p}\n    }}'
+        for i, u, j, p in zip(ii, uu, jj, _tokens(model.transitions[ii, uu, jj]))
+    ]
+    uu, ii = (x.tolist() for x in np.nonzero(model.rewards))
+    rewards = [
+        f'    {{\n      "state": {s[i]},\n      "action": {a[u]},\n      "rho": {r}\n    }}'
+        for u, i, r in zip(uu, ii, _tokens(model.rewards[uu, ii]))
+    ]
+    return (
+        f'{head[:-2]},\n  "transitions": {_entry_list(transitions)},\n'
+        f'  "rewards": {_entry_list(rewards)}\n}}'
+    )
+
+
+def _tokens(values: np.ndarray) -> list[str]:
+    """The JSON encoder's text for each number, NaN and infinities included."""
+    return json.dumps(values.tolist())[1:-1].split(", ")
+
+
+def _entry_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def make_policy(model: MdpModel, matrix: np.ndarray) -> Policy:
@@ -479,7 +518,7 @@ def load_policy(text: str, model: MdpModel) -> Policy:
     """Parse a policy document against a model.
 
     Every taboo state needs a row; rows for forbidden or target states are
-    optional and default to action index 0.
+    optional and default to action index 0.  Masses must be JSON numbers.
     """
     try:
         doc = json.loads(text)
@@ -493,9 +532,9 @@ def load_policy(text: str, model: MdpModel) -> Policy:
         if not isinstance(entry, dict) or "state" not in entry or "dist" not in entry:
             raise ModelFormatError("policy entries need 'state' and 'dist' keys")
         label = entry["state"]
-        if label not in model._state_index:
+        if not _known(model._state_index, label):
             raise ModelFormatError(f"policy names unknown state {label!r}")
-        i = model.state_index(label)
+        i = model._state_index[label]
         if i in seen:
             raise ModelFormatError(f"duplicate policy row for state {label!r}")
         seen.add(i)
@@ -505,7 +544,11 @@ def load_policy(text: str, model: MdpModel) -> Policy:
         for act, mass in dist.items():
             if act not in model._action_index:
                 raise ModelFormatError(f"policy names unknown action {act!r}")
-            matrix[i, model.action_index(act)] = float(mass)
+            if type(mass) not in (int, float):  # not a string, boolean or null
+                raise ModelFormatError(
+                    f"policy row for {label!r} mass of {act!r} is not a number: {mass!r}"
+                )
+            matrix[i, model._action_index[act]] = mass
     for i in range(model.n_states):
         if i not in seen:
             if i < model.n_taboo:

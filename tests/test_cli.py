@@ -95,6 +95,29 @@ def test_validate_broken(capsys, broken_model):
     assert any("sums to" in v for v in report["results"]["violations"])
 
 
+@pytest.mark.parametrize(
+    "target,edit,message",
+    [
+        ("policy", lambda d: d["policy"][0]["dist"].update(u1=None), "is not a number: None"),
+        ("policy", lambda d: d["policy"][1].update(state=["b"]), "unknown state ['b']"),
+        ("model", lambda d: d["states"].append(["f"]), "state label ['f'] is a list"),
+        ("model", lambda d: d["transitions"][0].update({"from": ["a"]}), "unknown state ['a']"),
+        ("model", lambda d: d["partition"].update(taboo=5), "'taboo' must be a list"),
+    ],
+)
+def test_eval_malformed_document_exits_2(capsys, tmp_path, model_path, policy_path,
+                                         target, edit, message):
+    paths = {"model": model_path, "policy": policy_path}
+    doc = json.loads(open(paths[target]).read())
+    edit(doc)
+    paths[target] = str(tmp_path / f"{target}.json")
+    open(paths[target], "w").write(json.dumps(doc))
+    code, report = run_json(capsys, "eval", paths["model"], paths["policy"])
+    assert code == 2
+    assert report["error"]["kind"] == "Invalid"
+    assert message in report["error"]["message"]
+
+
 def test_missing_file_is_io_error(capsys):
     code, report = run_json(capsys, "validate", "/nonexistent/model.json")
     assert code == 3

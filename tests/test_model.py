@@ -120,6 +120,15 @@ def test_empty_partitions_flagged(ex1_model):
         (lambda d: d["rewards"][0].update(rho="1"), "rho is not a number: '1'"),
         (lambda d: d["rewards"][0].update(rho=False), "rho is not a number: False"),
         (lambda d: d["rewards"][0].update(rho=None), "rho is not a number: None"),
+        (lambda d: d["states"].append(["x"]), r"state label \['x'\] is a list or object"),
+        (lambda d: d["actions"].append({"u": 1}), r"action label \{'u': 1\} is a list"),
+        (lambda d: d["transitions"][0].update({"from": ["a"]}),
+         r"transition names unknown state \['a'\]"),
+        (lambda d: d["rewards"][0].update(state={"a": 1}),
+         r"reward names unknown state \{'a': 1\}"),
+        (lambda d: d["partition"].update(taboo=5), "'taboo' must be a list"),
+        (lambda d: d["partition"]["target"].append(["e"]),
+         r"partition names unknown state \['e'\]"),
     ],
 )
 def test_format_errors(ex1_model, mangle, message):
@@ -127,6 +136,176 @@ def test_format_errors(ex1_model, mangle, message):
     mangle(doc)
     with pytest.raises(sm.ModelFormatError, match=message):
         sm.load_model(json.dumps(doc))
+
+
+def _zz_entry(d):
+    d["transitions"].append({"from": "zz", "action": "u1", "to": "a", "p": 1.0})
+
+
+def _duplicate_entry(d):
+    d["transitions"].append(dict(d["transitions"][0]))
+
+
+@pytest.mark.parametrize(
+    "edits,error,message",
+    [
+        ((_duplicate_entry, _zz_entry), sm.ModelFormatError,
+         r"duplicate transition triple \('a', 'u1', 'd'\)"),
+        ((_zz_entry, _duplicate_entry), sm.ModelFormatError,
+         "transition names unknown state 'zz'"),
+        # A format defect wins over a row that no longer sums to one.
+        ((lambda d: d["transitions"].pop(1), lambda d: d["transitions"][5].update(p="1")),
+         sm.ModelFormatError, r"transition \('b', 'u2', 'a'\) p is not a number: '1'"),
+        # The "to" state is checked before the action.
+        ((lambda d: d["transitions"][3].update(action="zz", to="yy"),), sm.ModelFormatError,
+         "transition names unknown state 'yy'"),
+        # Transitions are read before rewards.
+        ((lambda d: d["rewards"][0].update(action="zz"),
+          lambda d: d["transitions"][9].update(p=None)),
+         sm.ModelFormatError, r"transition \('c', 'u2', 'a'\) p is not a number: None"),
+        ((lambda d: d["rewards"].insert(2, dict(d["rewards"][1])),
+          lambda d: d["rewards"][4].update(rho=True)),
+         sm.ModelFormatError, r"duplicate reward entry \('b', 'u1'\)"),
+    ],
+)
+def test_first_defect_in_document_order_wins(ex1_model, edits, error, message):
+    doc = doc_from(ex1_model)
+    for edit in edits:
+        edit(doc)
+    with pytest.raises(error, match=message):
+        sm.load_model(json.dumps(doc))
+
+
+def test_validation_lists_every_violation_in_order(ex1_model):
+    doc = doc_from(ex1_model)
+    doc["transitions"][1]["p"] = 0.5
+    doc["transitions"][6]["p"] = -0.8
+    doc["rewards"].append({"state": "e", "action": "u2", "rho": 4.0})
+    with pytest.raises(sm.ModelValidationError) as err:
+        sm.load_model(json.dumps(doc))
+    assert err.value.violations == [
+        "transition row (a, u1) sums to 0.9",
+        "transition row (b, u2) has entries outside [0, 1]",
+        "reward nonzero on target state 'e' (action u2)",
+    ]
+
+
+def test_numeric_labels_load(ex1_model):
+    doc = doc_from(ex1_model)
+    number = {"a": 10, "b": 2.5, "c": -3, "d": 0, "e": 7}
+    doc = json.loads(json.dumps(doc).replace('"a"', "10").replace('"b"', "2.5")
+                     .replace('"c"', "-3").replace('"d"', "0").replace('"e"', "7"))
+    model = sm.load_model(json.dumps(doc))
+    assert model.states == tuple(number.values())
+    assert np.array_equal(model.transitions, ex1_model.transitions)
+    again = sm.load_model(sm.serialize_model(model))
+    assert again.states == model.states
+
+
+def reference_serialize_model(model):
+    """The dict-building serializer that ``serialize_model`` must match byte for byte."""
+    transitions = []
+    for i, s in enumerate(model.states):
+        for u, a in enumerate(model.actions):
+            for j, t in enumerate(model.states):
+                prob = model.transitions[i, u, j]
+                if prob != 0.0:
+                    transitions.append({"from": s, "action": a, "to": t, "p": prob})
+    rewards = []
+    for u, a in enumerate(model.actions):
+        for i, s in enumerate(model.states):
+            val = model.rewards[u, i]
+            if val != 0.0:
+                rewards.append({"state": s, "action": a, "rho": val})
+    doc = {
+        "states": list(model.states),
+        "actions": list(model.actions),
+        "partition": {
+            "taboo": list(model.partition.taboo),
+            "forbidden": list(model.partition.forbidden),
+            "target": list(model.partition.target),
+        },
+        "transitions": transitions,
+        "rewards": rewards,
+    }
+    return json.dumps(doc, indent=2)
+
+
+def edge_models(ex1):
+    """Models the serializer must render like the encoder, valid or not."""
+    def variant(**kw):
+        fields = dict(states=ex1.states, actions=ex1.actions, partition=ex1.partition,
+                      transitions=ex1.transitions, rewards=ex1.rewards)
+        return sm.MdpModel(**{**fields, **kw})
+
+    costs = ex1.rewards.copy()
+    costs[0, 0], costs[1, 1], costs[1, 2] = np.nan, np.inf, -np.inf
+    probs = ex1.transitions.copy()
+    probs[0, 0, 0], probs[2, 0, 3], probs[1, 1, 4] = -np.inf, 5e-324, 1e300
+    labels = ('q"uote', "back\\slash", "new\nline", "caf\u00e9 \u2603 \U0001f600", "t\tab\x00")
+    rename = dict(zip(ex1.states, labels))
+    part = ex1.partition
+    return {
+        "nonfinite costs": variant(rewards=costs),
+        "nonfinite probabilities": variant(transitions=probs),
+        "no rewards": variant(rewards=np.zeros_like(ex1.rewards)),
+        "no transitions": variant(transitions=np.zeros_like(ex1.transitions)),
+        "escaped labels": variant(
+            states=labels,
+            actions=('u"1', "\u00fc2"),
+            partition=sm.StatePartition(*(tuple(rename[s] for s in group) for group in
+                                          (part.taboo, part.forbidden, part.target))),
+        ),
+        "numeric labels": variant(
+            states=(1, 2.5, -3, 0, 1e100),
+            partition=sm.StatePartition((1, 2.5, -3), (0,), (1e100,)),
+        ),
+    }
+
+
+def test_serialize_matches_reference(ex1_model, solver_corpus, chain_corpus):
+    models = [ex1_model, *edge_models(ex1_model).values()]
+    models += [model for model, _ in solver_corpus]
+    models += [model for model, _, _ in chain_corpus]
+    for model in models:
+        assert sm.serialize_model(model) == reference_serialize_model(model)
+
+
+def test_serialize_round_trips_escaped_labels(ex1_model):
+    model = edge_models(ex1_model)["escaped labels"]
+    again = sm.load_model(sm.serialize_model(model))
+    assert again.states == model.states and again.actions == model.actions
+    assert np.array_equal(again.transitions, model.transitions)
+
+
+def reference_row_violations(model):
+    """The per-row loop that ``validate_model``'s array checks replace."""
+    out = []
+    for i in range(model.n_states):
+        for u in range(model.n_actions):
+            row = model.transitions[i, u]
+            name = f"transition row ({model.states[i]}, {model.actions[u]})"
+            if (row < 0).any() or (row > 1).any():
+                out.append(f"{name} has entries outside [0, 1]")
+            elif abs(row.sum() - 1.0) > sm.model.ROW_SUM_TOL:
+                out.append(f"{name} sums to {row.sum():.12g}")
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 9, 130, 300])
+def test_row_checks_match_reference(ex1_model, n):
+    """Sizes cross numpy's pairwise-summation block sizes; the message prints the sum."""
+    rng = np.random.default_rng(n)
+    t = rng.random((n, 2, n)) ** 4
+    t /= t.sum(axis=2, keepdims=True)
+    t[rng.random((n, 2)) < 0.3] *= 1 + 1e-11
+    t[rng.random((n, 2)) < 0.1] *= -1
+    states = tuple(f"s{i}" for i in range(n))
+    model = sm.MdpModel(states=states, actions=("u", "v"),
+                        partition=sm.StatePartition(states[:-1], (), states[-1:]),
+                        transitions=t, rewards=np.zeros((2, n)))
+    rows = [v for v in sm.validate_model(model) if v.startswith("transition row")]
+    assert rows and rows == reference_row_violations(model)
 
 
 @pytest.mark.parametrize(
@@ -194,6 +373,29 @@ def test_policy_round_trip(ex1_model, ex1_policy):
     text = sm.serialize_policy(ex1_model, ex1_policy)
     again = sm.load_policy(text, ex1_model)
     assert np.array_equal(again.matrix, ex1_policy.matrix)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ({"state": "a", "dist": {"u1": None}}, "mass of 'u1' is not a number: None"),
+        ({"state": "a", "dist": {"u1": "1"}}, "mass of 'u1' is not a number: '1'"),
+        ({"state": "a", "dist": {"u1": True}}, "mass of 'u1' is not a number: True"),
+        ({"state": ["a"], "dist": {"u1": 1.0}}, r"unknown state \['a'\]"),
+        ({"state": {"a": 1}, "dist": {"u1": 1.0}}, r"unknown state \{'a': 1\}"),
+        ({"state": "a", "dist": [1.0]}, "must map actions to mass"),
+    ],
+)
+def test_load_policy_format_errors(ex1_model, row, message):
+    rows = [row, {"state": "b", "dist": {"u2": 1}}, {"state": "c", "dist": {"u1": 1}}]
+    with pytest.raises(sm.ModelFormatError, match=message):
+        sm.load_policy(json.dumps({"policy": rows}), ex1_model)
+
+
+def test_load_policy_integer_mass(ex1_model, ex1_policy):
+    rows = [{"state": s, "dist": {u: 1}} for s, u in (("a", "u1"), ("b", "u2"), ("c", "u1"))]
+    policy = sm.load_policy(json.dumps({"policy": rows}), ex1_model)
+    assert np.array_equal(policy.matrix, ex1_policy.matrix)
 
 
 def test_load_policy_unknown_state(ex1_model):
