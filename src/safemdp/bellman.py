@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import _trapped
+from .chain import _require_transient
 from .evaluate import _induce, _solve
 from .exceptions import MaxIterationsError, NotTransientError
 from .model import MdpModel, Policy
@@ -105,9 +105,7 @@ def _sweep(
     count; past ``max_iter`` sweeps raises MaxIterationsError carrying
     the last iterate.  ``history`` receives a copy of every iterate.
     """
-    trapped = _trapped(Q, np.isfinite(stage))
-    if trapped.size:
-        raise NotTransientError(trapped)
+    _require_transient(Q, np.isfinite(stage))
     v = np.asarray(v0, dtype=float).copy()
     diff = np.inf
     for sweep in range(1, max_iter + 1):

@@ -78,31 +78,35 @@ def decompose(P: np.ndarray, partition: StatePartition) -> BlockDecomposition:
 def _trapped(Q: np.ndarray, valid: np.ndarray | bool = True) -> np.ndarray:
     """Taboo states from which no choice of valid candidates surely leaves H.
 
-    ``Q`` is one block (h, h) or k candidate rows per state (h, k, h), and
-    ``valid`` (h, k) masks the candidates.  A row leaks when its taboo mass
-    is below ``1 - ROW_SUM_TOL``, validate_model's row-sum tolerance.  The
+    ``Q`` is one block (h, h) or k candidate rows per state (..., h, k, h)
+    after any batch axes, ``valid`` (..., h, k) masks the candidates, and
+    the result is a mask (..., h).  A row leaks when its taboo mass is
+    below ``1 - ROW_SUM_TOL``, validate_model's row-sum tolerance.  The
     kept states are the Prob1 fixpoint: those that reach a leaking row
-    through candidates whose taboo successors all stay kept.
+    through candidates whose taboo successors all stay kept.  A pass
+    leaves an item already at its fixpoint unchanged.
     """
     if Q.ndim == 2:
         Q = Q[:, None, :]
     support = Q > 0.0
-    leaks = Q.sum(axis=2) < 1.0 - ROW_SUM_TOL
-    kept = np.ones(len(Q), bool)
+    leaks = Q.sum(axis=-1) < 1.0 - ROW_SUM_TOL
+    kept = np.ones(Q.shape[:-2], bool)
     while True:
-        allowed = valid & kept[:, None] & ~(support & ~kept).any(axis=2)
-        edges = (support & allowed[:, :, None]).any(axis=1)
-        reach = (allowed & leaks).any(axis=1)
-        while (grown := reach | edges[:, reach].any(axis=1)).sum() > reach.sum():
-            reach = grown
-        if reach.sum() == kept.sum():
-            return np.flatnonzero(~kept)
+        escapes = (support & ~kept[..., None, None, :]).any(axis=-1)
+        allowed = valid & kept[..., None] & ~escapes
+        edges = (support & allowed[..., None]).any(axis=-2)
+        reach = (allowed & leaks).any(axis=-1)
+        grown = reach | (edges & reach[..., None, :]).any(axis=-1)
+        while grown.sum() > reach.sum():
+            reach, grown = grown, grown | (edges & grown[..., None, :]).any(axis=-1)
+        if (reach == kept).all():
+            return ~kept
         kept = reach
 
 
-def _require_transient(Q: np.ndarray) -> None:
-    """Raise NotTransientError naming the trapped states unless Q is transient."""
-    trapped = _trapped(Q)
+def _require_transient(Q: np.ndarray, valid: np.ndarray | bool = True) -> None:
+    """Raise NotTransientError naming the states ``_trapped(Q, valid)`` finds."""
+    trapped = np.flatnonzero(_trapped(Q, valid))
     if trapped.size:
         raise NotTransientError(trapped)
 
@@ -116,7 +120,7 @@ def check_transient(Q: np.ndarray) -> TransienceReport:
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("taboo block must be square")
-    if _trapped(Q).size:
+    if _trapped(Q).any():
         return TransienceReport(False, 1.0)
     return TransienceReport(True, float(np.abs(np.linalg.eigvals(Q)).max(initial=0.0)))
 

@@ -30,21 +30,21 @@ and exit masses from the model view on :class:`~safemdp.model.MdpModel`;
 the dual inner problem, ``constrained_vi_pure`` and ``relative_vi`` run
 the one sweep kernel of :mod:`safemdp.bellman` over their own candidates
 (actions, admissible pure policies, vertices); every exact policy
-evaluation goes through the evaluation core of :mod:`safemdp.evaluate`.
+evaluation goes through the evaluation core of :mod:`safemdp.evaluate`,
+whose pure-policy kernel ``_pure_blocks`` ``enumerate_admissible`` filters.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .bellman import _greedy_policy, _sweep, safest_policy
-from .evaluate import _exact, _induce, _solve
-from .exceptions import CapExceededError, InfeasibleError, NotTransientError
-from .model import MdpModel, Policy, pure_policy
+from .evaluate import _exact, _induce, _pure_blocks, _solve
+from .exceptions import InfeasibleError
+from .model import MdpModel, Policy
 from .simplex import solve_min
 
 ADMISSIBLE_TOL = 1e-10
@@ -355,27 +355,18 @@ def enumerate_admissible(model: MdpModel, p: float, cap: int = 10**6) -> Admissi
     """Evaluate every pure policy and keep those with safety <= p throughout.
 
     Enumeration order is the action-index product over taboo states in
-    canonical order, last state varying fastest.  Policies whose induced
-    chain is not transient cannot be evaluated and are listed separately.
+    canonical order, last state varying fastest, as ``_pure_blocks``
+    yields it.  Policies whose induced chain is not transient cannot be
+    evaluated and are listed separately.
     """
-    h, m = model.n_taboo, model.n_actions
-    total = m**h
-    if total > cap:
-        raise CapExceededError(f"{total} pure policies exceed the cap of {cap}")
-    members: list[AdmissibleMember] = []
-    skipped: list[tuple[int, ...]] = []
-    for assignment in itertools.product(range(m), repeat=h):
-        policy = pure_policy(model, dict(enumerate(assignment)))
-        try:
-            v, s, _ = _exact(model, policy)
-        except NotTransientError:
-            skipped.append(assignment)
-            continue
-        if (s <= p + ADMISSIBLE_TOL).all():
-            members.append(AdmissibleMember(assignment, policy, v, s))
-    return AdmissibleSet(
-        members=tuple(members), non_transient=tuple(skipped), total=total, p=p
-    )
+    members, skipped = [], []
+    for picks, transient, X in _pure_blocks(model, cap):
+        keep = transient & (X[:, 1] <= p + ADMISSIBLE_TOL).all(axis=1)
+        skipped += map(tuple, picks[~transient].tolist())
+        for a, (v, s, _) in zip(picks[keep].tolist(), X[keep]):
+            members.append(AdmissibleMember(tuple(a), _greedy_policy(model, a), v, s))
+    total = model.n_actions**model.n_taboo
+    return AdmissibleSet(tuple(members), tuple(skipped), total, p)
 
 
 def cone_check(model: MdpModel, policy: Policy, p: float) -> ConeReport:

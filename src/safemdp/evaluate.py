@@ -15,8 +15,10 @@ Every exact evaluation in the package goes through one core: ``_induce``
 builds the induced chain and its cost inputs, and ``_solve`` checks the
 taboo block for transience once and solves ``(I - Q) X = B`` by one LU
 factorization, with B = [R, K, L] (``_exact``) or, only when G itself is
-returned, the identity.  The iterative evaluators run the sweep kernel of
-:mod:`safemdp.bellman` with one candidate per state.
+returned, the identity.  ``_pure_blocks``, the kernel of the enumeration
+oracles, does the same for PURE_CHUNK pure policies at once: one batched
+``_trapped``, one batched solve.  The iterative evaluators run the sweep
+kernel of :mod:`safemdp.bellman` with one candidate per state.
 """
 
 from __future__ import annotations
@@ -25,8 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BlockDecomposition, _require_transient, check_transient, decompose
+from .chain import BlockDecomposition, _require_transient, _trapped, decompose
+from .exceptions import CapExceededError
 from .model import MdpModel, Policy, induced_matrix
+
+# Pure policies gathered and solved together by ``_pure_blocks``.
+PURE_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,31 @@ def _exact(model: MdpModel, policy: Policy) -> np.ndarray:
     return np.ascontiguousarray(_solve(blocks.q, rhs).T)
 
 
+def _pure_blocks(model: MdpModel, cap: int):
+    """Evaluate every pure policy, PURE_CHUNK at a time, in product order.
+
+    Yields per block the assignments (B, h), last taboo state varying
+    fastest, the transience verdicts (B,) and X (B, 3, h), C-contiguous,
+    with rows V, S and T bit for bit as ``_exact`` returns them (NaN when
+    not transient).  Raises CapExceededError first when m^h > ``cap``.
+    """
+    h, m = model.n_taboo, model.n_actions
+    total = m**h
+    if total > cap:
+        raise CapExceededError(f"{total} pure policies exceed the cap of {cap}")
+    rows = np.arange(h)
+    inputs = np.stack((model.stage_costs, model.forbidden_exit, model.target_exit), 2)
+    for lo in range(0, total, PURE_CHUNK):
+        flat = np.arange(lo, min(total, lo + PURE_CHUNK))
+        picks = np.stack(np.unravel_index(flat, (m,) * h), axis=1)
+        Q, rhs = model.taboo_block[rows, picks], inputs[rows, picks]
+        transient = ~_trapped(Q[:, :, None, :]).any(axis=1)
+        X = np.full((len(flat), 3, h), np.nan)
+        solved = np.linalg.solve(np.eye(h) - Q[transient], rhs[transient])
+        X[transient] = solved.transpose(0, 2, 1)
+        yield picks, transient, X
+
+
 def cost_inputs(model: MdpModel, policy: Policy) -> CostInputs:
     """Average the stage cost and exit masses under a policy.
 
@@ -104,7 +135,7 @@ def chain_quantities(model: MdpModel, policy: Policy) -> ChainQuantities:
     """
     P, blocks, inputs = _induce(model, policy)
     G = _solve(blocks.q, np.eye(model.n_taboo))
-    radius = check_transient(blocks.q).spectral_radius
+    radius = float(np.abs(np.linalg.eigvals(blocks.q)).max(initial=0.0))
     return ChainQuantities(
         matrix=P, blocks=blocks, green=G, spectral_radius=radius, inputs=inputs
     )

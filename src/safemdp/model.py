@@ -300,6 +300,16 @@ def _unknown(entry: str, refs) -> ModelFormatError:
     return ModelFormatError(f"{entry} names unknown {kind} {label!r}")
 
 
+def _check_number(value, entry: str) -> None:
+    """Raise ModelFormatError unless a JSON value whose type is not float fits one."""
+    if type(value) is not int:  # a string, boolean, null, list or object
+        raise ModelFormatError(f"{entry} is not a number: {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ModelFormatError(f"{entry} is out of float range") from None
+
+
 def load_model(text: str) -> MdpModel:
     """Parse and validate a model document.
 
@@ -318,14 +328,14 @@ def load_model(text: str) -> MdpModel:
     ModelFormatError
         On malformed JSON, missing sections, list or object labels, unknown
         labels, duplicates or a probability or cost that is not a JSON
-        number; the first defect in document order wins.
+        number in float range; the first defect in document order wins.
     ModelValidationError
         When the parsed model violates an invariant; carries the full
         violation list.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond int_max_str_digits
         raise ModelFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("top-level document must be an object")
@@ -388,8 +398,8 @@ def load_model(text: str) -> MdpModel:
         if cell in seen:
             raise ModelFormatError(f"duplicate transition triple {(src, act, dst)}")
         seen.add(cell)
-        if type(prob) not in (int, float):  # not a string, boolean or null
-            raise ModelFormatError(f"transition {(src, act, dst)} p is not a number: {prob!r}")
+        if type(prob) is not float:
+            _check_number(prob, f"transition {(src, act, dst)} p")
         cells.append(cell)
         probs.append(prob)
     p = np.zeros(n * m * n)
@@ -413,8 +423,8 @@ def load_model(text: str) -> MdpModel:
         if cell in seen:
             raise ModelFormatError(f"duplicate reward entry {(st, act)}")
         seen.add(cell)
-        if type(val) not in (int, float):
-            raise ModelFormatError(f"reward {(st, act)} rho is not a number: {val!r}")
+        if type(val) is not float:
+            _check_number(val, f"reward {(st, act)} rho")
         cells.append(cell)
         costs.append(val)
     rho = np.zeros(m * n)
@@ -518,11 +528,11 @@ def load_policy(text: str, model: MdpModel) -> Policy:
     """Parse a policy document against a model.
 
     Every taboo state needs a row; rows for forbidden or target states are
-    optional and default to action index 0.  Masses must be JSON numbers.
+    optional and default to action index 0.  Masses are JSON numbers in float range.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond int_max_str_digits
         raise ModelFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("policy"), list):
         raise ModelFormatError("policy document must contain a 'policy' list")
@@ -544,10 +554,8 @@ def load_policy(text: str, model: MdpModel) -> Policy:
         for act, mass in dist.items():
             if act not in model._action_index:
                 raise ModelFormatError(f"policy names unknown action {act!r}")
-            if type(mass) not in (int, float):  # not a string, boolean or null
-                raise ModelFormatError(
-                    f"policy row for {label!r} mass of {act!r} is not a number: {mass!r}"
-                )
+            if type(mass) is not float:
+                _check_number(mass, f"policy row for {label!r} mass of {act!r}")
             matrix[i, model._action_index[act]] = mass
     for i in range(model.n_states):
         if i not in seen:

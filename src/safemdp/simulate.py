@@ -1,9 +1,10 @@
 """Trajectory simulation and exhaustive oracles.
 
-Everything here is deliberately independent of the analytic solvers so
-the two can be checked against each other: a counter-based Monte Carlo
-simulator, a finite-depth path enumerator with rigorous bounds, and a
-brute-force constrained optimizer over pure policies.
+A counter-based Monte Carlo simulator and a finite-depth path enumerator
+with rigorous bounds stay independent of the analytic solvers, so the
+two can be checked against each other.  The brute-force constrained
+optimizer over pure policies shares the evaluation core's pure-policy
+kernel ``_pure_blocks`` with ``enumerate_admissible``.
 
 Randomness: each trajectory owns a Philox4x64-10 stream keyed by
 (master seed, trajectory index), exactly the stream of
@@ -19,14 +20,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .evaluate import _exact
-from .exceptions import CapExceededError, NotTransientError, PathExplosionError
-from .model import MdpModel, Policy, pure_policy
+from .bellman import _greedy_policy
+from .constrained import ADMISSIBLE_TOL
+from .evaluate import _pure_blocks
+from .exceptions import PathExplosionError
+from .model import MdpModel, Policy
 
 UNIFORM_BLOCK = 16
 MAX_DEPTH = 64
@@ -424,46 +427,22 @@ def brute_force_constrained(
     """Exhaustively find the admissible pure policy with the least summed value.
 
     The reference oracle for the constrained solvers: every pure policy
-    is evaluated exactly; those with any safety coordinate above
-    p + 1e-10 or with a non-transient chain are rejected.  Ties on the
-    summed value keep the earliest policy in product order.
+    is evaluated exactly by the evaluation core's pure-policy kernel;
+    those with any safety coordinate above p + ADMISSIBLE_TOL or with a
+    non-transient chain are rejected.  Ties on the summed value keep the
+    earliest policy in product order.
     """
-    h, m = model.n_taboo, model.n_actions
-    total = m**h
-    if total > cap:
-        raise CapExceededError(f"{total} pure policies exceed the cap of {cap}")
-    best = None
-    best_sum = np.inf
-    admissible = 0
-    for assignment in product(range(m), repeat=h):
-        pol = pure_policy(model, dict(enumerate(assignment)))
-        try:
-            v, s, _ = _exact(model, pol)
-        except NotTransientError:
-            continue
-        if (s > p + 1e-10).any():
-            continue
-        admissible += 1
-        if float(v.sum()) < best_sum:
-            best_sum = float(v.sum())
-            best = (assignment, pol, v, s)
+    best, best_sum, admissible = None, np.inf, 0
+    for picks, transient, X in _pure_blocks(model, cap):
+        keep = np.flatnonzero(transient & (X[:, 1] <= p + ADMISSIBLE_TOL).all(axis=1))
+        admissible += keep.size
+        sums = X[keep, 0].sum(axis=1)
+        if keep.size and sums.min() < best_sum:
+            k = keep[sums.argmin()]
+            best_sum, best = sums.min(), (picks[k], X[k].copy())
+    total = model.n_actions**model.n_taboo
     if best is None:
-        return BruteForceResult(
-            feasible=False,
-            assignment=None,
-            policy=None,
-            value=None,
-            safety=None,
-            admissible_count=0,
-            total=total,
-        )
-    assignment, pol, v, s = best
-    return BruteForceResult(
-        feasible=True,
-        assignment=assignment,
-        policy=pol,
-        value=v,
-        safety=s,
-        admissible_count=admissible,
-        total=total,
-    )
+        return BruteForceResult(False, None, None, None, None, 0, total)
+    a, (v, s, _) = best
+    policy = _greedy_policy(model, a)
+    return BruteForceResult(True, tuple(a.tolist()), policy, v, s, admissible, total)

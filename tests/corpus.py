@@ -4,6 +4,8 @@ Every taboo row is a uniform-random distribution blended with an exit
 mass of at least 0.1 spread over the forbidden and target states, so the
 taboo block of every policy has row sums at most 0.9.  That makes every
 policy transient by construction, which the corpus tests rely on.
+``sparse_model`` is the exception: its rows sit on a 1/8 grid over at
+most three columns, so closed classes and non-transient policies come up.
 """
 import json
 
@@ -78,6 +80,23 @@ def random_model_small(rng, max_actions=3):
     ne = int(rng.integers(1, 6 - h - nu + 1))
     m = int(rng.integers(1, max_actions + 1))
     return _fill(rng, h, nu, ne, m, 0.1)
+
+
+def sparse_model(rng):
+    """h <= 4 taboo states, one forbidden, one target, m <= 2, 1/8-grid rows."""
+    h, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+    n = h + 2
+    trans = np.zeros((n, m, n))
+    for i in range(h):
+        for u in range(m):
+            cols = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+            np.add.at(trans[i, u], rng.choice(cols, size=8), 0.125)
+    for j in range(h, n):
+        trans[j, :, j] = 1.0
+    rewards = np.zeros((m, n))
+    rewards[:, :h] = rng.integers(0, 5, size=(m, h))
+    states = [f"h{i}" for i in range(h)] + ["u0", "e0"]
+    return _assemble(states, [f"a{k}" for k in range(m)], h, 1, trans, rewards)
 
 
 def random_policy(rng, model):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from safemdp import chain
 from safemdp.cli import main
 
 
@@ -93,6 +94,18 @@ def test_validate_broken(capsys, broken_model):
     assert code == 2
     assert not report["results"]["valid"]
     assert any("sums to" in v for v in report["results"]["violations"])
+
+
+def test_validate_overflowing_number_exits_2(capsys, tmp_path, model_path):
+    doc = json.loads(open(model_path).read())
+    doc["transitions"][0]["p"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "validate", str(path))
+    assert code == 2
+    assert not report["results"]["valid"]
+    [violation] = report["results"]["violations"]
+    assert violation.startswith("transition (") and "p is out of float range" in violation
 
 
 @pytest.mark.parametrize(
@@ -196,6 +209,23 @@ def test_eval_evaluates_the_policy_once(capsys, monkeypatch, model_path, policy_
     monkeypatch.setattr("safemdp.chain.green", refuse)
     code, after = run_json(capsys, "eval", model_path, policy_path)
     assert code == 0
+    assert strip_timings(after) == strip_timings(before)
+
+
+def test_eval_checks_transience_once(capsys, monkeypatch, model_path, policy_path):
+    """The radius comes after the one transience check of the solve."""
+    code, before = run_json(capsys, "eval", model_path, policy_path)
+    calls = []
+    trapped = chain._trapped
+
+    def counted(*args):
+        calls.append(args)
+        return trapped(*args)
+
+    monkeypatch.setattr("safemdp.chain._trapped", counted)
+    code, after = run_json(capsys, "eval", model_path, policy_path)
+    assert code == 0
+    assert len(calls) == 1
     assert strip_timings(after) == strip_timings(before)
 
 

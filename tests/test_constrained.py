@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import safemdp as sm
+from safemdp.constrained import ADMISSIBLE_TOL
+from safemdp.evaluate import _exact
 
 GOLDEN = np.array([1.0, 3.6, 4.0])
 
@@ -267,9 +269,57 @@ def test_enumerate_admissible_extremes(ex1_model):
     assert not sm.enumerate_admissible(ex1_model, p=0.0).members
 
 
-def test_enumerate_admissible_cap(ex1_model):
-    with pytest.raises(sm.CapExceededError):
+def test_enumerate_admissible_cap(ex1_model, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumeration started past the cap")
+
+    monkeypatch.setattr("safemdp.evaluate._trapped", refuse)
+    with pytest.raises(sm.CapExceededError, match="8 pure policies exceed the cap of 7"):
         sm.enumerate_admissible(ex1_model, p=0.5, cap=7)
+
+
+def reference_enumerate_admissible(model, p, cap=10**6):
+    """The one-policy-at-a-time loop the batched kernel replaced."""
+    h, m = model.n_taboo, model.n_actions
+    total = m**h
+    if total > cap:
+        raise sm.CapExceededError(f"{total} pure policies exceed the cap of {cap}")
+    members, skipped = [], []
+    for assignment in itertools.product(range(m), repeat=h):
+        policy = sm.pure_policy(model, dict(enumerate(assignment)))
+        try:
+            v, s, _ = _exact(model, policy)
+        except sm.NotTransientError:
+            skipped.append(assignment)
+            continue
+        if (s <= p + ADMISSIBLE_TOL).all():
+            members.append(sm.AdmissibleMember(assignment, policy, v, s))
+    return sm.AdmissibleSet(
+        members=tuple(members), non_transient=tuple(skipped), total=total, p=p
+    )
+
+
+def assert_same_admissible(got, want):
+    assert (got.total, got.p, got.non_transient) == (want.total, want.p, want.non_transient)
+    assert [m.assignment for m in got.members] == [m.assignment for m in want.members]
+    for g, w in zip(got.members, want.members):
+        assert all(type(a) is int for a in g.assignment)
+        assert np.array_equal(g.value, w.value)
+        assert np.array_equal(g.safety, w.safety)
+        assert np.array_equal(g.policy.matrix, w.policy.matrix)
+
+
+@pytest.mark.parametrize("chunk", [None, 37])
+def test_enumerate_admissible_matches_reference(oracle_cases, monkeypatch, chunk):
+    """Bit for bit, also when blocks of 37 policies split the product order."""
+    if chunk:
+        monkeypatch.setattr("safemdp.evaluate.PURE_CHUNK", chunk)
+    skipped = 0
+    for model, p in oracle_cases:
+        want = reference_enumerate_admissible(model, p)
+        assert_same_admissible(sm.enumerate_admissible(model, p), want)
+        skipped += len(want.non_transient)
+    assert skipped > 0
 
 
 # ------------------------------------------------------------------ cone check

@@ -120,6 +120,9 @@ def test_empty_partitions_flagged(ex1_model):
         (lambda d: d["rewards"][0].update(rho="1"), "rho is not a number: '1'"),
         (lambda d: d["rewards"][0].update(rho=False), "rho is not a number: False"),
         (lambda d: d["rewards"][0].update(rho=None), "rho is not a number: None"),
+        (lambda d: d["transitions"][0].update(p=10**400),
+         r"transition \('a', 'u1', 'd'\) p is out of float range"),
+        (lambda d: d["rewards"][0].update(rho=-(10**400)), "rho is out of float range"),
         (lambda d: d["states"].append(["x"]), r"state label \['x'\] is a list or object"),
         (lambda d: d["actions"].append({"u": 1}), r"action label \{'u': 1\} is a list"),
         (lambda d: d["transitions"][0].update({"from": ["a"]}),
@@ -381,6 +384,7 @@ def test_policy_round_trip(ex1_model, ex1_policy):
         ({"state": "a", "dist": {"u1": None}}, "mass of 'u1' is not a number: None"),
         ({"state": "a", "dist": {"u1": "1"}}, "mass of 'u1' is not a number: '1'"),
         ({"state": "a", "dist": {"u1": True}}, "mass of 'u1' is not a number: True"),
+        ({"state": "a", "dist": {"u1": 10**400}}, "mass of 'u1' is out of float range"),
         ({"state": ["a"], "dist": {"u1": 1.0}}, r"unknown state \['a'\]"),
         ({"state": {"a": 1}, "dist": {"u1": 1.0}}, r"unknown state \{'a': 1\}"),
         ({"state": "a", "dist": [1.0]}, "must map actions to mass"),
@@ -390,6 +394,17 @@ def test_load_policy_format_errors(ex1_model, row, message):
     rows = [row, {"state": "b", "dist": {"u2": 1}}, {"state": "c", "dist": {"u1": 1}}]
     with pytest.raises(sm.ModelFormatError, match=message):
         sm.load_policy(json.dumps({"policy": rows}), ex1_model)
+
+
+def test_five_thousand_digit_integer_is_a_format_error(ex1_model, data_dir):
+    """Past the interpreter's int digit limit where there is one, out of range otherwise."""
+    huge = "9" * 5000
+    text = (data_dir / "ex1_model.json").read_text()
+    with pytest.raises(sm.ModelFormatError):
+        sm.load_model(text.replace('"p": 0.4', '"p": ' + huge, 1))
+    doc = json.dumps({"policy": [{"state": "a", "dist": {"u1": 0}}]}).replace("0", huge)
+    with pytest.raises(sm.ModelFormatError):
+        sm.load_policy(doc, ex1_model)
 
 
 def test_load_policy_integer_mass(ex1_model, ex1_policy):

@@ -1,5 +1,6 @@
 """Trajectory sampling, Monte Carlo estimates, path expansion, enumeration oracle."""
 import importlib
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 import safemdp as sm
 from corpus import random_model_small, random_policy
+from safemdp.constrained import ADMISSIBLE_TOL
+from safemdp.evaluate import _exact
 
 simulate_module = importlib.import_module("safemdp.simulate")
 
@@ -344,6 +347,57 @@ def test_brute_force_infeasible(ex1_model):
     assert res.policy is None
 
 
-def test_brute_force_cap(ex1_model):
-    with pytest.raises(sm.CapExceededError):
+def test_brute_force_cap(ex1_model, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumeration started past the cap")
+
+    monkeypatch.setattr("safemdp.evaluate._trapped", refuse)
+    with pytest.raises(sm.CapExceededError, match="8 pure policies exceed the cap of 7"):
         sm.brute_force_constrained(ex1_model, p=0.5, cap=7)
+
+
+def reference_brute_force(model, p, cap=10**6):
+    """The one-policy-at-a-time loop the batched kernel replaced."""
+    h, m = model.n_taboo, model.n_actions
+    total = m**h
+    if total > cap:
+        raise sm.CapExceededError(f"{total} pure policies exceed the cap of {cap}")
+    best, best_sum, admissible = None, np.inf, 0
+    for assignment in itertools.product(range(m), repeat=h):
+        pol = sm.pure_policy(model, dict(enumerate(assignment)))
+        try:
+            v, s, _ = _exact(model, pol)
+        except sm.NotTransientError:
+            continue
+        if (s > p + ADMISSIBLE_TOL).any():
+            continue
+        admissible += 1
+        if float(v.sum()) < best_sum:
+            best_sum = float(v.sum())
+            best = (assignment, pol, v, s)
+    if best is None:
+        return sm.BruteForceResult(False, None, None, None, None, 0, total)
+    assignment, pol, v, s = best
+    return sm.BruteForceResult(True, assignment, pol, v, s, admissible, total)
+
+
+@pytest.mark.parametrize("chunk", [None, 37])
+def test_brute_force_matches_reference(oracle_cases, monkeypatch, chunk):
+    """Every field bit for bit, also when blocks of 37 policies split runs of ties."""
+    if chunk:
+        monkeypatch.setattr("safemdp.evaluate.PURE_CHUNK", chunk)
+    feasible = 0
+    for model, p in oracle_cases:
+        got, want = sm.brute_force_constrained(model, p), reference_brute_force(model, p)
+        assert (got.feasible, got.assignment, got.admissible_count, got.total) == (
+            want.feasible, want.assignment, want.admissible_count, want.total
+        )
+        assert got.assignment is None or all(type(a) is int for a in got.assignment)
+        if want.feasible:
+            assert np.array_equal(got.policy.matrix, want.policy.matrix)
+            assert np.array_equal(got.value, want.value)
+            assert np.array_equal(got.safety, want.safety)
+        else:
+            assert (got.policy, got.value, got.safety) == (None, None, None)
+        feasible += want.feasible
+    assert 0 < feasible < len(oracle_cases)

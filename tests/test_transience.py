@@ -1,4 +1,8 @@
-"""Exact structural transience: verdicts against eigenvalues and enumeration."""
+"""Exact structural transience: verdicts against eigenvalues and enumeration.
+
+The batched ``_trapped`` is checked row by row against the single-item
+call and against an enumeration of pure choices.
+"""
 import itertools
 
 import numpy as np
@@ -8,8 +12,10 @@ from hypothesis import strategies as st
 
 import safemdp as sm
 from corpus import _assemble
+from safemdp.chain import _trapped
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
+BATCH_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
 
 @st.composite
@@ -64,6 +70,54 @@ def exit_is_sure(Q):
         reach |= (reach.astype(int) @ reach.astype(int)) > 0
     can_exit = (reach & (Q.sum(axis=1) < 1)).any(axis=1)
     return ~(reach & ~can_exit).any(axis=1)
+
+
+@st.composite
+def candidate_stacks(draw, max_h, max_k):
+    """A stack (B, h, k, h) of sparse candidate rows and a mask (B, h, k)."""
+    b = draw(st.integers(1, 4))
+    h = draw(st.integers(1, max_h))
+    k = draw(st.integers(1, max_k))
+    Q = draw(grid_rows(b * h * k, h + 1))[:, :h].reshape(b, h, k, h)
+    valid = draw(st.lists(st.booleans(), min_size=b * h * k, max_size=b * h * k))
+    return Q, np.reshape(valid, (b, h, k))
+
+
+def trapped_by_enumeration(Q, valid):
+    """States no pure choice of valid candidates surely leads out of H.
+
+    A state without a valid candidate gets a self-loop, which traps it.
+    """
+    h = Q.shape[0]
+    choices = [
+        [Q[i, c] for c in np.flatnonzero(valid[i])] or [np.eye(h)[i]] for i in range(h)
+    ]
+    sure = np.zeros(h, bool)
+    for rows in itertools.product(*choices):
+        sure |= exit_is_sure(np.array(rows))
+    return ~sure
+
+
+@BATCH_SETTINGS
+@given(candidate_stacks(max_h=6, max_k=1))
+def test_batched_trapped_on_pure_stacks(stack):
+    Q = stack[0][:, :, 0]
+    mask = _trapped(Q[:, :, None, :])
+    assert mask.shape == Q.shape[:2]
+    for item, row in zip(Q, mask):
+        assert np.array_equal(row, _trapped(item))
+        assert np.array_equal(row, ~exit_is_sure(item))
+
+
+@BATCH_SETTINGS
+@given(candidate_stacks(max_h=4, max_k=3))
+def test_batched_trapped_on_masked_candidate_stacks(stack):
+    Q, valid = stack
+    mask = _trapped(Q, valid)
+    assert mask.shape == Q.shape[:2]
+    for item, ok, row in zip(Q, valid, mask):
+        assert np.array_equal(row, _trapped(item, ok))
+        assert np.array_equal(row, trapped_by_enumeration(item, ok))
 
 
 @SETTINGS
