@@ -45,10 +45,9 @@ MODEL = {
 }
 
 
-def name(model, member):
+def name(model, assignment):
     return ", ".join(
-        f"{s}: {model.actions[u]}"
-        for s, u in zip(model.partition.taboo, member.assignment)
+        f"{s}: {model.actions[u]}" for s, u in zip(model.partition.taboo, assignment)
     )
 
 
@@ -57,11 +56,11 @@ def main():
     p = 0.5
 
     adm = sm.enumerate_admissible(model, p)
-    print(f"admissible pure policies at p = {p} ({len(adm.members)} of {adm.total}):")
-    for member in adm.members:
+    print(f"admissible pure policies at p = {p} ({len(adm.value)} of {adm.total}):")
+    for assignment, v, s in zip(adm.assignments, adm.value, adm.safety):
         print(
-            f"  ({name(model, member)})  total value {member.value.sum():.4f},"
-            f" max safety {member.safety.max():.2f}"
+            f"  ({name(model, assignment)})  total value {v.sum():.4f},"
+            f" max safety {s.max():.2f}"
         )
 
     problem = sm.build_lp(model, p)

@@ -26,7 +26,6 @@ from .chain import (
     occupation,
 )
 from .constrained import (
-    AdmissibleMember,
     AdmissibleSet,
     ConeReport,
     ConstrainedSolveReport,

@@ -19,21 +19,14 @@ NEUMANN_TAIL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """The nine blocks of a chain matrix in canonical (H, U, E) order.
+    """The rows of a chain matrix leaving the taboo states, in (H, U, E) order.
 
     ``q`` is the within-taboo block, ``hu`` and ``he`` the exit blocks from H.
-    The remaining blocks are retained for residual checks.
     """
 
     q: np.ndarray
     hu: np.ndarray
     he: np.ndarray
-    uh: np.ndarray
-    uu: np.ndarray
-    ue: np.ndarray
-    eh: np.ndarray
-    eu: np.ndarray
-    ee: np.ndarray
 
 
 class TransienceReport(NamedTuple):
@@ -42,20 +35,11 @@ class TransienceReport(NamedTuple):
 
 
 def decompose(P: np.ndarray, partition: StatePartition) -> BlockDecomposition:
-    """Split a row-stochastic chain matrix into its partition blocks.
+    """Split the taboo rows of a row-stochastic chain matrix into its blocks.
 
-    Parameters
-    ----------
-    P : ndarray, shape (n, n)
-        Chain matrix with rows ordered canonically (taboo, forbidden, target).
-    partition : StatePartition
-        Supplies the block sizes.
-
-    Raises
-    ------
-    ValueError
-        If the matrix shape does not match the partition or a row does not
-        sum to one.
+    ``P`` (n, n) lists the states canonically (taboo, forbidden, target),
+    with block sizes from ``partition``.  Raises ValueError if the shape
+    does not match the partition or a row does not sum to one.
     """
     P = np.asarray(P, dtype=float)
     h, u, e = len(partition.taboo), len(partition.forbidden), len(partition.target)
@@ -67,12 +51,7 @@ def decompose(P: np.ndarray, partition: StatePartition) -> BlockDecomposition:
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"row {i} sums to {sums[i]:.12g}, matrix is not stochastic")
-    hs, us, es = slice(0, h), slice(h, h + u), slice(h + u, n)
-    return BlockDecomposition(
-        q=P[hs, hs], hu=P[hs, us], he=P[hs, es],
-        uh=P[us, hs], uu=P[us, us], ue=P[us, es],
-        eh=P[es, hs], eu=P[es, us], ee=P[es, es],
-    )
+    return BlockDecomposition(q=P[:h, :h], hu=P[:h, h : h + u], he=P[:h, h + u :])
 
 
 def _trapped(Q: np.ndarray, valid: np.ndarray | bool = True) -> np.ndarray:

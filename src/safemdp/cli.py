@@ -280,9 +280,14 @@ def cmd_solve(args, report: dict, started: float) -> int:
 
 def cmd_simulate(args, report: dict, started: float) -> int:
     report["inputs"] = {"model": _digest(args.model), "policy": _digest(args.policy)}
-    if args.n < 1:
-        raise ParameterError("--n must be a positive integer")
+    for flag, x in (("--n", args.n), ("--max-steps", args.max_steps)):
+        if x < 1:
+            raise ParameterError(f"{flag} must be a positive integer")
+    if not 0 <= args.seed < 2**64:
+        raise ParameterError(f"--seed must lie in [0, 2^64), got {args.seed}")
     model, policy = _load_pair(args)
+    if args.start not in model.states:
+        raise ParameterError(f"--start names no state: {args.start!r}")
     start = model.state_index(args.start)
     mc = mc_estimates(
         model, policy, start, args.n, args.seed, max_steps=args.max_steps

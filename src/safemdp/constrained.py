@@ -7,7 +7,7 @@ bound on the probability of absorption in a forbidden state:
   on the sign of its slope,
 * a linear program over pure-policy constraint rows,
 * exact enumeration of the admissible pure policies,
-* value iteration restricted to the enumerated admissible set.
+* value iteration over the per-state projection of the admissible set.
 
 A fifth solver handles the local one-step variant, where per-state action
 distributions are constrained by the ratio of forbidden-exit to
@@ -29,9 +29,9 @@ Shared machinery: every solver here reads the stage costs, taboo block
 and exit masses from the model view on :class:`~safemdp.model.MdpModel`;
 the dual inner problem, ``constrained_vi_pure`` and ``relative_vi`` run
 the one sweep kernel of :mod:`safemdp.bellman` over their own candidates
-(actions, admissible pure policies, vertices); every exact policy
-evaluation goes through the evaluation core of :mod:`safemdp.evaluate`,
-whose pure-policy kernel ``_pure_blocks`` ``enumerate_admissible`` filters.
+(actions, admissible actions, vertices); every exact policy evaluation
+goes through the evaluation core of :mod:`safemdp.evaluate`, whose
+pure-policy kernel ``_pure_blocks`` ``_admissible_blocks`` filters.
 """
 
 from __future__ import annotations
@@ -77,19 +77,16 @@ class ConeReport(NamedTuple):
 
 
 @dataclass(frozen=True)
-class AdmissibleMember:
-    """One admissible pure policy with its exact evaluation."""
+class AdmissibleSet:
+    """Admissible pure policies as rows (P, h) of actions, exact V and S.
 
-    assignment: tuple[int, ...]
-    policy: Policy
+    ``non_transient`` (Q, h) holds the assignments that cannot be evaluated.
+    """
+
+    assignments: np.ndarray
     value: np.ndarray
     safety: np.ndarray
-
-
-@dataclass(frozen=True)
-class AdmissibleSet:
-    members: tuple[AdmissibleMember, ...]
-    non_transient: tuple[tuple[int, ...], ...]
+    non_transient: np.ndarray
     total: int
     p: float
 
@@ -351,6 +348,35 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     )
 
 
+def _admissible_blocks(model: MdpModel, p: float, cap: int):
+    """``_pure_blocks`` and each block's mask of transient policies within p."""
+    for picks, transient, X in _pure_blocks(model, cap):
+        within = (X[:, 1] <= p + ADMISSIBLE_TOL).all(axis=1)
+        yield picks, transient, X, transient & within
+
+
+def _admissible_scan(model: MdpModel, p: float, cap: int):
+    """One pass over the pure policies, holding one PURE_CHUNK block.
+
+    Returns the first-wins argmin of summed V among admissible policies as
+    (assignment, rows V S T) or None, the admissible and non-transient
+    counts, and the (h, m) mask of actions some admissible policy takes.
+    """
+    h = model.n_taboo
+    best, best_sum, admissible, skipped = None, np.inf, 0, 0
+    mask = np.zeros((h, model.n_actions), dtype=bool)
+    for picks, transient, X, keep in _admissible_blocks(model, p, cap):
+        keep = np.flatnonzero(keep)
+        admissible += keep.size
+        skipped += len(transient) - int(transient.sum())
+        mask[np.arange(h), picks[keep]] = True
+        sums = X[keep, 0].sum(axis=1)
+        if keep.size and sums.min() < best_sum:
+            k = keep[sums.argmin()]
+            best_sum, best = sums.min(), (picks[k], X[k].copy())
+    return best, admissible, skipped, mask
+
+
 def enumerate_admissible(model: MdpModel, p: float, cap: int = 10**6) -> AdmissibleSet:
     """Evaluate every pure policy and keep those with safety <= p throughout.
 
@@ -359,14 +385,13 @@ def enumerate_admissible(model: MdpModel, p: float, cap: int = 10**6) -> Admissi
     yields it.  Policies whose induced chain is not transient cannot be
     evaluated and are listed separately.
     """
-    members, skipped = [], []
-    for picks, transient, X in _pure_blocks(model, cap):
-        keep = transient & (X[:, 1] <= p + ADMISSIBLE_TOL).all(axis=1)
-        skipped += map(tuple, picks[~transient].tolist())
-        for a, (v, s, _) in zip(picks[keep].tolist(), X[keep]):
-            members.append(AdmissibleMember(tuple(a), _greedy_policy(model, a), v, s))
+    blocks = [
+        (picks[keep], X[keep, 0], X[keep, 1], picks[~transient])
+        for picks, transient, X, keep in _admissible_blocks(model, p, cap)
+    ]
+    assignments, value, safety, skipped = map(np.concatenate, zip(*blocks))
     total = model.n_actions**model.n_taboo
-    return AdmissibleSet(tuple(members), tuple(skipped), total, p)
+    return AdmissibleSet(assignments, value, safety, skipped, total, p)
 
 
 def cone_check(model: MdpModel, policy: Policy, p: float) -> ConeReport:
@@ -390,42 +415,38 @@ def constrained_vi_pure(
     max_iter: int = 100_000,
     cap: int = 10**6,
 ) -> ConstrainedSolveReport:
-    """Value iteration over the enumerated admissible pure policies.
+    """Value iteration over the per-state projection of the admissible set.
 
-    Each sweep takes the coordinate-wise minimum of R + Q V across the
-    admissible set.  The sweep limit can undercut every single member
-    (coordinates may be claimed by different policies), so the report
-    carries both: ``value`` is the sweep limit, ``policy`` the member
-    with the smallest summed exact value, and ``info`` flags a gap
-    between the two beyond 1e-8.
+    State i minimizes R + Q V over the actions admissible pure policies
+    take at i.  The sweep limit can undercut every single admissible
+    policy (coordinates may be claimed by different policies), so the
+    report carries both: ``value`` is the sweep limit, ``policy`` the
+    admissible policy with the smallest summed exact value (the first in
+    product order), and ``info`` flags a gap between the two beyond 1e-8.
     """
-    adm = enumerate_admissible(model, p, cap)
-    if not adm.members:
+    best, admissible, skipped, mask = _admissible_scan(model, p, cap)
+    h, total = model.n_taboo, model.n_actions**model.n_taboo
+    if best is None:
         raise InfeasibleError(
             f"no pure policy keeps safety within {p} everywhere "
-            f"({adm.total} enumerated, {len(adm.non_transient)} non-transient)"
+            f"({total} enumerated, {skipped} non-transient)"
         )
-    h = model.n_taboo
-    # Candidate k of state i is the action admissible policy k takes there.
-    picks = np.array([m.assignment for m in adm.members]).T
-    idx = np.arange(h)[:, None]
-    stage, Q = model.stage_costs[idx, picks], model.taboo_block[idx, picks]
-    v, _, sweep = _sweep(stage, Q, np.zeros(h), tol, max_iter)
+    stage = np.where(mask, model.stage_costs, np.inf)
+    v, _, sweep = _sweep(stage, model.taboo_block, np.zeros(h), tol, max_iter)
 
-    sums = [float(m.value.sum()) for m in adm.members]
-    best = adm.members[int(np.argmin(sums))]
-    spread = float(np.abs(best.value - v).max())
+    assignment, (best_value, _, _) = best
+    spread = float(np.abs(best_value - v).max())
     return ConstrainedSolveReport(
         value=v,
-        policy=best.policy,
+        policy=_greedy_policy(model, assignment),
         multipliers=np.zeros(h),
         method="constrained-vi",
         feasible=True,
-        gap=float(best.value.sum() - v.sum()),
+        gap=float(best_value.sum() - v.sum()),
         info={
             "sweeps": sweep,
-            "admissible_count": len(adm.members),
-            "non_transient_count": len(adm.non_transient),
+            "admissible_count": admissible,
+            "non_transient_count": skipped,
             "sweep_matches_best_policy": bool(spread <= 1e-8),
             "sweep_vs_best_policy": spread,
         },

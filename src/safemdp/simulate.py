@@ -3,8 +3,8 @@
 A counter-based Monte Carlo simulator and a finite-depth path enumerator
 with rigorous bounds stay independent of the analytic solvers, so the
 two can be checked against each other.  The brute-force constrained
-optimizer over pure policies shares the evaluation core's pure-policy
-kernel ``_pure_blocks`` with ``enumerate_admissible``.
+optimizer over pure policies is the streaming admissible scan of
+:mod:`safemdp.constrained`, the one behind ``constrained_vi_pure``.
 
 Randomness: each trajectory owns a Philox4x64-10 stream keyed by
 (master seed, trajectory index), exactly the stream of
@@ -26,8 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bellman import _greedy_policy
-from .constrained import ADMISSIBLE_TOL
-from .evaluate import _pure_blocks
+from .constrained import _admissible_scan
 from .exceptions import PathExplosionError
 from .model import MdpModel, Policy
 
@@ -432,14 +431,7 @@ def brute_force_constrained(
     non-transient chain are rejected.  Ties on the summed value keep the
     earliest policy in product order.
     """
-    best, best_sum, admissible = None, np.inf, 0
-    for picks, transient, X in _pure_blocks(model, cap):
-        keep = np.flatnonzero(transient & (X[:, 1] <= p + ADMISSIBLE_TOL).all(axis=1))
-        admissible += keep.size
-        sums = X[keep, 0].sum(axis=1)
-        if keep.size and sums.min() < best_sum:
-            k = keep[sums.argmin()]
-            best_sum, best = sums.min(), (picks[k], X[k].copy())
+    best, admissible, _, _ = _admissible_scan(model, p, cap)
     total = model.n_actions**model.n_taboo
     if best is None:
         return BruteForceResult(False, None, None, None, None, 0, total)

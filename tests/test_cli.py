@@ -1,5 +1,7 @@
 """Command-line workflows: reports, exit codes, determinism."""
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -421,11 +423,42 @@ def test_simulate_rejects_zero_n(capsys, model_path, policy_path):
     assert report["error"]["kind"] == "Parameter"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--start", "zzz"),
+        ("--seed", "-1"),
+        ("--seed", str(2**64)),
+        ("--max-steps", "0"),
+        ("--max-steps", "-3"),
+    ],
+)
+def test_simulate_rejects_bad_parameter(capsys, model_path, policy_path, flags):
+    args = {"--start": "b", "--n": "10", flags[0]: flags[1]}
+    code, report = run_json(
+        capsys, "simulate", model_path, policy_path, *sum(args.items(), ())
+    )
+    assert code == 2
+    assert report["error"]["kind"] == "Parameter"
+    assert flags[0] in report["error"]["message"]
+
+
+def test_simulate_accepts_largest_seed(capsys, model_path, policy_path):
+    code, report = run_json(
+        capsys, "simulate", model_path, policy_path,
+        "--start", "b", "--n", "10", "--seed", str(2**64 - 1), "--max-steps", "1",
+    )
+    assert code == 0
+    assert report["results"]["seed"] == 2**64 - 1
+
+
 def test_console_entry_point(model_path):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "safemdp.cli", "validate", model_path],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["valid"]

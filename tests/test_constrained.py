@@ -1,12 +1,14 @@
 """Constrained solvers: Lagrangian machinery, LP, enumeration, relative safety."""
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import safemdp as sm
+from safemdp.bellman import _sweep
 from safemdp.constrained import ADMISSIBLE_TOL
 from safemdp.evaluate import _exact
 
@@ -14,7 +16,7 @@ GOLDEN = np.array([1.0, 3.6, 4.0])
 
 
 def members_entrywise_min(adm):
-    return np.min(np.stack([m.value for m in adm.members]), axis=0)
+    return adm.value.min(axis=0)
 
 
 # ---------------------------------------------------------------- lagrangian
@@ -135,7 +137,7 @@ def test_lp_value_bounded_by_members(solver_corpus):
     """The penalized vector never exceeds any admissible policy's value."""
     for model, p in solver_corpus:
         adm = sm.enumerate_admissible(model, p)
-        if not adm.members:
+        if not len(adm.value):
             continue
         sol = sm.solve_lp(sm.build_lp(model, p))
         assert (sol.value <= members_entrywise_min(adm) + 1e-6).all()
@@ -256,17 +258,14 @@ def test_dual_ascent_oracle_gap(ex1_model):
 def test_enumerate_admissible_golden(ex1_model):
     adm = sm.enumerate_admissible(ex1_model, p=0.5)
     assert adm.total == 8
-    assert len(adm.members) == 4
-    assert all(m.assignment[0] == 0 for m in adm.members)
-    assert [m.assignment for m in adm.members] == [
-        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)
-    ]
-    assert not adm.non_transient
+    assert adm.value.shape == adm.safety.shape == (4, 3)
+    assert adm.assignments.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]]
+    assert adm.non_transient.shape == (0, 3)
 
 
 def test_enumerate_admissible_extremes(ex1_model):
-    assert len(sm.enumerate_admissible(ex1_model, p=1.0).members) == 8
-    assert not sm.enumerate_admissible(ex1_model, p=0.0).members
+    assert len(sm.enumerate_admissible(ex1_model, p=1.0).value) == 8
+    assert sm.enumerate_admissible(ex1_model, p=0.0).assignments.shape == (0, 3)
 
 
 def test_enumerate_admissible_cap(ex1_model, monkeypatch):
@@ -278,8 +277,12 @@ def test_enumerate_admissible_cap(ex1_model, monkeypatch):
         sm.enumerate_admissible(ex1_model, p=0.5, cap=7)
 
 
-def reference_enumerate_admissible(model, p, cap=10**6):
-    """The one-policy-at-a-time loop the batched kernel replaced."""
+def reference_members(model, p, cap=10**6):
+    """The one-policy-at-a-time loop the batched kernel replaced.
+
+    Returns the admissible (assignment, V, S) triples and the
+    non-transient assignments, both in product order.
+    """
     h, m = model.n_taboo, model.n_actions
     total = m**h
     if total > cap:
@@ -293,20 +296,32 @@ def reference_enumerate_admissible(model, p, cap=10**6):
             skipped.append(assignment)
             continue
         if (s <= p + ADMISSIBLE_TOL).all():
-            members.append(sm.AdmissibleMember(assignment, policy, v, s))
+            members.append((assignment, v, s))
+    return members, skipped
+
+
+def reference_enumerate_admissible(model, p, cap=10**6):
+    members, skipped = reference_members(model, p, cap)
+    h = model.n_taboo
+
+    def rows(items, dtype):
+        return np.array(items, dtype=dtype).reshape(-1, h)
+
     return sm.AdmissibleSet(
-        members=tuple(members), non_transient=tuple(skipped), total=total, p=p
+        assignments=rows([a for a, _, _ in members], np.intp),
+        value=rows([v for _, v, _ in members], float),
+        safety=rows([s for _, _, s in members], float),
+        non_transient=rows(skipped, np.intp),
+        total=model.n_actions**h,
+        p=p,
     )
 
 
 def assert_same_admissible(got, want):
-    assert (got.total, got.p, got.non_transient) == (want.total, want.p, want.non_transient)
-    assert [m.assignment for m in got.members] == [m.assignment for m in want.members]
-    for g, w in zip(got.members, want.members):
-        assert all(type(a) is int for a in g.assignment)
-        assert np.array_equal(g.value, w.value)
-        assert np.array_equal(g.safety, w.safety)
-        assert np.array_equal(g.policy.matrix, w.policy.matrix)
+    assert (got.total, got.p) == (want.total, want.p)
+    for name in ("assignments", "value", "safety", "non_transient"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
 @pytest.mark.parametrize("chunk", [None, 37])
@@ -405,22 +420,82 @@ def test_constrained_vi_against_enumeration(solver_corpus):
     """
     for model, p in solver_corpus:
         adm = sm.enumerate_admissible(model, p)
-        if not adm.members:
+        if not len(adm.value):
             continue
         entry = members_entrywise_min(adm)
         rep = sm.constrained_vi_pure(model, p)
         assert (rep.value <= entry + 1e-8).all()
-        proj = [
-            len({m.assignment[i] for m in adm.members})
-            for i in range(model.n_taboo)
-        ]
-        if len(adm.members) == int(np.prod(proj)):
+        proj = [len(np.unique(column)) for column in adm.assignments.T]
+        if len(adm.value) == int(np.prod(proj)):
             assert np.abs(rep.value - entry).max() <= 1e-8
         elif (rep.value < entry - 1e-8).any():
             assert not rep.info["sweep_matches_best_policy"]
         best = sm.value(model, rep.policy)
         assert (entry <= best + 1e-9).all()
         assert (sm.safety(model, rep.policy) <= p + 1e-8).all()
+
+
+def reference_constrained_vi_pure(model, p, tol=1e-10, max_iter=100_000, cap=10**6):
+    """The sweep over one candidate per admissible policy that the scan replaced."""
+    members, skipped = reference_members(model, p, cap)
+    if not members:
+        raise sm.InfeasibleError(
+            f"no pure policy keeps safety within {p} everywhere "
+            f"({model.n_actions**model.n_taboo} enumerated, {len(skipped)} non-transient)"
+        )
+    h = model.n_taboo
+    # Candidate k of state i is the action admissible policy k takes there.
+    picks = np.array([a for a, _, _ in members]).T
+    idx = np.arange(h)[:, None]
+    stage, Q = model.stage_costs[idx, picks], model.taboo_block[idx, picks]
+    v, _, sweep = _sweep(stage, Q, np.zeros(h), tol, max_iter)
+
+    sums = [float(value.sum()) for _, value, _ in members]
+    assignment, best_value, _ = members[int(np.argmin(sums))]
+    spread = float(np.abs(best_value - v).max())
+    return sm.ConstrainedSolveReport(
+        value=v,
+        policy=sm.pure_policy(model, dict(enumerate(assignment))),
+        multipliers=np.zeros(h),
+        method="constrained-vi",
+        feasible=True,
+        gap=float(best_value.sum() - v.sum()),
+        info={
+            "sweeps": sweep,
+            "admissible_count": len(members),
+            "non_transient_count": len(skipped),
+            "sweep_matches_best_policy": bool(spread <= 1e-8),
+            "sweep_vs_best_policy": spread,
+        },
+    )
+
+
+@pytest.mark.parametrize("chunk", [None, 37])
+def test_constrained_vi_matches_reference(oracle_cases, monkeypatch, chunk):
+    """The projection sweep reproduces the sweep over every admissible policy."""
+    if chunk:
+        monkeypatch.setattr("safemdp.evaluate.PURE_CHUNK", chunk)
+    exact = ("admissible_count", "non_transient_count", "sweeps",
+             "sweep_matches_best_policy")
+    feasible = 0
+    for model, p in oracle_cases:
+        try:
+            want = reference_constrained_vi_pure(model, p)
+        except sm.InfeasibleError as exc:
+            with pytest.raises(sm.InfeasibleError, match=re.escape(str(exc))):
+                sm.constrained_vi_pure(model, p)
+            continue
+        got = sm.constrained_vi_pure(model, p)
+        feasible += 1
+        assert np.array_equal(got.policy.matrix, want.policy.matrix)
+        assert {k: got.info[k] for k in exact} == {k: want.info[k] for k in exact}
+        for g, w in (
+            (got.value, want.value),
+            (got.gap, want.gap),
+            (got.info["sweep_vs_best_policy"], want.info["sweep_vs_best_policy"]),
+        ):
+            assert (np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w))).all()
+    assert 0 < feasible < len(oracle_cases)
 
 
 # ------------------------------------------------------------- relative safety
