@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -50,7 +51,8 @@ SOLVE_MODES = ("unconstrained", "safest", "p-safe", "relative", "lp", "dual")
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        # NaN has no JSON token (RFC 8259); it is reported as null.
+        return None if math.isnan(obj) else float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -278,6 +280,19 @@ def cmd_solve(args, report: dict, started: float) -> int:
     return EXIT_OK
 
 
+def _deviation_in_se(mean: float, std_error: float, exact: float) -> float | None:
+    """|mean - exact| in standard errors, or None where that is undefined.
+
+    A zero error counts as no deviation only when the mean is exact; a
+    NaN error (fewer than two kept trajectories) has no deviation.
+    """
+    if 0.0 < std_error < math.inf:
+        return abs(mean - exact) / std_error
+    if std_error == 0.0 and mean == exact:
+        return 0.0
+    return None
+
+
 def cmd_simulate(args, report: dict, started: float) -> int:
     report["inputs"] = {"model": _digest(args.model), "policy": _digest(args.policy)}
     for flag, x in (("--n", args.n), ("--max-steps", args.max_steps)):
@@ -311,11 +326,10 @@ def cmd_simulate(args, report: dict, started: float) -> int:
         analytic = dict(zip(("value", "safety", "reach"), map(float, exact)))
         results["analytic"] = analytic
         results["deviation_in_se"] = {
-            name: (
-                abs(results["estimates"][name]["mean"] - analytic[name])
-                / results["estimates"][name]["std_error"]
-                if results["estimates"][name]["std_error"] > 0
-                else 0.0
+            name: _deviation_in_se(
+                results["estimates"][name]["mean"],
+                results["estimates"][name]["std_error"],
+                analytic[name],
             )
             for name in analytic
         }

@@ -2,7 +2,10 @@
 
 A counter-based Monte Carlo simulator and a finite-depth path enumerator
 with rigorous bounds stay independent of the analytic solvers, so the
-two can be checked against each other.  The brute-force constrained
+two can be checked against each other.  The enumerator expands the path
+tree level by level over arrays, one child per (action, successor) pair
+and no merging of paths by state, and checks its node budget before each
+level is built.  The brute-force constrained
 optimizer over pure policies is the streaming admissible scan of
 :mod:`safemdp.constrained`, the one behind ``constrained_vi_pure``.
 
@@ -18,6 +21,7 @@ pass instead of building a generator per trajectory.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -358,6 +362,28 @@ def mc_estimates(
     )
 
 
+def _path_tables(model: MdpModel, policy: Policy):
+    """Per-taboo-state tables of the path tree under ``policy``.
+
+    Returns ``forbidden[i]``, the mass one step from i moves into
+    forbidden states; ``cost[i]``, the expected stage cost at i; and the
+    taboo edges as CSR rows: ``succ[indptr[i]:indptr[i + 1]]`` and the
+    same slice of ``weight`` hold one entry per (action, successor) pair
+    of i with positive policy and transition probability, so two actions
+    that reach the same state stay two children.
+    """
+    h, nu = model.n_taboo, model.n_forbidden
+    pi = policy.matrix[:h]
+    trans = model.transitions[:h]
+    forbidden = (pi * trans[:, :, h : h + nu].sum(axis=2)).sum(axis=1)
+    cost = (pi * model.rewards[:, :h].T * trans.sum(axis=2)).sum(axis=1)
+    taboo = trans[:, :, :h]
+    i, u, j = np.nonzero((pi[:, :, None] != 0.0) & (taboo != 0.0))
+    indptr = np.zeros(h + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i, minlength=h), out=indptr[1:])
+    return forbidden, cost, indptr, j, pi[i, u] * taboo[i, u, j]
+
+
 def exhaustive_paths(
     model: MdpModel,
     policy: Policy,
@@ -371,46 +397,50 @@ def exhaustive_paths(
     states so far, plus the unresolved taboo mass as the gap to the
     upper bound.  Rewards accumulate along each expanded edge, giving a
     lower bound on the value.
+
+    The tree is expanded one level at a time: a level holds the state
+    and path mass of every taboo node at that depth, and each node gets
+    one child per (action, successor) pair with positive probability,
+    so paths are never merged by state.  ``nodes`` counts every taboo
+    node, the cutoff leaves included.  The budget is checked before a
+    level is built, so ``PathExplosionError`` comes before the memory
+    for more than ``node_budget`` nodes is taken.
     """
+    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral):
+        raise ValueError(f"depth must be an integer, got {depth!r}")
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must lie in [0, {MAX_DEPTH}]")
     i0 = model.state_index(start)
     h, nu = model.n_taboo, model.n_forbidden
     if policy.matrix.shape != (model.n_states, model.n_actions):
         raise ValueError("policy shape does not match the model")
-
-    s_lo = 0.0
-    v_lo = 0.0
-    mass_remaining = 0.0
-    nodes = 0
     if i0 >= h:
         s_lo = 1.0 if i0 < h + nu else 0.0
-        return PathBounds(s_lo, s_lo, 0.0, 0.0, nodes)
+        return PathBounds(s_lo, s_lo, 0.0, 0.0, 0)
 
-    stack = [(i0, 1.0, 0)]
-    while stack:
-        i, mass, t = stack.pop()
-        nodes += 1
-        if nodes > node_budget:
-            raise PathExplosionError(
-                f"path tree exceeded {node_budget} nodes at depth {t}"
-            )
-        if t == depth:
-            mass_remaining += mass
-            continue
-        for u in range(model.n_actions):
-            pu = policy.matrix[i, u]
-            if pu == 0.0:
-                continue
-            step_mass = mass * pu
-            row = model.transitions[i, u]
-            for j in np.nonzero(row)[0]:
-                child = step_mass * row[j]
-                v_lo += child * model.rewards[u, i]
-                if j < h:
-                    stack.append((int(j), child, t + 1))
-                elif j < h + nu:
-                    s_lo += child
+    def explode(t):
+        return PathExplosionError(f"path tree exceeded {node_budget} nodes at depth {t}")
+
+    nodes = 1
+    if nodes > node_budget:
+        raise explode(0)
+    forbidden, cost, indptr, succ, weight = _path_tables(model, policy)
+    deg = np.diff(indptr)
+    state, mass = np.array([i0]), np.ones(1)
+    s_lo = v_lo = 0.0
+    for t in range(depth):
+        s_lo += float(mass @ forbidden[state])
+        v_lo += float(mass @ cost[state])
+        counts = deg[state]
+        width = int(counts.sum())
+        if nodes + width > node_budget:
+            raise explode(t + 1)
+        nodes += width
+        first = indptr[state] - (np.cumsum(counts) - counts)
+        edge = np.repeat(first, counts) + np.arange(width)
+        state = succ[edge]
+        mass = np.repeat(mass, counts) * weight[edge]
+    mass_remaining = float(mass.sum())
     return PathBounds(
         s_lo=s_lo,
         s_hi=s_lo + mass_remaining,

@@ -408,6 +408,52 @@ def test_simulate_report(capsys, model_path, policy_path):
     assert results["truncated"] == 0
 
 
+def run_strict_json(capsys, *argv):
+    """Like run_json, but any NaN or Infinity token fails the parse."""
+
+    def refuse(token):
+        raise ValueError(f"invalid JSON constant {token}")
+
+    code, out = run(capsys, *argv)
+    return code, json.loads(out, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("flags", [("--max-steps", "1"), ("--n", "1")])
+def test_simulate_undefined_error_has_no_deviation(capsys, model_path, policy_path, flags):
+    """All-truncated or single-trajectory runs: null, never NaN tokens or 0.0."""
+    args = {"--start": "b", "--n": "10", flags[0]: flags[1]}
+    code, report = run_strict_json(
+        capsys, "simulate", model_path, policy_path, *sum(args.items(), ())
+    )
+    assert code == 0
+    results = report["results"]
+    for name in ("safety", "reach", "value"):
+        assert results["estimates"][name]["std_error"] is None
+        assert results["deviation_in_se"][name] is None
+    if flags[0] == "--max-steps":
+        assert results["truncated"] == 10
+        assert all(results["estimates"][k]["mean"] is None for k in results["analytic"])
+    else:
+        assert results["estimates"]["value"]["mean"] != results["analytic"]["value"]
+
+
+def test_simulate_zero_error_deviation(capsys, model_path, policy_path):
+    """A zero error reads 0.0 only when the mean is exact."""
+    _, exact = run_strict_json(
+        capsys, "simulate", model_path, policy_path, "--start", "a", "--n", "50"
+    )
+    assert exact["results"]["estimates"]["value"]["std_error"] == 0.0
+    assert exact["results"]["deviation_in_se"]["value"] == 0.0
+    _, off = run_strict_json(
+        capsys, "simulate", model_path, policy_path,
+        "--start", "b", "--n", "2", "--seed", "5",
+    )
+    estimates = off["results"]["estimates"]
+    assert estimates["safety"] == {"mean": 0.0, "n": 2, "std_error": 0.0}
+    assert estimates["value"] == {"mean": 3.0, "n": 2, "std_error": 0.0}
+    assert off["results"]["deviation_in_se"] == {"safety": None, "reach": None, "value": None}
+
+
 def test_simulate_deterministic(capsys, model_path, policy_path):
     args = ("simulate", model_path, policy_path, "--start", "b", "--n", "2000")
     _, first = run_json(capsys, *args)

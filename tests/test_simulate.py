@@ -2,6 +2,7 @@
 import importlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,9 @@ def _coverage_count(n):
 
 def test_exhaustive_paths_golden(ex1_model, ex1_policy):
     b = sm.exhaustive_paths(ex1_model, ex1_policy, "b", depth=3)
+    assert [type(x) for x in (b.s_lo, b.s_hi, b.v_lo, b.mass_remaining, b.nodes)] == [
+        float, float, float, float, int
+    ]
     assert b.mass_remaining == 0.0
     assert abs(b.s_lo - 0.4) <= 1e-12
     assert b.s_hi == b.s_lo
@@ -330,6 +334,161 @@ def test_exhaustive_paths_node_budget():
 def test_exhaustive_paths_depth_cap(ex1_model, ex1_policy):
     with pytest.raises(ValueError):
         sm.exhaustive_paths(ex1_model, ex1_policy, "b", depth=65)
+
+
+@pytest.mark.parametrize("depth", [2.5, 3.0, np.float64(2.0), True, False, "3", None])
+def test_exhaustive_paths_rejects_non_integer_depth(depth):
+    model = sm.load_model(GEOMETRIC_DOC)
+    pol = sm.pure_policy(model, {0: 0})
+    with pytest.raises(ValueError, match="depth must be an integer"):
+        sm.exhaustive_paths(model, pol, "h0", depth=depth)
+
+
+def test_exhaustive_paths_accepts_numpy_integer_depth(ex1_model, ex1_policy):
+    b = sm.exhaustive_paths(ex1_model, ex1_policy, "b", depth=np.int64(3))
+    assert b == sm.exhaustive_paths(ex1_model, ex1_policy, "b", depth=3)
+
+
+def reference_exhaustive_paths(model, policy, start, depth, node_budget=10**6):
+    """The depth-first walk the level-by-level expansion replaced."""
+    if not 0 <= depth <= simulate_module.MAX_DEPTH:
+        raise ValueError("depth out of range")
+    i0 = model.state_index(start)
+    h, nu = model.n_taboo, model.n_forbidden
+    s_lo = 0.0
+    v_lo = 0.0
+    mass_remaining = 0.0
+    nodes = 0
+    if i0 >= h:
+        s_lo = 1.0 if i0 < h + nu else 0.0
+        return sm.PathBounds(s_lo, s_lo, 0.0, 0.0, nodes)
+
+    stack = [(i0, 1.0, 0)]
+    while stack:
+        i, mass, t = stack.pop()
+        nodes += 1
+        if nodes > node_budget:
+            raise sm.PathExplosionError(
+                f"path tree exceeded {node_budget} nodes at depth {t}"
+            )
+        if t == depth:
+            mass_remaining += mass
+            continue
+        for u in range(model.n_actions):
+            pu = policy.matrix[i, u]
+            if pu == 0.0:
+                continue
+            step_mass = mass * pu
+            row = model.transitions[i, u]
+            for j in np.nonzero(row)[0]:
+                child = step_mass * row[j]
+                v_lo += child * model.rewards[u, i]
+                if j < h:
+                    stack.append((int(j), child, t + 1))
+                elif j < h + nu:
+                    s_lo += child
+    return sm.PathBounds(s_lo, s_lo + mass_remaining, v_lo, mass_remaining, nodes)
+
+
+# One taboo state whose two actions share both successors: a policy mixing
+# them gives every node two children that land in the same state.
+TWIN_DOC = json.dumps(
+    {
+        "states": ["h0", "u0", "e0"],
+        "actions": ["a0", "a1"],
+        "partition": {"taboo": ["h0"], "forbidden": ["u0"], "target": ["e0"]},
+        "transitions": [
+            {"from": "h0", "action": "a0", "to": "h0", "p": 0.5},
+            {"from": "h0", "action": "a0", "to": "u0", "p": 0.25},
+            {"from": "h0", "action": "a0", "to": "e0", "p": 0.25},
+            {"from": "h0", "action": "a1", "to": "h0", "p": 0.75},
+            {"from": "h0", "action": "a1", "to": "u0", "p": 0.125},
+            {"from": "h0", "action": "a1", "to": "e0", "p": 0.125},
+            {"from": "u0", "action": "a0", "to": "u0", "p": 1.0},
+            {"from": "u0", "action": "a1", "to": "u0", "p": 1.0},
+            {"from": "e0", "action": "a0", "to": "e0", "p": 1.0},
+            {"from": "e0", "action": "a1", "to": "e0", "p": 1.0},
+        ],
+        "rewards": [
+            {"state": "h0", "action": "a0", "rho": 1.0},
+            {"state": "h0", "action": "a1", "rho": 3.0},
+        ],
+    }
+)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(2024)
+    twin = sm.load_model(TWIN_DOC)
+    yield twin, sm.make_policy(twin, np.array([[0.3, 0.7], [1.0, 0.0], [1.0, 0.0]]))
+    for _ in range(10):
+        model = random_model_small(rng, max_actions=2)
+        assignment = rng.integers(0, model.n_actions, size=model.n_taboo)
+        yield model, sm.pure_policy(model, dict(enumerate(assignment.tolist())))
+        yield model, random_policy(rng, model)
+
+
+def test_exhaustive_paths_matches_reference():
+    """Node counts equal, bounds within summation order, budget edge exact."""
+    checked = 0
+    for model, pol in _reference_cases():
+        for depth in (0, 1, 3, 5):
+            for start in model.states:
+                got = sm.exhaustive_paths(model, pol, start, depth)
+                want = reference_exhaustive_paths(model, pol, start, depth)
+                assert got.nodes == want.nodes
+                for field in ("s_lo", "s_hi", "v_lo", "mass_remaining"):
+                    x, y = getattr(got, field), getattr(want, field)
+                    assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), (field, x, y)
+                if want.nodes:
+                    assert sm.exhaustive_paths(
+                        model, pol, start, depth, node_budget=want.nodes
+                    ) == got
+                    with pytest.raises(sm.PathExplosionError):
+                        sm.exhaustive_paths(
+                            model, pol, start, depth, node_budget=want.nodes - 1
+                        )
+                checked += 1
+    assert checked > 100
+
+
+def test_exhaustive_paths_twin_actions_stay_two_children():
+    model = sm.load_model(TWIN_DOC)
+    pol = sm.make_policy(model, np.array([[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]]))
+    b = sm.exhaustive_paths(model, pol, "h0", depth=6)
+    assert b.nodes == 2**7 - 1
+    assert b.mass_remaining == pytest.approx(0.625**6, rel=1e-12)
+
+
+def test_exhaustive_paths_budget_checked_before_level():
+    """The level that would break the budget is never allocated.
+
+    One taboo state with 3,000 actions that each loop back under a
+    uniform policy: level 1 holds 3,000 nodes, level 2 would hold 9e6
+    (about 144 MB for its states and masses alone).
+    """
+    m = 3000
+    states, actions = ["h0", "e0"], [f"a{k}" for k in range(m)]
+    trans = np.zeros((2, m, 2))
+    trans[0, :, :] = 0.5
+    trans[1, :, 1] = 1.0
+    model = sm.MdpModel(
+        states=tuple(states),
+        actions=tuple(actions),
+        partition=sm.StatePartition(taboo=("h0",), forbidden=(), target=("e0",)),
+        transitions=trans,
+        rewards=np.zeros((m, 2)),
+    )
+    pol = sm.make_policy(model, np.full((2, m), 1.0 / m))
+    tracemalloc.start()
+    try:
+        with pytest.raises(sm.PathExplosionError, match="at depth 2"):
+            sm.exhaustive_paths(model, pol, "h0", depth=5, node_budget=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    level_bytes = 16 * m * m
+    assert peak < level_bytes // 100
 
 
 def test_brute_force_golden(ex1_model):
