@@ -59,7 +59,6 @@ from .evaluate import (
 from .exceptions import (
     CapExceededError,
     InfeasibleError,
-    LpInfeasibleError,
     LpNumericalError,
     LpUnboundedError,
     MaxIterationsError,

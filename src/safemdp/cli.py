@@ -8,10 +8,10 @@ and floats rounded to 12 significant digits; everything except the
 ``timings`` block is a pure function of the inputs and the seed.
 
 Exit codes: 0 success, 1 every other solver error (MaxIterationsError,
-LpInfeasibleError, LpNumericalError), 2 validation or parameter
-problems, 3 unreadable input files, 4 non-transient chain, including
-taboo states that no policy can lead out (reported before any sweep),
-5 infeasible constraint, 6 enumeration cap exceeded.
+LpNumericalError), 2 validation or parameter problems, 3 unreadable
+input files, 4 non-transient chain, including taboo states that no
+policy can lead out (reported before any sweep), 5 infeasible
+constraint, 6 enumeration cap exceeded.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ pure-policy kernel ``_pure_blocks`` ``_admissible_blocks`` filters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -89,6 +90,12 @@ class AdmissibleSet:
     non_transient: np.ndarray
     total: int
     p: float
+
+
+def _check_level(level, name: str = "p") -> None:
+    """Reject a non-finite level: nan fails every bound test, +-inf decides all of them."""
+    if not math.isfinite(level):
+        raise ValueError(f"{name} must be finite, got {level}")
 
 
 def _check_multipliers(model: MdpModel, lam) -> np.ndarray:
@@ -166,6 +173,7 @@ def dual_ascent(
     coordinate of the minimal safety above p) is detected up front and
     reported, not raised.
     """
+    _check_level(p)
     h = model.n_taboo
     ones = np.ones(h)
     s_star, safe_pol = safest_policy(model)
@@ -292,24 +300,21 @@ def build_lp(model: MdpModel, p: float) -> LpProblem:
     combinations of these.  Models without forbidden states get no t
     column.
     """
+    _check_level(p)
     h, m = model.n_taboo, model.n_actions
-    PH, K, stage = model.taboo_block, model.forbidden_exit, model.stage_costs
     with_t = model.n_forbidden > 0
     width = h + 1 if with_t else h
 
-    rows, rhs, labels = [], [], []
-    for i in range(h):
-        for u in range(m):
-            row = np.zeros(width)
-            row[:h] = -PH[i, u]
-            row[i] += 1.0
-            if with_t:
-                row[h] = -K[i, u]
-            if np.abs(row).max() <= 1e-15:
-                continue
-            rows.append(row)
-            rhs.append(stage[i, u])
-            labels.append(f"{model.states[i]}:{model.actions[u]}")
+    rows = np.zeros((h, m, width))
+    rows[:, :, :h] = -model.taboo_block
+    rows[np.arange(h), :, np.arange(h)] += 1.0
+    if with_t:
+        rows[:, :, h] = -model.forbidden_exit
+    rows = rows.reshape(h * m, width)
+    keep = np.abs(rows).max(axis=1) > 1e-15
+    labels = tuple(
+        f"{model.states[k // m]}:{model.actions[k % m]}" for k in np.flatnonzero(keep)
+    )
 
     objective = np.ones(width)
     if with_t:
@@ -319,9 +324,9 @@ def build_lp(model: MdpModel, p: float) -> LpProblem:
         columns.append("t")
     return LpProblem(
         objective=objective,
-        rows=np.array(rows).reshape(len(rows), width),
-        rhs=np.array(rhs),
-        row_labels=tuple(labels),
+        rows=rows[keep],
+        rhs=model.stage_costs.reshape(h * m)[keep],
+        row_labels=labels,
         column_labels=tuple(columns),
         n_taboo=h,
         p=p,
@@ -350,6 +355,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
 def _admissible_blocks(model: MdpModel, p: float, cap: int):
     """``_pure_blocks`` and each block's mask of transient policies within p."""
+    _check_level(p)
     for picks, transient, X in _pure_blocks(model, cap):
         within = (X[:, 1] <= p + ADMISSIBLE_TOL).all(axis=1)
         yield picks, transient, X, transient & within
@@ -480,6 +486,7 @@ def relative_admissible(model: MdpModel, q: float) -> list[RelativeVertexSet]:
     violating action: weight x = g_v / (g_v - g_s) on the admissible
     one, where g = K - qL.
     """
+    _check_level(q, "q")
     if q < 0:
         raise ValueError("q must be nonnegative")
     K, L = model.forbidden_exit, model.target_exit

@@ -78,9 +78,5 @@ class LpUnboundedError(SafeMdpError):
     """The linear program is unbounded."""
 
 
-class LpInfeasibleError(SafeMdpError):
-    """Phase one of the simplex ended with artificial mass left, so the LP is infeasible."""
-
-
 class LpNumericalError(SafeMdpError):
     """A simplex pivot fell below the stability threshold."""

@@ -1,14 +1,21 @@
-"""Dense two-phase primal simplex with Bland's rule.
+"""Dense one-phase primal simplex with Bland's rule.
 
-Solves   min c.x   subject to   A x <= b,  x >= 0.
+Solves   min c.x   subject to   A x <= b,  x >= 0,  for b >= 0.
 
-Phase one introduces an artificial variable for every row whose
-right-hand side is negative (after sign normalization) and minimizes the
-artificial mass; phase two reuses the resulting feasible basis for the
-true objective.  Bland's rule (lowest eligible index for both the
-entering and the leaving variable) makes cycling impossible, at the cost
-of more pivots than steepest-edge variants.  Fine for the small dense
-programs this package builds.
+With a nonnegative right-hand side the slack basis (x = 0, slacks = b)
+is feasible, so the tableau [A | I | b] starts there and needs no phase
+one.  The only programs this package builds come from
+``constrained.build_lp``, whose right-hand sides are stage costs, and
+``validate_model`` rejects negative costs.  A negative (or NaN)
+right-hand side raises ValueError.
+
+Bland's rule, which makes cycling impossible at the cost of more pivots
+than steepest-edge variants: the entering column is the first one whose
+reduced cost is below -RED_COST_TOL.  The leaving row is chosen among
+the rows whose entry in that column exceeds ZERO_TOL: of those whose
+ratio b_i / a_i lies within 1e-12 of the least ratio, the one with the
+lowest basic index.  Fine for the small dense programs this package
+builds.
 """
 
 from __future__ import annotations
@@ -17,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import LpInfeasibleError, LpNumericalError, LpUnboundedError
+from .exceptions import LpNumericalError, LpUnboundedError
 
 RED_COST_TOL = 1e-9
 PIVOT_MIN = 1e-9
 ZERO_TOL = 1e-12
-FEAS_TOL = 1e-8
 ITER_CAP = 200_000
 
 
@@ -35,137 +41,55 @@ class SimplexResult:
 
 
 def solve_min(c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> SimplexResult:
-    """Minimize ``c . x`` over ``A_ub x <= b_ub``, ``x >= 0``.
+    """Minimize ``c . x`` over ``A_ub x <= b_ub``, ``x >= 0``, with ``b_ub >= 0``.
 
-    Raises LpUnboundedError, LpInfeasibleError or LpNumericalError.
+    Raises ValueError for a negative or NaN right-hand side,
+    LpUnboundedError or LpNumericalError.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A_ub, dtype=float)
     b = np.asarray(b_ub, dtype=float)
     if A.ndim != 2 or A.shape != (b.shape[0], c.shape[0]):
         raise ValueError("inconsistent LP dimensions")
+    if not (b >= 0).all():
+        raise ValueError("right-hand side must be nonnegative for the slack basis")
     m, n = A.shape
 
-    # Columns: n originals, m slacks, then one artificial per negative row.
-    neg = b < 0
-    n_art = int(neg.sum())
-    art_start = n + m
-    width = n + m + n_art + 1
-    T = np.zeros((m, width))
-    T[:, :n] = A
-    T[:, n : n + m] = np.eye(m)
-    T[:, -1] = b
-    T[neg] *= -1.0
-
-    basis = np.empty(m, dtype=int)
-    art_col = art_start
-    for i in range(m):
-        if neg[i]:
-            T[i, art_col] = 1.0
-            basis[i] = art_col
-            art_col += 1
-        else:
-            basis[i] = n + i
+    # Rows 0..m-1 are the constraints; row m holds the reduced costs.
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = b
+    T[m, :n] = c
+    basis = np.arange(n, n + m)
 
     iterations = 0
-    if n_art:
-        red = np.zeros(width)
-        red[art_start:-1] = 1.0
-        for i in range(m):
-            if basis[i] >= art_start:
-                red -= T[i]
-        iterations += _run(T, basis, red, phase_one=True)
-        if -red[-1] > FEAS_TOL:
-            raise LpInfeasibleError(
-                f"phase one left artificial mass {-red[-1]:.3g}"
-            )
-        _expel_artificials(T, basis, art_start)
+    while True:
+        eligible = np.flatnonzero(T[m, :-1] < -RED_COST_TOL)
+        if not eligible.size:
+            break
+        col = eligible[0]
+        candidates = np.flatnonzero(T[:m, col] > ZERO_TOL)
+        if not candidates.size:
+            raise LpUnboundedError("objective improves along an unbounded ray")
+        ratios = T[candidates, -1] / T[candidates, col]
+        tied = candidates[ratios <= ratios.min() + 1e-12]
+        row = tied[basis[tied].argmin()]
+        if T[row, col] < PIVOT_MIN:
+            raise LpNumericalError(f"pivot {T[row, col]:.3g} below stability threshold")
+        T[row] /= T[row, col]
+        rows = np.flatnonzero(T[:, col])
+        rows = rows[rows != row]
+        T[rows] -= np.outer(T[rows, col], T[row])
+        basis[row] = col
+        iterations += 1
+        if iterations > ITER_CAP:
+            raise LpNumericalError("pivot cap exceeded")
 
-    # Phase two on the original objective, artificial columns masked off.
-    red = np.zeros(width)
-    red[:n] = c
-    for i in range(m):
-        if red[basis[i]] != 0.0:
-            red -= red[basis[i]] * T[i]
-    iterations += _run(T, basis, red, phase_one=False, forbidden_from=art_start)
-
-    x = np.zeros(n + m + n_art)
-    for i in range(m):
-        x[basis[i]] = T[i, -1]
+    x = np.zeros(n + m)
+    x[basis] = T[:m, -1]
     xs = x[:n]
     return SimplexResult(
         x=xs, objective=float(c @ xs), basis=tuple(int(v) for v in basis),
         iterations=iterations,
     )
-
-
-def _run(T, basis, red, phase_one, forbidden_from=None):
-    """Bland-rule pivoting until no reduced cost is negative."""
-    m, width = T.shape
-    limit = width - 1 if forbidden_from is None else forbidden_from
-    count = 0
-    while True:
-        entering = -1
-        for j in range(limit):
-            if red[j] < -RED_COST_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return count
-        col = T[:, entering]
-        best_ratio, leaving = None, -1
-        for i in range(m):
-            if col[i] > ZERO_TOL:
-                ratio = T[i, -1] / col[i]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - 1e-12
-                    or (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leaving])
-                ):
-                    best_ratio, leaving = ratio, i
-        if leaving < 0:
-            if phase_one:
-                raise LpNumericalError("phase one claims an unbounded direction")
-            raise LpUnboundedError("objective improves along an unbounded ray")
-        if col[leaving] < PIVOT_MIN:
-            raise LpNumericalError(
-                f"pivot {col[leaving]:.3g} below stability threshold"
-            )
-        _pivot(T, basis, red, leaving, entering)
-        count += 1
-        if count > ITER_CAP:
-            raise LpNumericalError("pivot cap exceeded")
-
-
-def _pivot(T, basis, red, row, col):
-    T[row] /= T[row, col]
-    piv_row = T[row]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * piv_row
-    if red[col] != 0.0:
-        red -= red[col] * piv_row
-    basis[row] = col
-
-
-def _expel_artificials(T, basis, art_start):
-    """Pivot zero-level artificials out of the basis; zero out redundant rows."""
-    m = T.shape[0]
-    for i in range(m):
-        if basis[i] < art_start:
-            continue
-        pivot_col = -1
-        for j in range(art_start):
-            if abs(T[i, j]) > PIVOT_MIN:
-                pivot_col = j
-                break
-        if pivot_col < 0:
-            # Redundant constraint; the row stays with its artificial at level 0.
-            T[i, -1] = 0.0
-            continue
-        T[i] /= T[i, pivot_col]
-        piv_row = T[i].copy()
-        for k in range(m):
-            if k != i and T[k, pivot_col] != 0.0:
-                T[k] -= T[k, pivot_col] * piv_row
-        basis[i] = pivot_col

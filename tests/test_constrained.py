@@ -96,7 +96,8 @@ def test_build_lp_structure(ex1_model):
     assert "maximize" in text and "a:u1" in text and "<=" in text
 
 
-def test_build_lp_drops_multiplier_without_forbidden():
+def no_forbidden_model():
+    """One taboo state, no forbidden state, two exits at costs 1 and 2."""
     doc = {
         "states": ["h0", "e0"],
         "actions": ["cheap", "dear"],
@@ -112,12 +113,76 @@ def test_build_lp_drops_multiplier_without_forbidden():
             {"state": "h0", "action": "dear", "rho": 2.0},
         ],
     }
-    model = sm.load_model(json.dumps(doc))
+    return sm.load_model(json.dumps(doc))
+
+
+def test_build_lp_drops_multiplier_without_forbidden():
+    model = no_forbidden_model()
     problem = sm.build_lp(model, p=0.5)
     assert not problem.has_multiplier
     sol = sm.solve_lp(problem)
     assert sol.l[0] == pytest.approx(1.0, abs=1e-9)
     assert sol.multipliers[0] == 0.0
+
+
+def reference_build_lp(model, p):
+    """The per-(state, action) loop that assembled the program's rows."""
+    h, m = model.n_taboo, model.n_actions
+    PH, K, stage = model.taboo_block, model.forbidden_exit, model.stage_costs
+    with_t = model.n_forbidden > 0
+    width = h + 1 if with_t else h
+
+    rows, rhs, labels = [], [], []
+    for i in range(h):
+        for u in range(m):
+            row = np.zeros(width)
+            row[:h] = -PH[i, u]
+            row[i] += 1.0
+            if with_t:
+                row[h] = -K[i, u]
+            if np.abs(row).max() <= 1e-15:
+                continue
+            rows.append(row)
+            rhs.append(stage[i, u])
+            labels.append(f"{model.states[i]}:{model.actions[u]}")
+
+    objective = np.ones(width)
+    if with_t:
+        objective[h] = -p * h
+    columns = [f"l[{s}]" for s in model.states[:h]]
+    if with_t:
+        columns.append("t")
+    return sm.LpProblem(
+        objective=objective,
+        rows=np.array(rows).reshape(len(rows), width),
+        rhs=np.array(rhs),
+        row_labels=tuple(labels),
+        column_labels=tuple(columns),
+        n_taboo=h,
+        p=p,
+    )
+
+
+def lp_fingerprint(problem):
+    arrays = (problem.objective, problem.rows, problem.rhs)
+    return (
+        tuple((a.dtype, a.shape, a.tobytes()) for a in arrays),
+        problem.row_labels,
+        problem.column_labels,
+        problem.n_taboo,
+        problem.p,
+    )
+
+
+def test_build_lp_matches_reference(ex1_model, solver_corpus, oracle_cases):
+    cases = [(ex1_model, p) for p in (0.0, 0.3, 0.5, 1.0)]
+    cases += solver_corpus + oracle_cases + [(no_forbidden_model(), 0.5)]
+    dropped = 0
+    for model, p in cases:
+        got, want = sm.build_lp(model, p), reference_build_lp(model, p)
+        assert lp_fingerprint(got) == lp_fingerprint(want)
+        dropped += model.n_taboo * model.n_actions - len(want.row_labels)
+    assert dropped > 0
 
 
 def test_solve_lp_golden(ex1_model):
@@ -576,3 +641,22 @@ def test_p_to_q_values():
     assert sm.p_to_q(2 / 3) == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(ValueError):
         sm.p_to_q(1.0)
+
+
+@pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        sm.build_lp,
+        sm.dual_ascent,
+        sm.enumerate_admissible,
+        sm.constrained_vi_pure,
+        sm.brute_force_constrained,
+        sm.relative_admissible,
+        sm.relative_vi,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_non_finite_level_rejected(ex1_model, entry, level):
+    with pytest.raises(ValueError, match="must be finite"):
+        entry(ex1_model, level)
