@@ -12,26 +12,19 @@ from .bellman import (
     bellman_apply,
     certify_supremum,
     safest_policy,
+    safety_iterative,
     value_iteration,
-)
-from .chain import (
-    BlockDecomposition,
-    TransienceReport,
-    check_transient,
-    decompose,
-    evolution_residual,
-    green,
-    green_neumann,
-    hitting,
-    occupation,
+    value_iterative,
 )
 from .constrained import (
     AdmissibleSet,
+    BruteForceResult,
     ConeReport,
     ConstrainedSolveReport,
     LpProblem,
     LpSolution,
     RelativeVertexSet,
+    brute_force_constrained,
     build_lp,
     cone_check,
     constrained_vi_pure,
@@ -45,16 +38,23 @@ from .constrained import (
     solve_lp,
 )
 from .evaluate import (
+    BlockDecomposition,
     ChainQuantities,
     CostInputs,
+    TransienceReport,
     chain_quantities,
+    check_transient,
     cost_inputs,
+    decompose,
+    evolution_residual,
+    green,
+    green_neumann,
+    hitting,
+    occupation,
     reach,
     safety,
-    safety_iterative,
     set_safety,
     value,
-    value_iterative,
 )
 from .exceptions import (
     CapExceededError,
@@ -83,12 +83,10 @@ from .model import (
     validate_model,
 )
 from .simulate import (
-    BruteForceResult,
     McEstimate,
     McReport,
     PathBounds,
     Trajectory,
-    brute_force_constrained,
     exhaustive_paths,
     mc_estimates,
     simulate,

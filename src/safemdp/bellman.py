@@ -1,4 +1,4 @@
-"""Bellman operator, the shared sweep kernel and value iteration.
+"""Bellman operator, the sweep kernel, value iteration and iterative evaluation.
 
 The operator acts on vectors over taboo states,
 
@@ -11,10 +11,11 @@ action index.
 
 ``_sweep`` is the one fixed-point loop of the package.  Every iterative
 solver minimizes stage cost plus the taboo-block image of the current
-values over its own candidates per state: actions here, admissible pure
-policies or vertices in :mod:`safemdp.constrained`, the one policy
-action in :mod:`safemdp.evaluate`.  Stage costs, taboo block and exit
-masses come from the model view on :class:`~safemdp.model.MdpModel`.
+values over its own candidates per state: actions here, admissible
+actions or vertices in :mod:`safemdp.constrained`, and the one policy
+row in the iterative evaluators ``value_iterative``/``safety_iterative``.
+Stage costs, taboo block and exit masses come from the model view on
+:class:`~safemdp.model.MdpModel`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import _require_transient
-from .evaluate import _induce, _solve
+from .evaluate import _induce, _require_transient, _solve
 from .exceptions import MaxIterationsError, NotTransientError
 from .model import MdpModel, Policy
 
@@ -88,7 +88,7 @@ def bellman_apply(
 def _sweep(
     stage: np.ndarray,
     Q: np.ndarray,
-    v0: np.ndarray,
+    v0: np.ndarray | None,
     tol: float,
     max_iter: int,
     history: list | None = None,
@@ -104,9 +104,15 @@ def _sweep(
     minimizing candidate per state (ties go to the first) and the sweep
     count; past ``max_iter`` sweeps raises MaxIterationsError carrying
     the last iterate.  ``history`` receives a copy of every iterate.
+    ``v0`` None means zeros; a NaN or negative ``tol`` or a non-finite
+    ``v0``, which no sweep can settle, raises ValueError first.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+    v = np.zeros(Q.shape[0]) if v0 is None else np.asarray(v0, dtype=float).copy()
+    if not np.isfinite(v).all():
+        raise ValueError("starting values must be finite")
     _require_transient(Q, np.isfinite(stage))
-    v = np.asarray(v0, dtype=float).copy()
     diff = np.inf
     for sweep in range(1, max_iter + 1):
         totals = stage + Q @ v
@@ -148,6 +154,40 @@ def value_iteration(
     return BellmanResult(v, policy, sweeps, residual, history or [])
 
 
+def value_iterative(
+    model: MdpModel,
+    policy: Policy,
+    v0: np.ndarray | None = None,
+    tol: float = 1e-10,
+    max_iter: int = 100_000,
+) -> tuple[np.ndarray, int]:
+    """Fixed-point iteration ``V <- R + Q V`` for the policy value.
+
+    Returns the final iterate and the number of sweeps taken.  Raises
+    MaxIterationsError (carrying the last iterate) when the sup-norm change
+    still exceeds ``tol`` after ``max_iter`` sweeps.
+    """
+    return _iterate_policy(model, policy, "stage_cost", v0, tol, max_iter)
+
+
+def safety_iterative(
+    model: MdpModel,
+    policy: Policy,
+    s0: np.ndarray | None = None,
+    tol: float = 1e-10,
+    max_iter: int = 100_000,
+) -> tuple[np.ndarray, int]:
+    """Fixed-point iteration ``S <- Q S + K`` for the policy safety."""
+    return _iterate_policy(model, policy, "to_forbidden", s0, tol, max_iter)
+
+
+def _iterate_policy(model, policy, offset, x0, tol, max_iter):
+    _, blocks, inputs = _induce(model, policy)
+    stage = getattr(inputs, offset)[:, None]
+    x, _, sweeps = _sweep(stage, blocks.q[:, None, :], x0, tol, max_iter)
+    return x, sweeps
+
+
 def safest_policy(
     model: MdpModel, tol: float = 1e-12, max_iter: int = 100_000
 ) -> tuple[np.ndarray, Policy]:
@@ -157,9 +197,8 @@ def safest_policy(
     cost; the fixed point is the coordinate-wise minimal safety over all
     policies.
     """
-    start = np.zeros(model.n_taboo)
     K, PH = model.forbidden_exit, model.taboo_block
-    v, greedy, _ = _sweep(K, PH, start, tol, max_iter)
+    v, greedy, _ = _sweep(K, PH, None, tol, max_iter)
     return v, _greedy_policy(model, greedy)
 
 

@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from . import bellman, chain, constrained, evaluate
+from . import bellman, constrained, evaluate
 from .exceptions import (
     CapExceededError,
     InfeasibleError,
@@ -37,7 +37,7 @@ from .exceptions import (
     SafeMdpError,
 )
 from .model import MdpModel, Policy, load_model, load_policy, validate_model
-from .simulate import brute_force_constrained, mc_estimates
+from .simulate import mc_estimates
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -144,8 +144,8 @@ def cmd_eval(args, report: dict, started: float) -> int:
     h = model.n_taboo
     initial = np.zeros(model.n_states)
     initial[:h] = 1.0 / h
-    gamma, lam = chain._absorption(model, cq.blocks, cq.green, initial)
-    residual = chain.evolution_residual(initial, gamma, lam, cq.matrix)
+    gamma, lam = evaluate._absorption(model, cq.blocks, cq.green, initial)
+    residual = evaluate.evolution_residual(initial, gamma, lam, cq.matrix)
     report["results"] = {
         "value": _labeled(model, v),
         "safety": _labeled(model, s),
@@ -241,7 +241,7 @@ def cmd_solve(args, report: dict, started: float) -> int:
     elif mode == "dual":
         oracle_total = None
         if args.oracle:
-            oracle = brute_force_constrained(model, args.p)
+            oracle = constrained.brute_force_constrained(model, args.p)
             if oracle.feasible:
                 oracle_total = float(oracle.value.sum())
                 results["oracle"] = {

@@ -6,7 +6,8 @@ bound on the probability of absorption in a forbidden state:
 * the Lagrangian dual over one multiplier level, maximized by bisection
   on the sign of its slope,
 * a linear program over pure-policy constraint rows,
-* exact enumeration of the admissible pure policies,
+* exact enumeration of the admissible pure policies and the brute-force
+  optimum over them, the reference oracle of the other routes,
 * value iteration over the per-state projection of the admissible set.
 
 A fifth solver handles the local one-step variant, where per-state action
@@ -31,7 +32,9 @@ the dual inner problem, ``constrained_vi_pure`` and ``relative_vi`` run
 the one sweep kernel of :mod:`safemdp.bellman` over their own candidates
 (actions, admissible actions, vertices); every exact policy evaluation
 goes through the evaluation core of :mod:`safemdp.evaluate`, whose
-pure-policy kernel ``_pure_blocks`` ``_admissible_blocks`` filters.
+pure-policy kernel ``_pure_blocks`` ``_admissible_blocks`` filters; its
+streaming ``_admissible_scan`` serves ``brute_force_constrained`` and
+``constrained_vi_pure``.
 """
 
 from __future__ import annotations
@@ -78,6 +81,19 @@ class ConeReport(NamedTuple):
 
 
 @dataclass(frozen=True)
+class BruteForceResult:
+    """Best admissible pure policy by exhaustive enumeration."""
+
+    feasible: bool
+    assignment: tuple[int, ...] | None
+    policy: Policy | None
+    value: np.ndarray | None
+    safety: np.ndarray | None
+    admissible_count: int
+    total: int
+
+
+@dataclass(frozen=True)
 class AdmissibleSet:
     """Admissible pure policies as rows (P, h) of actions, exact V and S.
 
@@ -111,6 +127,7 @@ def _check_multipliers(model: MdpModel, lam) -> np.ndarray:
 
 def lagrangian(model: MdpModel, policy: Policy, lam, p: float) -> np.ndarray:
     """Penalized value V + lam * (S - p), componentwise over taboo states."""
+    _check_level(p)
     lam = _check_multipliers(model, lam)
     v, s, _ = _exact(model, policy)
     return v + lam * (s - p)
@@ -138,11 +155,10 @@ def dual_inner(
     whose fixed point is the dual function at ``lam``.  Returns the
     converged vector and the greedy pure policy.
     """
+    _check_level(p)
     lam = _check_multipliers(model, lam)
     stage = model.stage_costs + _multiplier_offsets(model, lam, p)
-    start = np.zeros(model.n_taboo) if v0 is None else np.asarray(v0, dtype=float)
-    PH = model.taboo_block
-    v, greedy, _ = _sweep(stage, PH, start, tol, max_iter)
+    v, greedy, _ = _sweep(stage, model.taboo_block, v0, tol, max_iter)
     return v, _greedy_policy(model, greedy)
 
 
@@ -383,6 +399,26 @@ def _admissible_scan(model: MdpModel, p: float, cap: int):
     return best, admissible, skipped, mask
 
 
+def brute_force_constrained(
+    model: MdpModel, p: float, cap: int = 10**6
+) -> BruteForceResult:
+    """Exhaustively find the admissible pure policy with the least summed value.
+
+    The reference oracle for the constrained solvers: every pure policy
+    is evaluated exactly by the evaluation core's pure-policy kernel;
+    those with any safety coordinate above p + ADMISSIBLE_TOL or with a
+    non-transient chain are rejected.  Ties on the summed value keep the
+    earliest policy in product order.
+    """
+    best, admissible, _, _ = _admissible_scan(model, p, cap)
+    total = model.n_actions**model.n_taboo
+    if best is None:
+        return BruteForceResult(False, None, None, None, None, 0, total)
+    a, (v, s, _) = best
+    policy = _greedy_policy(model, a)
+    return BruteForceResult(True, tuple(a.tolist()), policy, v, s, admissible, total)
+
+
 def enumerate_admissible(model: MdpModel, p: float, cap: int = 10**6) -> AdmissibleSet:
     """Evaluate every pure policy and keep those with safety <= p throughout.
 
@@ -407,6 +443,7 @@ def cone_check(model: MdpModel, policy: Policy, p: float) -> ConeReport:
     forbidden-exit mass; nonnegativity of alpha (up to 1e-10) is
     equivalent to the direct safety filter S_pi <= p.
     """
+    _check_level(p)
     _, blocks, inputs = _induce(model, policy)
     ones = np.ones(model.n_taboo)
     m_pi = p * (ones - blocks.q @ ones) - inputs.to_forbidden

@@ -1,15 +1,18 @@
-"""Evaluation of a fixed policy: expected cost, safety and reach probabilities.
+"""The policy-induced chain and the exact evaluation of a fixed policy.
 
-For a policy pi with taboo block Q(pi) and Green operator G(pi), the three
-headline quantities over taboo states are
+A policy pi induces a chain on the canonical states (taboo H, forbidden
+U, target E) of :mod:`safemdp.model`.  ``decompose`` splits its taboo
+rows into the block Q(pi) and the exit blocks, ``_trapped`` decides
+exactly on the support graph whether Q is transient, and the Green
+operator G(pi) = (I - Q)^{-1} then gives over taboo states
 
 * value   V = G(pi) R,   the expected cost accumulated before absorption,
 * safety  S = G(pi) K,   the probability of being absorbed in a forbidden state,
 * reach   T = G(pi) L,   the probability of being absorbed in a target state,
 
 where R is the policy-averaged stage cost, K the one-step mass sent to
-forbidden states and L the one-step mass sent to target states.  S + T = 1
-on transient chains.
+forbidden states and L the one-step mass sent to target states (S + T = 1),
+and the occupation and hitting distributions (``_absorption``).
 
 Every exact evaluation in the package goes through one core: ``_induce``
 builds the induced chain and its cost inputs, and ``_solve`` checks the
@@ -17,22 +20,40 @@ taboo block for transience once and solves ``(I - Q) X = B`` by one LU
 factorization, with B = [R, K, L] (``_exact``) or, only when G itself is
 returned, the identity.  ``_pure_blocks``, the kernel of the enumeration
 oracles, does the same for PURE_CHUNK pure policies at once: one batched
-``_trapped``, one batched solve.  The iterative evaluators run the sweep
-kernel of :mod:`safemdp.bellman` with one candidate per state.
+``_trapped``, one batched solve.  The iterative evaluators live next to
+the sweep kernel in :mod:`safemdp.bellman`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .chain import BlockDecomposition, _require_transient, _trapped, decompose
-from .exceptions import CapExceededError
-from .model import MdpModel, Policy, induced_matrix
+from .exceptions import CapExceededError, NotTransientError
+from .model import ROW_SUM_TOL, MdpModel, Policy, StatePartition, induced_matrix
 
+NEUMANN_TAIL_TOL = 1e-12
 # Pure policies gathered and solved together by ``_pure_blocks``.
 PURE_CHUNK = 1 << 12
+
+
+@dataclass(frozen=True)
+class BlockDecomposition:
+    """The rows of a chain matrix leaving the taboo states, in (H, U, E) order.
+
+    ``q`` is the within-taboo block, ``hu`` and ``he`` the exit blocks from H.
+    """
+
+    q: np.ndarray
+    hu: np.ndarray
+    he: np.ndarray
+
+
+class TransienceReport(NamedTuple):
+    transient: bool
+    spectral_radius: float
 
 
 @dataclass(frozen=True)
@@ -53,6 +74,81 @@ class ChainQuantities:
     green: np.ndarray
     spectral_radius: float
     inputs: CostInputs
+
+
+def decompose(P: np.ndarray, partition: StatePartition) -> BlockDecomposition:
+    """Split the taboo rows of a row-stochastic chain matrix into its blocks.
+
+    ``P`` (n, n) lists the states canonically (taboo, forbidden, target),
+    with block sizes from ``partition``.  Raises ValueError if the shape
+    does not match the partition or a row does not sum to one.
+    """
+    P = np.asarray(P, dtype=float)
+    h, u, e = len(partition.taboo), len(partition.forbidden), len(partition.target)
+    n = h + u + e
+    if P.shape != (n, n):
+        raise ValueError(f"matrix has shape {P.shape}, partition implies {(n, n)}")
+    sums = P.sum(axis=1)
+    bad = np.nonzero(np.abs(sums - 1.0) > 1e-10)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"row {i} sums to {sums[i]:.12g}, matrix is not stochastic")
+    return BlockDecomposition(q=P[:h, :h], hu=P[:h, h : h + u], he=P[:h, h + u :])
+
+
+def _trapped(Q: np.ndarray, valid: np.ndarray | bool = True) -> np.ndarray:
+    """Taboo states from which no choice of valid candidates surely leaves H.
+
+    ``Q`` is one block (h, h) or k candidate rows per state (..., h, k, h)
+    after any batch axes, ``valid`` (..., h, k) masks the candidates, and
+    the result is a mask (..., h).  A row leaks when its taboo mass is
+    below ``1 - ROW_SUM_TOL``, validate_model's row-sum tolerance.  The
+    kept states are the Prob1 fixpoint: those that reach a leaking row
+    through candidates whose taboo successors all stay kept.  A pass
+    leaves an item already at its fixpoint unchanged.
+    """
+    if Q.ndim == 2:
+        Q = Q[:, None, :]
+    support = Q > 0.0
+    leaks = Q.sum(axis=-1) < 1.0 - ROW_SUM_TOL
+    kept = np.ones(Q.shape[:-2], bool)
+    while True:
+        escapes = (support & ~kept[..., None, None, :]).any(axis=-1)
+        allowed = valid & kept[..., None] & ~escapes
+        edges = (support & allowed[..., None]).any(axis=-2)
+        reach = (allowed & leaks).any(axis=-1)
+        grown = reach | (edges & reach[..., None, :]).any(axis=-1)
+        while grown.sum() > reach.sum():
+            reach, grown = grown, grown | (edges & grown[..., None, :]).any(axis=-1)
+        if (reach == kept).all():
+            return ~kept
+        kept = reach
+
+
+def _require_transient(Q: np.ndarray, valid: np.ndarray | bool = True) -> None:
+    """Raise NotTransientError naming the states ``_trapped(Q, valid)`` finds."""
+    trapped = np.flatnonzero(_trapped(Q, valid))
+    if trapped.size:
+        raise NotTransientError(trapped)
+
+
+def _radius(Q: np.ndarray) -> float:
+    """Exact spectral radius ``max|eig(Q)|`` of a taboo block (0 when empty)."""
+    return float(np.abs(np.linalg.eigvals(Q)).max(initial=0.0))
+
+
+def check_transient(Q: np.ndarray) -> TransienceReport:
+    """Decide exactly, on the support graph, whether the taboo block is transient.
+
+    Transient iff every taboo state reaches a row that leaks out of H.  The
+    radius is the exact ``max|eig(Q)|``, which is 1 when not transient.
+    """
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError("taboo block must be square")
+    if _trapped(Q).any():
+        return TransienceReport(False, 1.0)
+    return TransienceReport(True, _radius(Q))
 
 
 def _induce(model: MdpModel, policy: Policy):
@@ -113,6 +209,127 @@ def _pure_blocks(model: MdpModel, cap: int):
         yield picks, transient, X
 
 
+def green(Q: np.ndarray) -> np.ndarray:
+    """Green operator of a transient taboo block, ``G = (I - Q)^{-1}``.
+
+    Solved densely via LU factorization.  G row i counts the expected visits
+    to each taboo state before absorption when starting from state i, so
+    ``G = I + Q G = I + G Q``.
+
+    Raises
+    ------
+    NotTransientError
+        When some taboo state cannot reach an exit; carries those states.
+    """
+    Q = np.asarray(Q, dtype=float)
+    return _solve(Q, np.eye(Q.shape[0]))
+
+
+def green_neumann(Q: np.ndarray, tail_tol: float = NEUMANN_TAIL_TOL) -> np.ndarray:
+    """Green operator by truncated Neumann series, an independent cross-check.
+
+    Sums ``I + Q + Q^2 + ...`` until the sup-norm of the next power drops
+    below ``tail_tol``.  Kept deliberately separate from :func:`green` so the
+    two routes can be compared in tests.
+    """
+    Q = np.asarray(Q, dtype=float)
+    _require_transient(Q)
+    h = Q.shape[0]
+    total = np.eye(h)
+    term = np.eye(h)
+    # Geometric decay is guaranteed by transience; the bound below is generous.
+    for _ in range(10_000_000):
+        term = term @ Q
+        norm = np.abs(term).sum(axis=1).max() if h else 0.0
+        if norm < tail_tol:
+            break
+        total += term
+    return total
+
+
+def _absorption(model: MdpModel, blocks: BlockDecomposition, G: np.ndarray, initial):
+    """Occupation ``gamma = mu_H G`` and hitting ``gamma [P_HU P_HE] + mu_exit``."""
+    gamma = initial[model.taboo_slice] @ G
+    exits = np.hstack([blocks.hu, blocks.he])
+    return gamma, gamma @ exits + initial[model.exit_slice]
+
+
+def occupation(model: MdpModel, policy: Policy, initial: np.ndarray) -> np.ndarray:
+    """Expected visit counts over taboo states before absorption.
+
+    Parameters
+    ----------
+    initial : ndarray, shape (n_states,)
+        Initial distribution over the full state set.  Mass already on
+        forbidden or target states contributes nothing here.
+
+    Returns
+    -------
+    ndarray, shape (n_taboo,)
+        ``gamma = initial|_H  G``.
+    """
+    initial = _check_initial(model, initial)
+    _, blocks, _ = _induce(model, policy)
+    return _absorption(model, blocks, green(blocks.q), initial)[0]
+
+
+def hitting(model: MdpModel, policy: Policy, initial: np.ndarray) -> np.ndarray:
+    """Distribution of the state in which the process is absorbed.
+
+    Returns
+    -------
+    ndarray, shape (n_forbidden + n_target,)
+        Probability of finishing in each forbidden and target state,
+        including any initial mass already sitting there.  Sums to one for
+        transient chains.
+    """
+    initial = _check_initial(model, initial)
+    _, blocks, _ = _induce(model, policy)
+    return _absorption(model, blocks, green(blocks.q), initial)[1]
+
+
+def evolution_residual(
+    mu: np.ndarray, gamma: np.ndarray, lam: np.ndarray, P: np.ndarray
+) -> float:
+    """Sup-norm residual of the balance identity linking occupation and hitting.
+
+    Extending ``gamma`` by zeros on exit states and ``lam`` by zeros on taboo
+    states, a correct pair satisfies ``lam_full = mu + gamma_full (P - I)``.
+    Returns the largest absolute violation.
+    """
+    mu = np.asarray(mu, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    P = np.asarray(P, dtype=float)
+    n = P.shape[0]
+    if P.shape != (n, n):
+        raise ValueError("chain matrix must be square")
+    h = gamma.shape[0]
+    if lam.shape[0] != n - h:
+        raise ValueError(
+            f"occupation ({h}) and hitting ({lam.shape[0]}) lengths do not "
+            f"partition the {n} states"
+        )
+    if mu.shape[0] != n:
+        raise ValueError(f"initial distribution has length {mu.shape[0]}, expected {n}")
+    gamma_full = np.concatenate([gamma, np.zeros(n - h)])
+    lam_full = np.concatenate([np.zeros(h), lam])
+    residual = lam_full - mu - gamma_full @ (P - np.eye(n))
+    return float(np.abs(residual).max())
+
+
+def _check_initial(model: MdpModel, initial: np.ndarray) -> np.ndarray:
+    initial = np.asarray(initial, dtype=float)
+    if initial.shape != (model.n_states,):
+        raise ValueError(
+            f"initial distribution has shape {initial.shape}, expected "
+            f"{(model.n_states,)}"
+        )
+    if (initial < -1e-12).any() or abs(initial.sum() - 1.0) > 1e-10:
+        raise ValueError("initial distribution must be nonnegative and sum to 1")
+    return initial
+
+
 def cost_inputs(model: MdpModel, policy: Policy) -> CostInputs:
     """Average the stage cost and exit masses under a policy.
 
@@ -135,7 +352,7 @@ def chain_quantities(model: MdpModel, policy: Policy) -> ChainQuantities:
     """
     P, blocks, inputs = _induce(model, policy)
     G = _solve(blocks.q, np.eye(model.n_taboo))
-    radius = float(np.abs(np.linalg.eigvals(blocks.q)).max(initial=0.0))
+    radius = _radius(blocks.q)
     return ChainQuantities(
         matrix=P, blocks=blocks, green=G, spectral_radius=radius, inputs=inputs
     )
@@ -154,43 +371,6 @@ def safety(model: MdpModel, policy: Policy) -> np.ndarray:
 def reach(model: MdpModel, policy: Policy) -> np.ndarray:
     """Probability of absorption in a target state, per taboo start state."""
     return _exact(model, policy)[2]
-
-
-def value_iterative(
-    model: MdpModel,
-    policy: Policy,
-    v0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> tuple[np.ndarray, int]:
-    """Fixed-point iteration ``V <- R + Q V`` for the policy value.
-
-    Returns the final iterate and the number of sweeps taken.  Raises
-    MaxIterationsError (carrying the last iterate) when the sup-norm change
-    still exceeds ``tol`` after ``max_iter`` sweeps.
-    """
-    return _iterate_policy(model, policy, "stage_cost", v0, tol, max_iter)
-
-
-def safety_iterative(
-    model: MdpModel,
-    policy: Policy,
-    s0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> tuple[np.ndarray, int]:
-    """Fixed-point iteration ``S <- Q S + K`` for the policy safety."""
-    return _iterate_policy(model, policy, "to_forbidden", s0, tol, max_iter)
-
-
-def _iterate_policy(model, policy, offset, x0, tol, max_iter):
-    from .bellman import _sweep  # bellman imports this module
-
-    _, blocks, inputs = _induce(model, policy)
-    x0 = np.zeros(model.n_taboo) if x0 is None else x0
-    stage = getattr(inputs, offset)[:, None]
-    x, _, sweeps = _sweep(stage, blocks.q[:, None, :], x0, tol, max_iter)
-    return x, sweeps
 
 
 def set_safety(safety_vector: np.ndarray, states) -> float:

@@ -7,7 +7,8 @@ is feasible, so the tableau [A | I | b] starts there and needs no phase
 one.  The only programs this package builds come from
 ``constrained.build_lp``, whose right-hand sides are stage costs, and
 ``validate_model`` rejects negative costs.  A negative (or NaN)
-right-hand side raises ValueError.
+right-hand side, or a non-finite cost or constraint coefficient, raises
+ValueError.
 
 Bland's rule, which makes cycling impossible at the cost of more pivots
 than steepest-edge variants: the entering column is the first one whose
@@ -43,8 +44,9 @@ class SimplexResult:
 def solve_min(c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> SimplexResult:
     """Minimize ``c . x`` over ``A_ub x <= b_ub``, ``x >= 0``, with ``b_ub >= 0``.
 
-    Raises ValueError for a negative or NaN right-hand side,
-    LpUnboundedError or LpNumericalError.
+    Raises ValueError for a negative or NaN right-hand side or a
+    non-finite entry of ``c`` or ``A_ub``, LpUnboundedError or
+    LpNumericalError.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A_ub, dtype=float)
@@ -53,6 +55,8 @@ def solve_min(c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> SimplexResul
         raise ValueError("inconsistent LP dimensions")
     if not (b >= 0).all():
         raise ValueError("right-hand side must be nonnegative for the slack basis")
+    if not (np.isfinite(c).all() and np.isfinite(A).all()):
+        raise ValueError("costs and constraint coefficients must be finite")
     m, n = A.shape
 
     # Rows 0..m-1 are the constraints; row m holds the reduced costs.

@@ -1,13 +1,12 @@
-"""Trajectory simulation and exhaustive oracles.
+"""Trajectory oracles: Monte Carlo simulation and exhaustive path bounds.
 
 A counter-based Monte Carlo simulator and a finite-depth path enumerator
 with rigorous bounds stay independent of the analytic solvers, so the
 two can be checked against each other.  The enumerator expands the path
 tree level by level over arrays, one child per (action, successor) pair
 and no merging of paths by state, and checks its node budget before each
-level is built.  The brute-force constrained
-optimizer over pure policies is the streaming admissible scan of
-:mod:`safemdp.constrained`, the one behind ``constrained_vi_pure``.
+level is built.  Both read the policy and the model only: this module
+imports no solver.
 
 Randomness: each trajectory owns a Philox4x64-10 stream keyed by
 (master seed, trajectory index), exactly the stream of
@@ -29,8 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bellman import _greedy_policy
-from .constrained import _admissible_scan
 from .exceptions import PathExplosionError
 from .model import MdpModel, Policy
 
@@ -98,20 +95,9 @@ class PathBounds:
     nodes: int
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
-    """Best admissible pure policy by exhaustive enumeration."""
-
-    feasible: bool
-    assignment: tuple[int, ...] | None
-    policy: Policy | None
-    value: np.ndarray | None
-    safety: np.ndarray | None
-    admissible_count: int
-    total: int
-
-
 def _stream(seed: int, index: int) -> np.random.Generator:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -268,7 +254,7 @@ def simulate(
 
     Deterministic given ``seed`` (the trajectory uses stream index 0).
     A start already in a forbidden or target state returns immediately
-    with no transitions.
+    with no transitions.  A seed outside [0, 2^64) raises ValueError.
     """
     i = model.state_index(start)
     walker = _Walker(model, policy)
@@ -300,6 +286,7 @@ def mc_estimates(
 
     Truncated trajectories are excluded from the means but counted.
     Standard errors are sample standard deviations (ddof=1) over root n.
+    A seed outside [0, 2^64) raises ValueError.
     """
     if n < 1:
         raise ValueError("trajectory count must be positive")
@@ -313,8 +300,8 @@ def mc_estimates(
     truncated = np.zeros(n, dtype=bool)
     # One generator for every resumed stream: its state is set to the key
     # (seed, k) with the first four blocks (counters 1-4) already spent.
-    bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bit_gen)
+    rng = _stream(seed, 0)
+    bit_gen = rng.bit_generator
     resumed = bit_gen.state
     resumed["state"]["counter"][0] = UNIFORM_BLOCK // 4
     key = resumed["state"]["key"]
@@ -370,14 +357,14 @@ def _path_tables(model: MdpModel, policy: Policy):
     taboo edges as CSR rows: ``succ[indptr[i]:indptr[i + 1]]`` and the
     same slice of ``weight`` hold one entry per (action, successor) pair
     of i with positive policy and transition probability, so two actions
-    that reach the same state stay two children.
+    that reach the same state stay two children.  All three come from
+    the model view.
     """
-    h, nu = model.n_taboo, model.n_forbidden
+    h = model.n_taboo
     pi = policy.matrix[:h]
-    trans = model.transitions[:h]
-    forbidden = (pi * trans[:, :, h : h + nu].sum(axis=2)).sum(axis=1)
-    cost = (pi * model.rewards[:, :h].T * trans.sum(axis=2)).sum(axis=1)
-    taboo = trans[:, :, :h]
+    forbidden = (pi * model.forbidden_exit).sum(axis=1)
+    cost = (pi * model.stage_costs).sum(axis=1)
+    taboo = model.taboo_block
     i, u, j = np.nonzero((pi[:, :, None] != 0.0) & (taboo != 0.0))
     indptr = np.zeros(h + 1, dtype=np.int64)
     np.cumsum(np.bincount(i, minlength=h), out=indptr[1:])
@@ -448,23 +435,3 @@ def exhaustive_paths(
         mass_remaining=mass_remaining,
         nodes=nodes,
     )
-
-
-def brute_force_constrained(
-    model: MdpModel, p: float, cap: int = 10**6
-) -> BruteForceResult:
-    """Exhaustively find the admissible pure policy with the least summed value.
-
-    The reference oracle for the constrained solvers: every pure policy
-    is evaluated exactly by the evaluation core's pure-policy kernel;
-    those with any safety coordinate above p + ADMISSIBLE_TOL or with a
-    non-transient chain are rejected.  Ties on the summed value keep the
-    earliest policy in product order.
-    """
-    best, admissible, _, _ = _admissible_scan(model, p, cap)
-    total = model.n_actions**model.n_taboo
-    if best is None:
-        return BruteForceResult(False, None, None, None, None, 0, total)
-    a, (v, s, _) = best
-    policy = _greedy_policy(model, a)
-    return BruteForceResult(True, tuple(a.tolist()), policy, v, s, admissible, total)

@@ -46,6 +46,34 @@ def test_value_iteration_nonnegative_start_required(ex1_model):
         sm.value_iteration(ex1_model, v0=np.array([-1.0, 0, 0]))
 
 
+FIXED_POINT_SOLVERS = {
+    "value_iteration": lambda m, pol, **kw: sm.value_iteration(m, **kw),
+    "value_iterative": sm.value_iterative,
+    "safety_iterative": sm.safety_iterative,
+    "relative_vi": lambda m, pol, **kw: sm.relative_vi(m, 1.0, **kw),
+    "constrained_vi_pure": lambda m, pol, **kw: sm.constrained_vi_pure(m, 0.5, **kw),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("solver", list(FIXED_POINT_SOLVERS))
+def test_sweep_rejects_bad_tolerance(ex1_model, ex1_policy, solver, tol):
+    """The kernel refuses a tolerance no sweep can meet before sweeping to max_iter."""
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        FIXED_POINT_SOLVERS[solver](ex1_model, ex1_policy, tol=tol, max_iter=1)
+
+
+@pytest.mark.parametrize("start", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "solver, keyword",
+    [("value_iteration", "v0"), ("value_iterative", "v0"), ("safety_iterative", "s0")],
+)
+def test_sweep_rejects_non_finite_start(ex1_model, ex1_policy, solver, keyword, start):
+    x0 = np.array([start, 0.0, 0.0])
+    with pytest.raises(ValueError, match="starting values must be finite"):
+        FIXED_POINT_SOLVERS[solver](ex1_model, ex1_policy, **{keyword: x0}, max_iter=1)
+
+
 def test_value_iteration_budget(ex1_model):
     with pytest.raises(sm.MaxIterationsError) as err:
         sm.value_iteration(ex1_model, tol=0.0, max_iter=2)

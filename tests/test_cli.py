@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from safemdp import chain
+from safemdp import evaluate
 from safemdp.cli import main
 
 
@@ -208,7 +208,7 @@ def test_eval_evaluates_the_policy_once(capsys, monkeypatch, model_path, policy_
     def refuse(Q):
         raise AssertionError("eval inverted the taboo block a second time")
 
-    monkeypatch.setattr("safemdp.chain.green", refuse)
+    monkeypatch.setattr("safemdp.evaluate.green", refuse)
     code, after = run_json(capsys, "eval", model_path, policy_path)
     assert code == 0
     assert strip_timings(after) == strip_timings(before)
@@ -218,13 +218,13 @@ def test_eval_checks_transience_once(capsys, monkeypatch, model_path, policy_pat
     """The radius comes after the one transience check of the solve."""
     code, before = run_json(capsys, "eval", model_path, policy_path)
     calls = []
-    trapped = chain._trapped
+    trapped = evaluate._trapped
 
     def counted(*args):
         calls.append(args)
         return trapped(*args)
 
-    monkeypatch.setattr("safemdp.chain._trapped", counted)
+    monkeypatch.setattr("safemdp.evaluate._trapped", counted)
     code, after = run_json(capsys, "eval", model_path, policy_path)
     assert code == 0
     assert len(calls) == 1

@@ -643,6 +643,19 @@ def test_p_to_q_values():
         sm.p_to_q(1.0)
 
 
+def lagrangian_at_safest(model, p):
+    policy = sm.safest_policy(model)[1]
+    return sm.lagrangian(model, policy, np.ones(model.n_taboo), p)
+
+
+def dual_inner_at_ones(model, p):
+    return sm.dual_inner(model, np.ones(model.n_taboo), p)
+
+
+def cone_check_at_safest(model, p):
+    return sm.cone_check(model, sm.safest_policy(model)[1], p)
+
+
 @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
     "entry",
@@ -654,6 +667,9 @@ def test_p_to_q_values():
         sm.brute_force_constrained,
         sm.relative_admissible,
         sm.relative_vi,
+        lagrangian_at_safest,
+        dual_inner_at_ones,
+        cone_check_at_safest,
     ],
     ids=lambda f: f.__name__,
 )

@@ -1,0 +1,55 @@
+"""Module layering of the package: imports sit at module level and form no cycle."""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "safemdp"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def _package_imports(tree: ast.AST):
+    """Yield the package modules imported anywhere under ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = "safemdp" if node.level else ""
+            base = ".".join(filter(None, [package, node.module]))
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        modules = {name.split(".")[1] for name in names if name.startswith("safemdp.")}
+        yield from sorted(modules & set(MODULES))
+
+
+def _tree(module: str) -> ast.AST:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(), filename=module)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_package_import_inside_a_function(module):
+    tree = _tree(module)
+    nested = [
+        f"{module}.{func.name} imports {name}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name in _package_imports(func)
+    ]
+    assert not nested
+
+
+def test_module_import_graph_is_acyclic():
+    graph = {m: set(_package_imports(_tree(m))) for m in MODULES}
+    done: set[str] = set()
+
+    def visit(module: str, path: tuple[str, ...]) -> None:
+        assert module not in path, "import cycle " + " -> ".join(path + (module,))
+        if module in done:
+            return
+        for dep in sorted(graph[module]):
+            visit(dep, path + (module,))
+        done.add(module)
+
+    for module in MODULES:
+        visit(module, ())

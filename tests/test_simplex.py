@@ -24,23 +24,34 @@ def test_slack_only_optimum():
     assert res.objective == 0.0
 
 
+RHS_ERROR = "right-hand side must be nonnegative"
+FINITE_ERROR = "costs and constraint coefficients must be finite"
+
+
 @pytest.mark.parametrize(
-    "c, A, b",
+    "c, A, b, error",
     [
         # -x <= -2 asks for x >= 2.
-        ([1.0], [[-1.0]], [-2.0]),
+        ([1.0], [[-1.0]], [-2.0], RHS_ERROR),
         # x + y = 1 encoded as a pair of opposite inequalities.
-        ([1.0, 0.0], [[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0]),
+        ([1.0, 0.0], [[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0], RHS_ERROR),
         # x <= 1 and x >= 2 cannot both hold.
-        ([1.0], [[1.0], [-1.0]], [1.0, -2.0]),
+        ([1.0], [[1.0], [-1.0]], [1.0, -2.0], RHS_ERROR),
         # NaN fails every ratio test.
-        ([-1.0], [[1.0]], [np.nan]),
+        ([-1.0], [[1.0]], [np.nan], RHS_ERROR),
+        # A NaN reduced cost never enters; the objective came back NaN.
+        ([np.nan, -1.0], [[1.0, 1.0]], [1.0], FINITE_ERROR),
+        # A NaN coefficient never leaves; the objective came back -1.
+        ([0.0, -1.0], [[np.nan, 1.0]], [1.0], FINITE_ERROR),
     ],
-    ids=["lower-bound", "equality-pair", "infeasible", "nan"],
+    ids=["lower-bound", "equality-pair", "infeasible", "nan", "nan-cost", "nan-row"],
 )
-def test_negative_rhs_rejected(c, A, b):
-    """The slack basis is the only start; it is infeasible when some b < 0."""
-    with pytest.raises(ValueError, match="right-hand side must be nonnegative"):
+def test_negative_rhs_rejected(c, A, b, error):
+    """The slack basis is the only start; it is infeasible when some b < 0.
+
+    Non-finite costs or coefficients are rejected alongside.
+    """
+    with pytest.raises(ValueError, match=error):
         solve_min(np.array(c), np.array(A), np.array(b))
 
 

@@ -90,6 +90,15 @@ def test_mc_estimates_threading_invariant(ex1_model, ex1_policy, monkeypatch):
     assert serial == threaded
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_uint64_rejected(ex1_model, ex1_policy, seed):
+    error = rf"seed must lie in \[0, 2\^64\), got {seed}"
+    with pytest.raises(ValueError, match=error):
+        sm.simulate(ex1_model, ex1_policy, "b", seed=seed)
+    with pytest.raises(ValueError, match=error):
+        sm.mc_estimates(ex1_model, ex1_policy, "b", n=10, seed=seed)
+
+
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**63 + 5, 2**64 - 1])
 def test_philox_block_matches_numpy_streams(seed):
     """The one-pass Philox equals each stream's own generator, bit for bit."""

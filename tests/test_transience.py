@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import safemdp as sm
 from corpus import _assemble
-from safemdp.chain import _trapped
+from safemdp.evaluate import _trapped
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 BATCH_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
