@@ -1,4 +1,4 @@
-"""Bellman operator, the sweep kernel, value iteration and iterative evaluation.
+"""Bellman operator, sweep kernel, value and policy iteration, iterative evaluation.
 
 The operator acts on vectors over taboo states,
 
@@ -9,11 +9,12 @@ objective is linear in the action distribution, so the minimum over
 distributions is attained at a pure action; ties break to the lowest
 action index.
 
-``_sweep`` is the one fixed-point loop of the package.  Every iterative
-solver minimizes stage cost plus the taboo-block image of the current
-values over its own candidates per state: actions here, admissible
-actions or vertices in :mod:`safemdp.constrained`, and the one policy
-row in the iterative evaluators ``value_iterative``/``safety_iterative``.
+Two loops minimize stage cost plus the taboo-block image of the
+current values over each state's candidates.  ``_sweep`` repeats that
+until the change between sweeps is small, for value iteration,
+``constrained_vi_pure``, ``relative_vi`` and the iterative evaluators.
+``_improve``, Howard's policy iteration from a proper policy, solves
+each choice exactly; it serves ``safest_policy`` and ``dual_inner``.
 Stage costs, taboo block and exit masses come from the model view on
 :class:`~safemdp.model.MdpModel`.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import _induce, _require_transient, _solve
+from .evaluate import _induce, _require_transient, _solve, _trapped, _witness
 from .exceptions import MaxIterationsError, NotTransientError
 from .model import MdpModel, Policy
 
@@ -129,6 +130,35 @@ def _sweep(
     )
 
 
+def _improve(
+    stage: np.ndarray, Q: np.ndarray, choice: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Policy iteration from a proper ``choice`` on ``stage`` (h, k), ``Q`` (h, k, h).
+
+    Each round solves the current choice exactly; a state switches to
+    its best candidate only when that beats the current one by more than
+    ``tol * max(1, |v|)``, which keeps every choice proper (README,
+    Numerical notes).  Returns the last choice, or the lowest-index greedy
+    one at its values when that is proper, with the exact values of the
+    one returned; past ``max_iter`` rounds raises MaxIterationsError.
+    """
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+    rows, v = np.arange(Q.shape[0]), None
+    for _ in range(max_iter):
+        v = _solve(Q[rows, choice], stage[rows, choice])
+        totals = stage + Q @ v
+        greedy = totals.argmin(axis=1)
+        gain = totals[rows, choice] - totals[rows, greedy]
+        switch = gain > tol * np.maximum(1.0, np.abs(v))
+        if not switch.any():
+            if (greedy == choice).all() or _trapped(Q[rows, greedy]).any():
+                return v, choice
+            return _solve(Q[rows, greedy], stage[rows, greedy]), greedy
+        choice = np.where(switch, greedy, choice)
+    raise MaxIterationsError(f"no policy is stable within {max_iter} rounds", last=v)
+
+
 def value_iteration(
     model: MdpModel,
     v0: np.ndarray | None = None,
@@ -191,15 +221,16 @@ def _iterate_policy(model, policy, offset, x0, tol, max_iter):
 def safest_policy(
     model: MdpModel, tol: float = 1e-12, max_iter: int = 100_000
 ) -> tuple[np.ndarray, Policy]:
-    """Minimal absorption-in-forbidden probability and a policy attaining it.
+    """Minimal absorption-in-forbidden probability and a proper policy attaining it.
 
-    Runs value iteration with the one-step forbidden-exit mass as the stage
-    cost; the fixed point is the coordinate-wise minimal safety over all
-    policies.
+    Runs ``_improve`` (``tol`` its improvement threshold, ``max_iter``
+    its cap on exact solves) from the witness on the one-step forbidden
+    mass: the exact coordinate-wise minimum over proper policies.
+    States that no policy leads out of H raise NotTransientError.
     """
     K, PH = model.forbidden_exit, model.taboo_block
-    v, greedy, _ = _sweep(K, PH, None, tol, max_iter)
-    return v, _greedy_policy(model, greedy)
+    v, choice = _improve(K, PH, _witness(PH), tol, max_iter)
+    return v, _greedy_policy(model, choice)
 
 
 @dataclass(frozen=True)

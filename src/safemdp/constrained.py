@@ -28,9 +28,9 @@ the rest of the package tests against.
 
 Shared machinery: every solver here reads the stage costs, taboo block
 and exit masses from the model view on :class:`~safemdp.model.MdpModel`;
-the dual inner problem, ``constrained_vi_pure`` and ``relative_vi`` run
-the one sweep kernel of :mod:`safemdp.bellman` over their own candidates
-(actions, admissible actions, vertices); every exact policy evaluation
+the dual inner problem runs the policy iteration of :mod:`safemdp.bellman`
+over the actions, ``constrained_vi_pure`` and ``relative_vi`` its sweep
+kernel over admissible actions and vertices; every exact policy evaluation
 goes through the evaluation core of :mod:`safemdp.evaluate`, whose
 pure-policy kernel ``_pure_blocks`` ``_admissible_blocks`` filters; its
 streaming ``_admissible_scan`` serves ``brute_force_constrained`` and
@@ -45,14 +45,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bellman import _greedy_policy, _sweep, safest_policy
-from .evaluate import _exact, _induce, _pure_blocks, _solve
+from .bellman import _greedy_policy, _improve, _sweep, safest_policy
+from .evaluate import _exact, _induce, _pure_blocks, _solve, _witness
 from .exceptions import InfeasibleError
 from .model import MdpModel, Policy
 from .simplex import solve_min
 
 ADMISSIBLE_TOL = 1e-10
 RELATIVE_TOL = 1e-12
+_INNER_ROUNDS = 100_000  # policy-iteration rounds per dual level
 
 
 @dataclass(frozen=True)
@@ -139,27 +140,25 @@ def _multiplier_offsets(model: MdpModel, lam: np.ndarray, p: float) -> np.ndarra
 
 
 def dual_inner(
-    model: MdpModel,
-    lam,
-    p: float,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    v0: np.ndarray | None = None,
+    model: MdpModel, lam, p: float, tol: float = 1e-10, max_iter: int = _INNER_ROUNDS
 ) -> tuple[np.ndarray, Policy]:
-    """Minimize the penalized value over policies for fixed multipliers.
+    """Minimize the penalized value over proper policies for fixed multipliers.
 
-    Runs value iteration with the per-(state, action) stage cost
+    Runs policy iteration (``bellman._improve``, ``tol`` its improvement
+    threshold, ``max_iter`` its cap on exact solves) from the witness
+    policy with the per-(state, action) stage cost
 
         rho(u, i) + K(u, i) lam(i) - p (lam(i) - sum_j p_iuj lam(j)),
 
-    whose fixed point is the dual function at ``lam``.  Returns the
-    converged vector and the greedy pure policy.
+    whose optimum over proper policies is the dual function at ``lam``.
+    Returns that exact value and a proper pure policy attaining it.
     """
     _check_level(p)
     lam = _check_multipliers(model, lam)
+    PH = model.taboo_block
     stage = model.stage_costs + _multiplier_offsets(model, lam, p)
-    v, greedy, _ = _sweep(stage, model.taboo_block, v0, tol, max_iter)
-    return v, _greedy_policy(model, greedy)
+    v, choice = _improve(stage, PH, _witness(PH), tol, max_iter)
+    return v, _greedy_policy(model, choice)
 
 
 def dual_ascent(
@@ -170,12 +169,14 @@ def dual_ascent(
 ) -> ConstrainedSolveReport:
     """Maximize the dual function over multiplier levels t >= 0.
 
-    Summed over taboo states, D(t) = sum_i min_pi [V(i) + t (S(i) - p)]
-    is concave and piecewise linear in t, and its slope at t is
-    sum(S - p) for the greedy policy of ``dual_inner`` there.  The search
-    evaluates t = 0; if the slope there is positive it doubles a bracket
-    [lo, hi] from [0, 1] until the slope at hi is not (at most 60 times),
-    then halves it on the sign of the slope at the midpoint until
+    Summed over taboo states, D(t) = sum_i min_pi [V(i) + t (S(i) - p)],
+    over proper policies, is concave and piecewise linear in t, with
+    slope sum(S - p) for the policy ``dual_inner`` returns at t.  Each
+    level runs that policy iteration (``inner_tol`` its threshold) from
+    the previous level's policy, the first from the safest policy.  The
+    search evaluates t = 0; if the slope there is positive it doubles a
+    bracket [lo, hi] from [0, 1] until the slope at hi is not (at most 60
+    times), then halves it on the sign of the slope at the midpoint until
     hi - lo <= 1e-11 (1 + hi).  A slope counts as non-positive when
     sum(S - p) <= |H| ADMISSIBLE_TOL, the tolerance of the feasibility
     test, so a p within that tolerance below the minimal safety does not
@@ -207,18 +208,20 @@ def dual_ascent(
 
     best = {"sum": -np.inf, "t": 0.0, "value": None, "feasible": False}
     chosen = {"sum": np.inf, "policy": safe_pol}
-    warm = np.zeros(h)
+    choice = safe_pol.assignment()[:h]
     evaluations = 0
 
     def rising(t: float) -> bool:
         """Evaluate level t; True when the dual's slope there is positive."""
-        nonlocal warm, evaluations
-        warm, pol = dual_inner(model, t * ones, p, tol=inner_tol, v0=warm)
+        nonlocal choice, evaluations
+        stage = model.stage_costs + _multiplier_offsets(model, t * ones, p)
+        dual, choice = _improve(stage, model.taboo_block, choice, inner_tol, _INNER_ROUNDS)
+        pol = _greedy_policy(model, choice)
         evaluations += 1
         v, s, _ = _exact(model, pol)
-        total, feasible = float(warm.sum()), bool((s <= p + ADMISSIBLE_TOL).all())
+        total, feasible = float(dual.sum()), bool((s <= p + ADMISSIBLE_TOL).all())
         if total > best["sum"]:
-            best.update(sum=total, t=t, value=warm, feasible=feasible)
+            best.update(sum=total, t=t, value=dual, feasible=feasible)
         if feasible and v.sum() < chosen["sum"]:
             chosen.update(sum=float(v.sum()), policy=pol)
         return float((s - p).sum()) > h * ADMISSIBLE_TOL

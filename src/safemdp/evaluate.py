@@ -125,6 +125,24 @@ def _trapped(Q: np.ndarray, valid: np.ndarray | bool = True) -> np.ndarray:
         kept = reach
 
 
+def _witness(Q: np.ndarray) -> np.ndarray:
+    """A proper choice of candidates, one index per state of ``Q`` (h, k, h).
+
+    Raises NotTransientError when ``_trapped(Q)`` finds states.  Otherwise
+    peels the Prob1 set in attractor layers: each state takes its first
+    candidate that leaks out of H or enters a lower layer.
+    """
+    _require_transient(Q)
+    support = Q > 0.0
+    ready = Q.sum(axis=-1) < 1.0 - ROW_SUM_TOL
+    choice, done = np.zeros(Q.shape[0], int), np.zeros(Q.shape[0], bool)
+    while not done.all():
+        new = ready.any(axis=1) & ~done
+        choice[new], done = ready[new].argmax(axis=1), done | new
+        ready |= (support & done).any(axis=-1)
+    return choice
+
+
 def _require_transient(Q: np.ndarray, valid: np.ndarray | bool = True) -> None:
     """Raise NotTransientError naming the states ``_trapped(Q, valid)`` finds."""
     trapped = np.flatnonzero(_trapped(Q, valid))
@@ -374,11 +392,13 @@ def reach(model: MdpModel, policy: Policy) -> np.ndarray:
 
 
 def set_safety(safety_vector: np.ndarray, states) -> float:
-    """Worst-case safety over a non-empty set of taboo state indices."""
-    idx = np.asarray(list(states), dtype=int)
+    """Worst-case safety over a non-empty set of integer taboo state indices."""
+    idx = np.asarray(list(states), dtype=float)
     if idx.size == 0:
         raise ValueError("state set must be non-empty")
+    if not (np.isfinite(idx) & (idx == np.round(idx))).all():
+        raise ValueError("state indices must be integers")
     s = np.asarray(safety_vector, dtype=float)
     if idx.min() < 0 or idx.max() >= s.shape[0]:
         raise ValueError("state index out of range for the safety vector")
-    return float(s[idx].max())
+    return float(s[idx.astype(int)].max())

@@ -66,6 +66,7 @@ def solve_min(c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> SimplexResul
     T[:m, -1] = b
     T[m, :n] = c
     basis = np.arange(n, n + m)
+    update = np.empty_like(T)  # the rank-1 pivot update, one buffer per solve
 
     iterations = 0
     while True:
@@ -82,9 +83,10 @@ def solve_min(c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> SimplexResul
         if T[row, col] < PIVOT_MIN:
             raise LpNumericalError(f"pivot {T[row, col]:.3g} below stability threshold")
         T[row] /= T[row, col]
-        rows = np.flatnonzero(T[:, col])
-        rows = rows[rows != row]
-        T[rows] -= np.outer(T[rows, col], T[row])
+        factor = T[:, col].copy()
+        factor[row] = 0.0
+        np.multiply.outer(factor, T[row], out=update)
+        T -= update
         basis[row] = col
         iterations += 1
         if iterations > ITER_CAP:

@@ -98,6 +98,8 @@ class PathBounds:
 def _stream(seed: int, index: int) -> np.random.Generator:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    if not float(seed).is_integer():
+        raise ValueError(f"seed must be an integer, got {seed}")
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -254,7 +256,7 @@ def simulate(
 
     Deterministic given ``seed`` (the trajectory uses stream index 0).
     A start already in a forbidden or target state returns immediately
-    with no transitions.  A seed outside [0, 2^64) raises ValueError.
+    with no transitions.  A seed other than an integer in [0, 2^64) raises ValueError.
     """
     i = model.state_index(start)
     walker = _Walker(model, policy)
@@ -286,10 +288,11 @@ def mc_estimates(
 
     Truncated trajectories are excluded from the means but counted.
     Standard errors are sample standard deviations (ddof=1) over root n.
-    A seed outside [0, 2^64) raises ValueError.
+    A non-integral seed or ``n``, a seed outside [0, 2^64) or n < 1 raises ValueError.
     """
-    if n < 1:
-        raise ValueError("trajectory count must be positive")
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"trajectory count must be a positive integer, got {n}")
+    n = int(n)
     i0 = model.state_index(start)
     walker = _Walker(model, policy)
     h = walker.h

@@ -99,6 +99,29 @@ def sparse_model(rng):
     return _assemble(states, [f"a{k}" for k in range(m)], h, 1, trans, rewards)
 
 
+def corridor_model(rng, h, hazard):
+    """Slow-mixing birth-death corridor, u0 left of h0 and e0 right of the end.
+
+    Action ``fair`` steps left or right with equal mass at a cost in
+    [0.5, 1]; ``push`` steps right with 0.55-0.65 of the mass at a cost
+    in [1.5, 3].  Both send ``hazard`` straight to u0.
+    """
+    n = h + 2
+    right = np.stack([np.full(h, 0.5), 0.5 + rng.uniform(0.05, 0.15, h)], axis=1)
+    trans = np.zeros((n, 2, n))
+    for i in range(h):
+        for u in range(2):
+            trans[i, u, h] += hazard
+            trans[i, u, i - 1 if i else h] += (1.0 - hazard) * (1.0 - right[i, u])
+            trans[i, u, i + 1 if i < h - 1 else h + 1] += (1.0 - hazard) * right[i, u]
+    trans[h:, :, h:] = np.eye(2)[:, None, :]
+    rewards = np.zeros((2, n))
+    rewards[0, :h] = rng.uniform(0.5, 1.0, h)
+    rewards[1, :h] = rng.uniform(1.5, 3.0, h)
+    states = [f"h{i}" for i in range(h)] + ["u0", "e0"]
+    return _assemble(states, ["fair", "push"], h, 1, trans, rewards)
+
+
 def random_policy(rng, model):
     rows = rng.random((model.n_states, model.n_actions))
     rows /= rows.sum(axis=1, keepdims=True)

@@ -134,3 +134,12 @@ def test_set_safety_is_worst_case(ex1_model):
         sm.set_safety(s, [])
     with pytest.raises(ValueError):
         sm.set_safety(s, [7])
+
+
+@pytest.mark.parametrize("states", [[1.5], [0, 2.25], [np.nan]])
+def test_set_safety_rejects_fractional_indices(ex1_model, states):
+    """A fractional index used to be truncated to the state below it."""
+    s = sm.safety(ex1_model, combo(ex1_model, "u2", "u1"))
+    with pytest.raises(ValueError, match="state indices must be integers"):
+        sm.set_safety(s, states)
+    assert sm.set_safety(s, [2.0]) == s[2]

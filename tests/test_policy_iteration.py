@@ -1,0 +1,182 @@
+"""Policy iteration from a proper witness behind ``safest_policy`` and ``dual_inner``.
+
+The solvers must return proper policies whose exact values are the
+reported vectors, match the sweeps they replaced wherever those ended
+at a proper policy, and decide feasibility as brute force does on the
+sparse models whose zero-mass and zero-cost loops the sweeps mistook
+for optima.
+"""
+import json
+
+import numpy as np
+import pytest
+
+import safemdp as sm
+from corpus import corridor_model, sparse_model
+from safemdp.bellman import _greedy_policy, _improve, _sweep
+from safemdp.constrained import _multiplier_offsets
+from safemdp.evaluate import _exact, _solve, _trapped
+
+
+def sweep_safest_policy(model, tol=1e-12, max_iter=100_000):
+    """``safest_policy`` as it was: value iteration on the forbidden mass."""
+    v, greedy, _ = _sweep(model.forbidden_exit, model.taboo_block, None, tol, max_iter)
+    return v, _greedy_policy(model, greedy)
+
+
+def sweep_dual_inner(model, lam, p, tol=1e-10, max_iter=100_000):
+    """``dual_inner`` as it was: value iteration on the penalized stage cost."""
+    stage = model.stage_costs + _multiplier_offsets(model, np.asarray(lam, float), p)
+    v, greedy, _ = _sweep(stage, model.taboo_block, None, tol, max_iter)
+    return v, _greedy_policy(model, greedy)
+
+
+def is_proper(model, policy):
+    rows = np.arange(model.n_taboo)
+    return not _trapped(model.taboo_block[rows, policy.assignment()[rows]]).any()
+
+
+def penalized(model, policy, t, p):
+    """Exact V + t (S - p) of one policy, the dual objective at level t."""
+    v, s, _ = _exact(model, policy)
+    return v + t * (s - p)
+
+
+def assert_matches_sweep(got, want, model):
+    """Values within 1e-9 of max(1, |v|) and the same policy, when the sweep's is proper.
+
+    An improper sweep policy reaches values no proper policy attains, so
+    there the sweep limit only bounds the new values from below.
+    """
+    (v, pol), (w, ref) = got, want
+    assert is_proper(model, pol)
+    if is_proper(model, ref):
+        assert (np.abs(v - w) <= 1e-9 * np.maximum(1.0, np.abs(w))).all()
+        assert np.array_equal(pol.matrix, ref.matrix)
+    else:
+        assert (v >= w - 1e-9 * np.maximum(1.0, np.abs(w))).all()
+
+
+def test_matches_sweep_reference(ex1_model, solver_corpus, oracle_cases):
+    improper = 0
+    for model, p in [(ex1_model, 0.5)] + solver_corpus + oracle_cases:
+        try:
+            want = sweep_safest_policy(model)
+        except sm.NotTransientError as err:
+            with pytest.raises(sm.NotTransientError) as got:
+                sm.safest_policy(model)
+            assert got.value.trapped == err.trapped
+            continue
+        assert_matches_sweep(sm.safest_policy(model), want, model)
+        improper += not is_proper(model, want[1])
+        for t in (0.0, 1.0):
+            lam = np.full(model.n_taboo, t)
+            want = sweep_dual_inner(model, lam, p)
+            assert_matches_sweep(sm.dual_inner(model, lam, p), want, model)
+            improper += not is_proper(model, want[1])
+    assert improper >= 10
+
+
+def sparse_draws():
+    """The 273 of 300 sparse draws where some policy leaves H from every state."""
+    rng = np.random.default_rng(2026)
+    models = [sparse_model(rng) for _ in range(300)]
+    return [m for m in models if not _trapped(m.taboo_block).any()]
+
+
+def test_sparse_draws_get_proper_exact_answers():
+    models = sparse_draws()
+    assert len(models) == 273
+    infeasible = 0
+    for model in models:
+        s, pol = sm.safest_policy(model)
+        assert is_proper(model, pol)
+        assert np.abs(_exact(model, pol)[1] - s).max() <= 1e-9
+        proper = sm.enumerate_admissible(model, 1.0)
+        assert np.abs(proper.safety.min(axis=0) - s).max() <= 1e-9
+        for t in (0.0, 1.0, 10.0):
+            v, pol = sm.dual_inner(model, np.full(model.n_taboo, t), 0.5)
+            assert is_proper(model, pol)
+            assert np.abs(penalized(model, pol, t, 0.5) - v).max() <= 1e-9
+        report = sm.dual_ascent(model, 0.5)
+        assert report.feasible == sm.brute_force_constrained(model, 0.5).feasible
+        assert is_proper(model, report.policy)
+        infeasible += not report.feasible
+    assert infeasible == 112
+
+
+def zero_cost_loop_model():
+    """One taboo state: a zero-cost ``loop`` in place, or ``go`` to the target at cost 1."""
+    doc = {
+        "states": ["s", "e"],
+        "actions": ["loop", "go"],
+        "partition": {"taboo": ["s"], "forbidden": [], "target": ["e"]},
+        "transitions": [
+            {"from": "s", "action": "loop", "to": "s", "p": 1.0},
+            {"from": "s", "action": "go", "to": "e", "p": 1.0},
+            {"from": "e", "action": "loop", "to": "e", "p": 1.0},
+            {"from": "e", "action": "go", "to": "e", "p": 1.0},
+        ],
+        "rewards": [
+            {"state": "s", "action": "loop", "rho": 0.0},
+            {"state": "s", "action": "go", "rho": 1.0},
+        ],
+    }
+    return sm.load_model(json.dumps(doc))
+
+
+def test_zero_cost_loop_model():
+    """Both actions tie at the exact values; the lowest-index one never leaves."""
+    model = zero_cost_loop_model()
+    s, pol = sm.safest_policy(model)
+    assert s.tolist() == [0.0]
+    assert pol.assignment()[0] == 1
+    report = sm.dual_ascent(model, 0.5)
+    assert report.feasible
+    assert report.value.tolist() == [1.0]
+    assert report.policy.assignment()[0] == 1
+    assert sm.value(model, report.policy).tolist() == [1.0]
+
+
+def test_corridor_values_are_exact():
+    """Exact where the sweeps end up to 3e-8 away, on a slow-mixing corridor."""
+    model = corridor_model(np.random.default_rng(5), 100, 0.002)
+    got = s, pol = sm.safest_policy(model)
+    assert np.abs(sm.safety(model, pol) - s).max() <= 1e-12
+    assert_matches_sweep(got, sweep_safest_policy(model), model)
+    got = v, pol = sm.dual_inner(model, np.zeros(100), 0.5)
+    assert np.abs(sm.value(model, pol) - v).max() <= 1e-12 * np.abs(v).max()
+    assert_matches_sweep(got, sweep_dual_inner(model, np.zeros(100), 0.5), model)
+
+
+def test_sub_threshold_gain_keeps_values_exact():
+    """A gain within the threshold moves a state to the lowest-index greedy
+    candidate only with the values re-solved, and only when that is proper.
+
+    h0 exits at cost 1/2 or 1/2 - 2^-44; h1 may loop at no cost or pay 1/4
+    and step to h0 with probability 1/2, an exact tie at value 1/2.
+    """
+    stage = np.array([[0.5, 0.5 - 2.0**-44], [0.0, 0.25]])
+    Q = np.zeros((2, 2, 2))
+    Q[1, 0, 1], Q[1, 1, 0] = 1.0, 0.5
+    v, choice = _improve(stage[:1], Q[:1, :, :1], np.array([0]), 1e-12, 10)
+    assert choice.tolist() == [1] and v.tolist() == [0.5 - 2.0**-44]
+    v, choice = _improve(stage, Q, np.array([0, 1]), 1e-12, 10)
+    assert choice.tolist() == [0, 1] and v.tolist() == [0.5, 0.5]
+
+
+def test_round_cap_raises(ex1_model):
+    """The witness on ex1 is not the unconstrained optimum, so one round is short."""
+    with pytest.raises(sm.MaxIterationsError) as err:
+        sm.dual_inner(ex1_model, np.zeros(3), 0.5, max_iter=1)
+    assert err.value.last is not None
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0], ids=["nan", "negative"])
+def test_bad_improvement_threshold_rejected(ex1_model, tol):
+    for solve in (
+        lambda: sm.safest_policy(ex1_model, tol=tol),
+        lambda: sm.dual_inner(ex1_model, np.zeros(3), 0.5, tol=tol),
+    ):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            solve()

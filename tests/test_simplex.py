@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 import safemdp as sm
+from corpus import _fill, corridor_model
+from safemdp import simplex
 from safemdp.simplex import SimplexResult, solve_min
 
 
@@ -317,3 +319,78 @@ def test_matches_reference_on_random_programs():
             kinds["unbounded"] += 1
         kinds["degenerate"] += bool((b == 0).any())
     assert min(kinds.values()) >= 100, kinds
+
+
+# ------------------------------------------------------- previous pivot
+
+def previous_solve_min(c, A_ub, b_ub):
+    """``solve_min`` as it was before the pivot wrote into one update buffer.
+
+    Each pivot gathered the rows with a nonzero entry in the entering
+    column and subtracted a freshly allocated outer product from a copy
+    of them.  The buffered pivot must agree bit for bit.
+    """
+    c, A, b = (np.asarray(x, dtype=float) for x in (c, A_ub, b_ub))
+    m, n = A.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n], T[:m, n : n + m], T[:m, -1], T[m, :n] = A, np.eye(m), b, c
+    basis = np.arange(n, n + m)
+    iterations = 0
+    while True:
+        eligible = np.flatnonzero(T[m, :-1] < -simplex.RED_COST_TOL)
+        if not eligible.size:
+            break
+        col = eligible[0]
+        candidates = np.flatnonzero(T[:m, col] > simplex.ZERO_TOL)
+        if not candidates.size:
+            raise sm.LpUnboundedError("objective improves along an unbounded ray")
+        ratios = T[candidates, -1] / T[candidates, col]
+        tied = candidates[ratios <= ratios.min() + 1e-12]
+        row = tied[basis[tied].argmin()]
+        if T[row, col] < simplex.PIVOT_MIN:
+            raise sm.LpNumericalError(f"pivot {T[row, col]:.3g} below stability threshold")
+        T[row] /= T[row, col]
+        rows = np.flatnonzero(T[:, col])
+        rows = rows[rows != row]
+        T[rows] -= np.outer(T[rows, col], T[row])
+        basis[row] = col
+        iterations += 1
+        if iterations > simplex.ITER_CAP:
+            raise sm.LpNumericalError("pivot cap exceeded")
+    x = np.zeros(n + m)
+    x[basis] = T[:m, -1]
+    return SimplexResult(
+        x=x[:n], objective=float(c @ x[:n]), basis=tuple(int(v) for v in basis),
+        iterations=iterations,
+    )
+
+
+def assert_matches_previous(c, A, b):
+    got = outcome(solve_min, c, A, b)
+    assert got == outcome(previous_solve_min, c, A, b)
+    return got
+
+
+def test_buffered_pivot_matches_previous_on_corpora(ex1_model, solver_corpus, oracle_cases):
+    for model, p in [(ex1_model, 0.5)] + solver_corpus + oracle_cases:
+        assert_matches_previous(*lp_args(model, p))
+
+
+def test_buffered_pivot_matches_previous_on_random_programs():
+    rng = np.random.default_rng(2025)
+    for k in range(400):
+        assert_matches_previous(*random_program(rng, integer=k % 2 == 0))
+
+
+def test_buffered_pivot_matches_previous_at_benchmark_size():
+    """A 100-state, 3-action dense model and a 100-state corridor.
+
+    Hundreds of pivots on 300x101 and 200x101 programs, where most
+    entries of the entering column are nonzero (dense) or zero (corridor).
+    """
+    rng = np.random.default_rng(31)
+    dense = _fill(rng, 100, 1, 2, 3, 0.1)
+    got = assert_matches_previous(*lp_args(dense, 0.5))
+    assert got[1] >= 100
+    got = assert_matches_previous(*lp_args(corridor_model(rng, 100, 0.002), 0.5))
+    assert got[1] >= 100

@@ -99,6 +99,15 @@ def test_seed_outside_uint64_rejected(ex1_model, ex1_policy, seed):
         sm.mc_estimates(ex1_model, ex1_policy, "b", n=10, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2**40 + 0.5])
+def test_fractional_seed_rejected(ex1_model, ex1_policy, seed):
+    """A fractional seed used to be truncated to the stream of its integer part."""
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sm.simulate(ex1_model, ex1_policy, "b", seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sm.mc_estimates(ex1_model, ex1_policy, "b", n=10, seed=seed)
+
+
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**63 + 5, 2**64 - 1])
 def test_philox_block_matches_numpy_streams(seed):
     """The one-pass Philox equals each stream's own generator, bit for bit."""
@@ -236,6 +245,12 @@ def test_mc_zero_rewards():
 def test_mc_requires_positive_n(ex1_model, ex1_policy):
     with pytest.raises(ValueError):
         sm.mc_estimates(ex1_model, ex1_policy, "b", n=0, seed=0)
+
+
+def test_mc_rejects_fractional_n(ex1_model, ex1_policy):
+    """``np.zeros`` used to raise TypeError for a fractional trajectory count."""
+    with pytest.raises(ValueError, match="trajectory count must be a positive integer"):
+        sm.mc_estimates(ex1_model, ex1_policy, "b", n=2.5, seed=0)
 
 
 def test_mc_truncated_are_counted_not_averaged():

@@ -1,7 +1,8 @@
 """Exact structural transience: verdicts against eigenvalues and enumeration.
 
 The batched ``_trapped`` is checked row by row against the single-item
-call and against an enumeration of pure choices.
+call and against an enumeration of pure choices, and ``_witness``
+against its promise of a proper choice.
 """
 import itertools
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import safemdp as sm
 from corpus import _assemble
-from safemdp.evaluate import _trapped
+from safemdp.evaluate import _trapped, _witness
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 BATCH_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
@@ -118,6 +119,27 @@ def test_batched_trapped_on_masked_candidate_stacks(stack):
     for item, ok, row in zip(Q, valid, mask):
         assert np.array_equal(row, _trapped(item, ok))
         assert np.array_equal(row, trapped_by_enumeration(item, ok))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(candidate_stacks(max_h=5, max_k=3))
+def test_witness_is_a_proper_choice(stack):
+    """A proper choice of candidates exactly when nothing is trapped."""
+    for Q in stack[0]:
+        trapped = np.flatnonzero(_trapped(Q))
+        if trapped.size:
+            with pytest.raises(sm.NotTransientError) as err:
+                _witness(Q)
+            assert err.value.trapped == tuple(trapped)
+            continue
+        choice = _witness(Q)
+        assert exit_is_sure(Q[np.arange(Q.shape[0]), choice]).all()
+
+
+def test_witness_steps_down_the_layers():
+    """h0 may loop in place or step to h1, which leaks; the loop comes first."""
+    Q = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.5], [0.0, 0.0]]])
+    assert _witness(Q).tolist() == [1, 0]
 
 
 @SETTINGS
