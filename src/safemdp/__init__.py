@@ -8,9 +8,6 @@ of it against simulation and exhaustive oracles.
 
 from .bellman import (
     BellmanResult,
-    CertificateReport,
-    bellman_apply,
-    certify_supremum,
     safest_policy,
     safety_iterative,
     value_iteration,
@@ -19,19 +16,16 @@ from .bellman import (
 from .constrained import (
     AdmissibleSet,
     BruteForceResult,
-    ConeReport,
     ConstrainedSolveReport,
     LpProblem,
     LpSolution,
     RelativeVertexSet,
     brute_force_constrained,
     build_lp,
-    cone_check,
     constrained_vi_pure,
     dual_ascent,
     dual_inner,
     enumerate_admissible,
-    lagrangian,
     p_to_q,
     relative_admissible,
     relative_vi,
@@ -53,7 +47,6 @@ from .evaluate import (
     occupation,
     reach,
     safety,
-    set_safety,
     value,
 )
 from .exceptions import (

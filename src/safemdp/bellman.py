@@ -2,12 +2,11 @@
 
 The operator acts on vectors over taboo states,
 
-    (T V)(i) = min_u [ rho(u, i) + sum_{j in H} p[i, u, j] V(j) ],
+    (T V)(i) = min_u [ rho(u, i) + sum_{j in H} p[i, u, j] V(j) ].
 
-optionally with additive per-(state, action) offsets.  The per-state
-objective is linear in the action distribution, so the minimum over
-distributions is attained at a pure action; ties break to the lowest
-action index.
+The per-state objective is linear in the action distribution, so the
+minimum over distributions is attained at a pure action; ties break to
+the lowest action index.
 
 Two loops minimize stage cost plus the taboo-block image of the
 current values over each state's candidates.  ``_sweep`` repeats that
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluate import _induce, _require_transient, _solve, _trapped, _witness
-from .exceptions import MaxIterationsError, NotTransientError
+from .exceptions import MaxIterationsError
 from .model import MdpModel, Policy
 
 
@@ -51,39 +50,6 @@ def _greedy_policy(model: MdpModel, greedy: np.ndarray) -> Policy:
     matrix[np.arange(model.n_taboo), greedy] = 1.0
     matrix[model.n_taboo :, 0] = 1.0
     return Policy(matrix=matrix)
-
-
-def bellman_apply(
-    model: MdpModel, v: np.ndarray, offsets: np.ndarray | None = None
-) -> tuple[np.ndarray, Policy]:
-    """One application of the Bellman operator.
-
-    Parameters
-    ----------
-    v : ndarray, shape (n_taboo,)
-        Current value estimate over taboo states.
-    offsets : ndarray, shape (n_taboo, n_actions), optional
-        Additive per-(state, action) terms entering the minimization.
-
-    Returns
-    -------
-    (ndarray, Policy)
-        The updated values and the greedy pure policy attaining them.
-    """
-    v = np.asarray(v, dtype=float)
-    h = model.n_taboo
-    if v.shape != (h,):
-        raise ValueError(f"value vector has shape {v.shape}, expected {(h,)}")
-    totals = model.stage_costs + model.taboo_block @ v
-    if offsets is not None:
-        offsets = np.asarray(offsets, dtype=float)
-        if offsets.shape != totals.shape:
-            raise ValueError(
-                f"offsets have shape {offsets.shape}, expected {totals.shape}"
-            )
-        totals = totals + offsets
-    greedy = totals.argmin(axis=1)
-    return totals.min(axis=1), _greedy_policy(model, greedy)
 
 
 def _sweep(
@@ -231,53 +197,3 @@ def safest_policy(
     K, PH = model.forbidden_exit, model.taboo_block
     v, choice = _improve(K, PH, _witness(PH), tol, max_iter)
     return v, _greedy_policy(model, choice)
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    """Membership and dominance checks of a claimed optimal value vector."""
-
-    membership_violations: list[tuple[int, int, float]]
-    dominance_violations: list[tuple[int, int, float]]
-    skipped_non_transient: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.membership_violations and not self.dominance_violations
-
-
-def certify_supremum(
-    model: MdpModel,
-    v_star: np.ndarray,
-    sample_policies: list[Policy],
-    tol: float = 1e-9,
-) -> CertificateReport:
-    """Check that a value vector behaves like the optimum against sampled policies.
-
-    Membership requires ``v - Q(pi) v <= R_pi + tol`` row-wise for every
-    sampled policy; dominance requires ``v <= V_pi + tol`` for every sampled
-    policy whose chain is transient.  Violations are reported as
-    (policy index, state index, excess).
-    """
-    v_star = np.asarray(v_star, dtype=float)
-    membership: list[tuple[int, int, float]] = []
-    dominance: list[tuple[int, int, float]] = []
-    skipped = 0
-    for k, pol in enumerate(sample_policies):
-        _, blocks, inputs = _induce(model, pol)
-        slack = (v_star - blocks.q @ v_star) - inputs.stage_cost
-        for i in np.nonzero(slack > tol)[0]:
-            membership.append((k, int(i), float(slack[i])))
-        try:
-            v_pi = _solve(blocks.q, inputs.stage_cost)
-        except NotTransientError:
-            skipped += 1
-            continue
-        excess = v_star - v_pi
-        for i in np.nonzero(excess > tol)[0]:
-            dominance.append((k, int(i), float(excess[i])))
-    return CertificateReport(
-        membership_violations=membership,
-        dominance_violations=dominance,
-        skipped_non_transient=skipped,
-    )

@@ -36,7 +36,14 @@ from .exceptions import (
     PolicyError,
     SafeMdpError,
 )
-from .model import MdpModel, Policy, load_model, load_policy, validate_model
+from .model import (
+    MdpModel,
+    Policy,
+    _text_index,
+    load_model,
+    load_policy,
+    validate_model,
+)
 from .simulate import mc_estimates
 
 EXIT_OK = 0
@@ -249,9 +256,7 @@ def cmd_solve(args, report: dict, started: float) -> int:
                     "policy": _policy_doc(model, oracle.policy),
                     "admissible_count": oracle.admissible_count,
                 }
-        rep = constrained.dual_ascent(
-            model, args.p, oracle_total=oracle_total, inner_tol=args.tol
-        )
+        rep = constrained.dual_ascent(model, args.p, inner_tol=args.tol)
         if not rep.feasible:
             results.update(
                 feasible=False,
@@ -270,7 +275,7 @@ def cmd_solve(args, report: dict, started: float) -> int:
             policy=_policy_doc(model, rep.policy),
             multipliers=_labeled(model, rep.multipliers),
             feasible=True,
-            gap=rep.gap,
+            gap=None if oracle_total is None else oracle_total - float(rep.value.sum()),
             info=rep.info,
             p=args.p,
         )
@@ -301,9 +306,11 @@ def cmd_simulate(args, report: dict, started: float) -> int:
     if not 0 <= args.seed < 2**64:
         raise ParameterError(f"--seed must lie in [0, 2^64), got {args.seed}")
     model, policy = _load_pair(args)
-    if args.start not in model.states:
+    start = _text_index(model.states).get(args.start, -1)
+    if start is None:
+        raise ParameterError(f"--start names more than one state: {args.start!r}")
+    if start < 0:
         raise ParameterError(f"--start names no state: {args.start!r}")
-    start = model.state_index(args.start)
     mc = mc_estimates(
         model, policy, start, args.n, args.seed, max_steps=args.max_steps
     )

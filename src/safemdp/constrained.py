@@ -14,8 +14,8 @@ A fifth solver handles the local one-step variant, where per-state action
 distributions are constrained by the ratio of forbidden-exit to
 target-exit mass.
 
-On multipliers: the per-state dual function is evaluated exactly as
-written by ``lagrangian`` and ``dual_inner``, but the bisection in
+On multipliers: ``dual_inner`` evaluates the dual function exactly at
+any nonnegative per-state multiplier vector, but the bisection in
 ``dual_ascent`` and the LP in ``build_lp`` restrict multipliers to a
 common level across states (a vector t*1), along which the summed dual
 is concave and piecewise linear.  Along any per-state direction that
@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .bellman import _greedy_policy, _improve, _sweep, safest_policy
-from .evaluate import _exact, _induce, _pure_blocks, _solve, _witness
+from .evaluate import _exact, _pure_blocks, _witness
 from .exceptions import InfeasibleError
 from .model import MdpModel, Policy
 from .simplex import solve_min
@@ -61,10 +60,12 @@ class ConstrainedSolveReport:
     """Common result shape for the constrained solvers.
 
     ``value`` and ``multipliers`` are vectors over taboo states;
-    ``gap`` compares against an enumeration oracle when one was supplied
-    and is None otherwise; ``info`` carries method-specific diagnostics.
-    When ``feasible`` is False the value and policy fall back to the
-    safest-policy baseline and the rest is advisory.
+    ``gap`` is the summed value of the best admissible pure policy less
+    the sweep limit for ``constrained_vi_pure`` and None for the other
+    solvers; ``info`` carries method-specific diagnostics.  Only
+    ``dual_ascent`` reports ``feasible`` False: its value is then the
+    unconstrained optimum (``dual_inner`` at zero multipliers), its
+    policy the safest policy, and ``info`` holds the minimal safety.
     """
 
     value: np.ndarray
@@ -74,11 +75,6 @@ class ConstrainedSolveReport:
     feasible: bool
     gap: float | None
     info: dict = field(default_factory=dict)
-
-
-class ConeReport(NamedTuple):
-    admissible: bool
-    alpha: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,14 +122,6 @@ def _check_multipliers(model: MdpModel, lam) -> np.ndarray:
     return lam
 
 
-def lagrangian(model: MdpModel, policy: Policy, lam, p: float) -> np.ndarray:
-    """Penalized value V + lam * (S - p), componentwise over taboo states."""
-    _check_level(p)
-    lam = _check_multipliers(model, lam)
-    v, s, _ = _exact(model, policy)
-    return v + lam * (s - p)
-
-
 def _multiplier_offsets(model: MdpModel, lam: np.ndarray, p: float) -> np.ndarray:
     k = model.forbidden_exit
     return k * lam[:, None] - p * (lam[:, None] - model.taboo_block @ lam)
@@ -164,7 +152,6 @@ def dual_inner(
 def dual_ascent(
     model: MdpModel,
     p: float,
-    oracle_total: float | None = None,
     inner_tol: float = 1e-10,
 ) -> ConstrainedSolveReport:
     """Maximize the dual function over multiplier levels t >= 0.
@@ -186,9 +173,10 @@ def dual_ascent(
     largest summed dual value; ``policy`` is the evaluated greedy policy
     with the least summed exact value among those within p (up to
     ADMISSIBLE_TOL) at every state, or the safest policy if there is
-    none.  ``oracle_total`` only fills ``gap``.  Infeasibility (some
-    coordinate of the minimal safety above p) is detected up front and
-    reported, not raised.
+    none; ``gap`` is None.  Infeasibility (some coordinate of the
+    minimal safety above p) is detected up front and reported, not
+    raised: ``value`` is then the unconstrained optimum (``dual_inner``
+    at zero multipliers) and ``policy`` the safest policy.
     """
     _check_level(p)
     h = model.n_taboo
@@ -239,14 +227,13 @@ def dual_ascent(
             else:
                 lo = t
 
-    gap = None if oracle_total is None else float(oracle_total - best["sum"])
     return ConstrainedSolveReport(
         value=best["value"],
         policy=chosen["policy"],
         multipliers=best["t"] * ones,
         method="dual-ascent",
         feasible=True,
-        gap=gap,
+        gap=None,
         info={
             "level": best["t"],
             "outer_iterations": evaluations,
@@ -437,21 +424,6 @@ def enumerate_admissible(model: MdpModel, p: float, cap: int = 10**6) -> Admissi
     assignments, value, safety, skipped = map(np.concatenate, zip(*blocks))
     total = model.n_actions**model.n_taboo
     return AdmissibleSet(assignments, value, safety, skipped, total, p)
-
-
-def cone_check(model: MdpModel, policy: Policy, p: float) -> ConeReport:
-    """Admissibility via the occupation-weighted slack alpha = G(pi) M_pi.
-
-    M_pi pairs the p-scaled one-step leaving mass against the
-    forbidden-exit mass; nonnegativity of alpha (up to 1e-10) is
-    equivalent to the direct safety filter S_pi <= p.
-    """
-    _check_level(p)
-    _, blocks, inputs = _induce(model, policy)
-    ones = np.ones(model.n_taboo)
-    m_pi = p * (ones - blocks.q @ ones) - inputs.to_forbidden
-    alpha = _solve(blocks.q, m_pi)
-    return ConeReport(admissible=bool((alpha >= -ADMISSIBLE_TOL).all()), alpha=alpha)
 
 
 def constrained_vi_pure(

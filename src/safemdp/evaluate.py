@@ -389,16 +389,3 @@ def safety(model: MdpModel, policy: Policy) -> np.ndarray:
 def reach(model: MdpModel, policy: Policy) -> np.ndarray:
     """Probability of absorption in a target state, per taboo start state."""
     return _exact(model, policy)[2]
-
-
-def set_safety(safety_vector: np.ndarray, states) -> float:
-    """Worst-case safety over a non-empty set of integer taboo state indices."""
-    idx = np.asarray(list(states), dtype=float)
-    if idx.size == 0:
-        raise ValueError("state set must be non-empty")
-    if not (np.isfinite(idx) & (idx == np.round(idx))).all():
-        raise ValueError("state indices must be integers")
-    s = np.asarray(safety_vector, dtype=float)
-    if idx.min() < 0 or idx.max() >= s.shape[0]:
-        raise ValueError("state index out of range for the safety vector")
-    return float(s[idx.astype(int)].max())

@@ -294,6 +294,21 @@ def _known(labels, label) -> bool:
         return False
 
 
+def _text_index(labels, text=str) -> dict[str, int | None]:
+    """Map ``text(label)`` to the label's index, or to None where labels share it."""
+    index: dict[str, int | None] = {}
+    for i, label in enumerate(labels):
+        key = text(label)
+        index[key] = None if key in index else i
+    return index
+
+
+def _key_text(label) -> str:
+    """The text ``json.dumps`` writes for ``label`` as an object key."""
+    (key,) = json.loads(json.dumps({label: 0}))
+    return key
+
+
 def _unknown(entry: str, refs) -> ModelFormatError:
     """The error for the first (label, kind, labels) in ``refs`` that is unknown."""
     label, kind = next((s, kind) for s, kind, labels in refs if not _known(labels, s))
@@ -529,6 +544,8 @@ def load_policy(text: str, model: MdpModel) -> Policy:
 
     Every taboo state needs a row; rows for forbidden or target states are
     optional and default to action index 0.  Masses are JSON numbers in float range.
+    A ``dist`` key names the action whose label JSON writes as that key, so
+    the action labelled 2 is keyed ``"2"``; a key two labels share is an error.
     """
     try:
         doc = json.loads(text)
@@ -536,6 +553,7 @@ def load_policy(text: str, model: MdpModel) -> Policy:
         raise ModelFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("policy"), list):
         raise ModelFormatError("policy document must contain a 'policy' list")
+    action_at = _text_index(model.actions, _key_text)
     matrix = np.zeros((model.n_states, model.n_actions))
     seen = set()
     for entry in doc["policy"]:
@@ -552,11 +570,13 @@ def load_policy(text: str, model: MdpModel) -> Policy:
         if not isinstance(dist, dict):
             raise ModelFormatError(f"policy row for {label!r} must map actions to mass")
         for act, mass in dist.items():
-            if act not in model._action_index:
+            if act not in action_at:
                 raise ModelFormatError(f"policy names unknown action {act!r}")
+            if action_at[act] is None:
+                raise ModelFormatError(f"policy action {act!r} names more than one action")
             if type(mass) is not float:
                 _check_number(mass, f"policy row for {label!r} mass of {act!r}")
-            matrix[i, model._action_index[act]] = mass
+            matrix[i, action_at[act]] = mass
     for i in range(model.n_states):
         if i not in seen:
             if i < model.n_taboo:

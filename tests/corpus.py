@@ -139,3 +139,18 @@ def feasible_p(rng, model):
     smax = float(s_star.max()) if s_star.size else 0.0
     frac = rng.uniform(0.05, 0.95)
     return min(smax + frac * (1.0 - smax), 0.999)
+
+
+def relabeled(model, states, actions):
+    """``model`` with its state and action labels replaced in order."""
+    names = dict(zip(model.states, states))
+    part = model.partition
+    return sm.MdpModel(
+        states=states,
+        actions=actions,
+        partition=sm.StatePartition(
+            *([names[s] for s in group] for group in (part.taboo, part.forbidden, part.target))
+        ),
+        transitions=model.transitions,
+        rewards=model.rewards,
+    )

@@ -2,8 +2,8 @@
 
 Each test covers one contract: the worked three-state example down to
 its exact iterate sequence, the operator identities on a random
-transient corpus, agreement of the three constrained solvers, the cone
-admissibility filter, the relative-to-absolute safety implication,
+transient corpus, agreement of the three constrained solvers, the
+relative-to-absolute safety implication,
 Monte Carlo consistency, and brute-force optimality.  Every test prints
 one PASS line with the measured margins (run with -s to see them).
 
@@ -188,22 +188,6 @@ def test_duality_gap_methods_agree(ex1_model, solver_corpus):
         f"PASS duality gap: max |dual - lp| = {worst_gap:.3e}, max excess over"
         f" enumeration {worst_excess:.3e}, golden triple agrees, {elapsed:.1f} s"
     )
-
-
-def test_cone_filter_agreement(chain_corpus):
-    checked = 0
-    disagreements = 0
-    for model, _, _ in chain_corpus:
-        for policy in _all_pure_policies(model):
-            cq = chain_quantities(model, policy)
-            s = cq.green @ cq.inputs.to_forbidden
-            for p in (0.25, 0.75):
-                direct = bool((s <= p + 1e-10).all())
-                cone = sm.cone_check(model, policy, p).admissible
-                checked += 1
-                disagreements += direct != cone
-    assert disagreements == 0
-    print(f"PASS cone filter: 0 disagreements on {checked} (policy, p) checks")
 
 
 def test_relative_implies_absolute(chain_corpus):

@@ -1,4 +1,4 @@
-"""Unconstrained Bellman solver: operator, iteration, safest policy, certificates."""
+"""Unconstrained Bellman solver: operator, value iteration, safest policy."""
 import json
 
 import numpy as np
@@ -7,25 +7,6 @@ import pytest
 import safemdp as sm
 
 GOLDEN = np.array([1.0, 3.6, 4.0])
-
-
-def test_bellman_apply_golden(ex1_model):
-    tv, greedy = sm.bellman_apply(ex1_model, np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(tv, [1, 3.4, 4], atol=1e-12)
-    assert tuple(greedy.assignment()[:3]) == (0, 1, 0)
-
-
-def test_bellman_apply_zero_start(ex1_model):
-    tv, _ = sm.bellman_apply(ex1_model, np.zeros(3))
-    assert np.allclose(tv, [1, 2, 3], atol=1e-15)
-
-
-def test_bellman_apply_offsets_shift_choice(ex1_model):
-    """A large per-action penalty on u2 at b flips the greedy action."""
-    offsets = np.zeros((3, 2))
-    offsets[1, 1] = 10.0
-    _, greedy = sm.bellman_apply(ex1_model, np.array([1.0, 2.0, 3.0]), offsets)
-    assert greedy.assignment()[1] == 0
 
 
 def test_value_iteration_golden_sequence(ex1_model):
@@ -142,28 +123,3 @@ def test_optimum_dominates_corpus(solver_corpus):
         for assign in itertools.product(range(m), repeat=h):
             pol = sm.pure_policy(model, dict(enumerate(assign)))
             assert (res.value <= sm.value(model, pol) + 1e-8).all()
-
-
-def test_certify_supremum_accepts_optimum(ex1_model):
-    import itertools
-
-    policies = [
-        sm.pure_policy(ex1_model, dict(enumerate(assign)))
-        for assign in itertools.product(range(2), repeat=3)
-    ]
-    res = sm.value_iteration(ex1_model)
-    report = sm.certify_supremum(ex1_model, res.value, policies)
-    assert report.ok
-    assert report.skipped_non_transient == 0
-
-
-def test_certify_supremum_rejects_inflated_vector(ex1_model):
-    import itertools
-
-    policies = [
-        sm.pure_policy(ex1_model, dict(enumerate(assign)))
-        for assign in itertools.product(range(2), repeat=3)
-    ]
-    report = sm.certify_supremum(ex1_model, GOLDEN + 0.5, policies)
-    assert not report.ok
-    assert report.membership_violations

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import safemdp as sm
+from corpus import relabeled
 from safemdp import evaluate
 from safemdp.cli import main
 
@@ -496,6 +498,78 @@ def test_simulate_accepts_largest_seed(capsys, model_path, policy_path):
     )
     assert code == 0
     assert report["results"]["seed"] == 2**64 - 1
+
+
+def write_pair(tmp_path, model, policy):
+    mp, pp = tmp_path / "model.json", tmp_path / "policy.json"
+    mp.write_text(sm.serialize_model(model))
+    pp.write_text(sm.serialize_policy(model, policy))
+    return str(mp), str(pp)
+
+
+def test_number_labels_through_eval_and_simulate(capsys, tmp_path, ex1_model,
+                                                 ex1_policy):
+    model = relabeled(ex1_model, (10, 20, 30, 40, 50), (1, 2))
+    mp, pp = write_pair(tmp_path, model, ex1_policy)
+    code, report = run_json(capsys, "eval", mp, pp)
+    assert code == 0
+    assert report["results"]["value"] == {"10": 1.0, "20": 3.6, "30": 4.0}
+    code, report = run_json(capsys, "simulate", mp, pp, "--start", "20", "--n", "100")
+    assert code == 0
+    assert report["results"]["start"] == "20"
+    assert report["results"]["analytic"]["value"] == 3.6
+
+
+def test_simulate_start_naming_two_states_exits_2(capsys, tmp_path, ex1_model,
+                                                  ex1_policy):
+    model = relabeled(ex1_model, (10, "10", 30, 40, 50), ex1_model.actions)
+    mp, pp = write_pair(tmp_path, model, ex1_policy)
+    code, report = run_json(capsys, "simulate", mp, pp, "--start", "10", "--n", "10")
+    assert code == 2
+    assert report["error"]["message"] == "--start names more than one state: '10'"
+
+
+# Reports of ex1 on every command, as the CLI printed them when these files
+# were written.  Regenerate one with
+#   PYTHONPATH=src python -m safemdp.cli ARGS > tests/data/cli_reports/NAME
+REPORTS = [
+    ("validate.json", 0, ["validate", "MODEL"]),
+    ("eval.json", 0, ["eval", "MODEL", "POLICY"]),
+    ("eval.csv", 0, ["eval", "MODEL", "POLICY", "--csv"]),
+    ("solve_unconstrained.json", 0, ["solve", "MODEL", "--mode", "unconstrained"]),
+    ("solve_safest.json", 0, ["solve", "MODEL", "--mode", "safest"]),
+    ("solve_p-safe.json", 0, ["solve", "MODEL", "--mode", "p-safe", "--p", "0.5"]),
+    ("solve_relative.json", 0, ["solve", "MODEL", "--mode", "relative", "--q", "2.0"]),
+    ("solve_lp.json", 0, ["solve", "MODEL", "--mode", "lp", "--p", "0.5"]),
+    ("solve_dual.json", 0, ["solve", "MODEL", "--mode", "dual", "--p", "0.5", "--oracle"]),
+    ("solve_dual_infeasible.json", 5, ["solve", "MODEL", "--mode", "dual", "--p", "0.3"]),
+    ("simulate.json", 0, ["simulate", "MODEL", "POLICY", "--start", "b", "--n", "4000",
+                          "--seed", "9"]),
+]
+
+
+def without_timings_and_paths(text):
+    """A JSON report as text, minus its timings and the file paths it echoes."""
+    report = json.loads(text)
+    del report["timings"]
+    for key in ("model", "policy"):
+        report["arguments"].pop(key, None)
+    for digest in report["inputs"].values():
+        del digest["path"]
+    return json.dumps(report, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("name,exit_code,argv", REPORTS, ids=[r[0] for r in REPORTS])
+def test_report_matches_snapshot(capsys, data_dir, model_path, policy_path,
+                                 name, exit_code, argv):
+    paths = {"MODEL": model_path, "POLICY": policy_path}
+    code, out = run(capsys, *[paths.get(arg, arg) for arg in argv])
+    assert code == exit_code
+    want = (data_dir / "cli_reports" / name).read_text()
+    if name.endswith(".csv"):
+        assert out == want
+    else:
+        assert without_timings_and_paths(out) == without_timings_and_paths(want)
 
 
 def test_console_entry_point(model_path):

@@ -125,21 +125,3 @@ def test_non_transient_policy_rejected():
     model = sm.load_model(json.dumps(doc))
     with pytest.raises(sm.NotTransientError):
         sm.value(model, sm.pure_policy(model, {"h0": "stay"}))
-
-
-def test_set_safety_is_worst_case(ex1_model):
-    s = sm.safety(ex1_model, combo(ex1_model, "u2", "u1"))
-    assert sm.set_safety(s, [0, 2]) == pytest.approx(0.9, abs=1e-12)
-    with pytest.raises(ValueError):
-        sm.set_safety(s, [])
-    with pytest.raises(ValueError):
-        sm.set_safety(s, [7])
-
-
-@pytest.mark.parametrize("states", [[1.5], [0, 2.25], [np.nan]])
-def test_set_safety_rejects_fractional_indices(ex1_model, states):
-    """A fractional index used to be truncated to the state below it."""
-    s = sm.safety(ex1_model, combo(ex1_model, "u2", "u1"))
-    with pytest.raises(ValueError, match="state indices must be integers"):
-        sm.set_safety(s, states)
-    assert sm.set_safety(s, [2.0]) == s[2]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import safemdp as sm
+from corpus import relabeled
 
 
 def doc_from(model):
@@ -376,6 +377,22 @@ def test_policy_round_trip(ex1_model, ex1_policy):
     text = sm.serialize_policy(ex1_model, ex1_policy)
     again = sm.load_policy(text, ex1_model)
     assert np.array_equal(again.matrix, ex1_policy.matrix)
+
+
+@pytest.mark.parametrize("actions", [(1, 2), (0.5, -3), ("u1", 2)])
+def test_policy_round_trip_number_labels(ex1_model, actions):
+    """A number action label is written, and read back, as its JSON key text."""
+    model = relabeled(ex1_model, (10, 2.5, -3, 0, 7), actions)
+    policy = sm.pure_policy(model, {0: 0, 1: 1, 2: 0})
+    text = sm.serialize_policy(model, policy)
+    assert np.array_equal(sm.load_policy(text, model).matrix, policy.matrix)
+
+
+def test_load_policy_rejects_key_text_of_two_actions(ex1_model):
+    model = relabeled(ex1_model, ex1_model.states, (1, "1"))
+    doc = {"policy": [{"state": s, "dist": {"1": 1.0}} for s in ("a", "b", "c")]}
+    with pytest.raises(sm.ModelFormatError, match="'1' names more than one action"):
+        sm.load_policy(json.dumps(doc), model)
 
 
 @pytest.mark.parametrize(
