@@ -13,9 +13,18 @@ current values over each state's candidates.  ``_sweep`` repeats that
 until the change between sweeps is small, for value iteration,
 ``constrained_vi_pure``, ``relative_vi`` and the iterative evaluators.
 ``_improve``, Howard's policy iteration from a proper policy, solves
-each choice exactly; it serves ``safest_policy`` and ``dual_inner``.
+each choice exactly; it serves ``safest_policy`` and ``dual_inner``, and
+finishes ``value_iteration`` and ``relative_vi`` from their sweeps'
+greedy choice (or from the witness where that choice never leaves H), so
+their value is the exact value of the proper policy they return.
 Stage costs, taboo block and exit masses come from the model view on
 :class:`~safemdp.model.MdpModel`.
+
+Both loops form the candidate totals ``stage + Q v`` in one place,
+``_bellman``, over the candidates laid out candidate-major once per call
+by ``_candidate_major``: row ``c*h + i`` of a (k*h, h) matrix is
+candidate c of state i.  One matrix-vector product then gives every
+total, and the minimum over candidates runs over k contiguous rows.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluate import _induce, _require_transient, _solve, _trapped, _witness
-from .exceptions import MaxIterationsError
+from .exceptions import MaxIterationsError, NotTransientError
 from .model import MdpModel, Policy
 
 
@@ -33,8 +42,9 @@ from .model import MdpModel, Policy
 class BellmanResult:
     """Outcome of a value-iteration run.
 
-    ``residual`` is the sup-norm of one more operator application at the
-    returned value, so it is bounded by the convergence tolerance.
+    ``value`` is the exact value of ``policy``, and ``residual`` the
+    sup-norm of one more operator application at that value: at most the
+    improvement threshold ``tol * max(1, |v|)``, plus rounding.
     ``history`` holds every iterate (including the start) when requested.
     """
 
@@ -50,6 +60,29 @@ def _greedy_policy(model: MdpModel, greedy: np.ndarray) -> Policy:
     matrix[np.arange(model.n_taboo), greedy] = 1.0
     matrix[model.n_taboo :, 0] = 1.0
     return Policy(matrix=matrix)
+
+
+def _candidate_major(stage: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of ``stage`` (h, k) and ``Q`` (h, k, h), candidate-major.
+
+    Returns ``rows`` (k*h, h) and ``flat`` (k*h,), contiguous, where entry
+    ``c*h + i`` is candidate c of state i; a contiguous block with k = 1
+    already has this layout and is not copied.
+    """
+    h, k = stage.shape
+    rows = np.ascontiguousarray(Q.transpose(1, 0, 2)).reshape(k * h, h)
+    return rows, np.ascontiguousarray(stage.T).reshape(k * h)
+
+
+def _bellman(rows: np.ndarray, flat: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+    """Every candidate's total ``stage + Q v`` as a (k, h) grid, by one product.
+
+    ``rows`` and ``flat`` come from ``_candidate_major``; ``out`` (k*h,),
+    when given, receives the totals and backs the returned grid.
+    """
+    out = np.dot(rows, v, out=out)
+    out += flat
+    return out.reshape(-1, v.shape[0])
 
 
 def _sweep(
@@ -73,24 +106,30 @@ def _sweep(
     the last iterate.  ``history`` receives a copy of every iterate.
     ``v0`` None means zeros; a NaN or negative ``tol`` or a non-finite
     ``v0``, which no sweep can settle, raises ValueError first.
+
+    Each sweep is one product of the candidate-major rows into a reused
+    buffer, a minimum over candidates into the spare iterate and the
+    change measured in place; the argmin is taken once, at the end.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    v = np.zeros(Q.shape[0]) if v0 is None else np.asarray(v0, dtype=float).copy()
+    v = np.zeros(Q.shape[0]) if v0 is None else np.array(v0, dtype=float)
     if not np.isfinite(v).all():
         raise ValueError("starting values must be finite")
     _require_transient(Q, np.isfinite(stage))
+    rows, flat = _candidate_major(stage, Q)
+    totals, nxt, delta = np.empty(flat.size), np.empty_like(v), np.empty_like(v)
     diff = np.inf
     for sweep in range(1, max_iter + 1):
-        totals = stage + Q @ v
-        choice = totals.argmin(axis=1)
-        nxt = totals.min(axis=1)
-        diff = np.abs(nxt - v).max(initial=0.0)
-        v = nxt
+        grid = _bellman(rows, flat, v, out=totals)
+        grid.min(axis=0, out=nxt)
+        np.subtract(nxt, v, out=delta)
+        diff = np.abs(delta, out=delta).max(initial=0.0)
+        v, nxt = nxt, v
         if history is not None:
             history.append(v.copy())
         if diff <= tol:
-            return v, choice, sweep
+            return v, grid.argmin(axis=0), sweep
     raise MaxIterationsError(
         f"no convergence within {max_iter} sweeps (last change {diff:.3g})", last=v
     )
@@ -110,19 +149,38 @@ def _improve(
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    rows, v = np.arange(Q.shape[0]), None
+    rows, flat = _candidate_major(stage, Q)
+    h = Q.shape[0]
+    states, v = np.arange(h), None
     for _ in range(max_iter):
-        v = _solve(Q[rows, choice], stage[rows, choice])
-        totals = stage + Q @ v
-        greedy = totals.argmin(axis=1)
-        gain = totals[rows, choice] - totals[rows, greedy]
+        at = choice * h + states
+        v = _solve(rows[at], flat[at])
+        totals = _bellman(rows, flat, v)
+        greedy = totals.argmin(axis=0)
+        gain = totals[choice, states] - totals[greedy, states]
         switch = gain > tol * np.maximum(1.0, np.abs(v))
         if not switch.any():
-            if (greedy == choice).all() or _trapped(Q[rows, greedy]).any():
+            if (greedy == choice).all() or _trapped(Q[states, greedy]).any():
                 return v, choice
-            return _solve(Q[rows, greedy], stage[rows, greedy]), greedy
+            at = greedy * h + states
+            return _solve(rows[at], flat[at]), greedy
         choice = np.where(switch, greedy, choice)
     raise MaxIterationsError(f"no policy is stable within {max_iter} rounds", last=v)
+
+
+def _finish(
+    stage: np.ndarray, Q: np.ndarray, greedy: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_improve`` from a sweep's greedy choice, or from the witness over the
+    finite candidates where the first exact solve finds that choice improper.
+
+    Later rounds cannot raise NotTransientError: a switch above the
+    threshold keeps a proper choice proper (README, Numerical notes).
+    """
+    try:
+        return _improve(stage, Q, greedy, tol, max_iter)
+    except NotTransientError:
+        return _improve(stage, Q, _witness(Q, np.isfinite(stage)), tol, max_iter)
 
 
 def value_iteration(
@@ -135,8 +193,12 @@ def value_iteration(
     """Value iteration for the minimal expected cost until absorption.
 
     Starts from ``v0`` (zeros by default; must be nonnegative) and sweeps the
-    Bellman operator until the sup-norm change drops to ``tol``.  States
-    that no policy leads out of H raise NotTransientError before any sweep.
+    Bellman operator until the sup-norm change drops to ``tol``; ``history``
+    and ``iterations`` are those sweeps.  It then runs ``_improve`` (``tol``
+    its threshold, ``max_iter`` its cap on exact solves) from the greedy
+    choice, or from the witness where that choice never leaves H, so the
+    returned policy is proper and ``value`` its exact value.  States that
+    no policy leads out of H raise NotTransientError before any sweep.
     """
     h = model.n_taboo
     v0 = np.zeros(h) if v0 is None else np.asarray(v0, dtype=float)
@@ -144,10 +206,11 @@ def value_iteration(
         raise ValueError("starting values must be nonnegative")
     stage, PH = model.stage_costs, model.taboo_block
     history = [v0.copy()] if keep_history else None
-    v, greedy, sweeps = _sweep(stage, PH, v0, tol, max_iter, history)
-    residual = float(np.abs((stage + PH @ v).min(axis=1) - v).max(initial=0.0))
-    policy = _greedy_policy(model, greedy)
-    return BellmanResult(v, policy, sweeps, residual, history or [])
+    _, greedy, sweeps = _sweep(stage, PH, v0, tol, max_iter, history)
+    v, choice = _finish(stage, PH, greedy, tol, max_iter)
+    totals = _bellman(*_candidate_major(stage, PH), v)
+    residual = float(np.abs(totals.min(axis=0) - v).max(initial=0.0))
+    return BellmanResult(v, _greedy_policy(model, choice), sweeps, residual, history or [])
 
 
 def value_iterative(

@@ -312,7 +312,7 @@ def cmd_simulate(args, report: dict, started: float) -> int:
     if start < 0:
         raise ParameterError(f"--start names no state: {args.start!r}")
     mc = mc_estimates(
-        model, policy, start, args.n, args.seed, max_steps=args.max_steps
+        model, policy, model.states[start], args.n, args.seed, max_steps=args.max_steps
     )
     results = {
         "start": str(args.start),

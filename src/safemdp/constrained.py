@@ -30,7 +30,8 @@ Shared machinery: every solver here reads the stage costs, taboo block
 and exit masses from the model view on :class:`~safemdp.model.MdpModel`;
 the dual inner problem runs the policy iteration of :mod:`safemdp.bellman`
 over the actions, ``constrained_vi_pure`` and ``relative_vi`` its sweep
-kernel over admissible actions and vertices; every exact policy evaluation
+kernel over admissible actions and vertices, ``relative_vi`` then its
+policy iteration over the vertices; every exact policy evaluation
 goes through the evaluation core of :mod:`safemdp.evaluate`, whose
 pure-policy kernel ``_pure_blocks`` ``_admissible_blocks`` filters; its
 streaming ``_admissible_scan`` serves ``brute_force_constrained`` and
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bellman import _greedy_policy, _improve, _sweep, safest_policy
+from .bellman import _finish, _greedy_policy, _improve, _sweep, safest_policy
 from .evaluate import _exact, _pure_blocks, _witness
 from .exceptions import InfeasibleError
 from .model import MdpModel, Policy
@@ -541,7 +542,10 @@ def relative_vi(
     minimum over the cut simplex is attained at one of the vertices from
     relative_admissible; ties resolve to the first vertex in that
     ordering.  Entirely local: each state's update reads only its own
-    vertex data and the current values of its successors.
+    vertex data and the current values of its successors.  The sweeps
+    end with ``bellman._improve`` over the vertices (``tol`` its
+    threshold) from their greedy choice, or from the witness where that
+    choice never leaves H, so ``value`` is the exact value of ``policy``.
     """
     sets = relative_admissible(model, q)
     for vs in sets:
@@ -561,7 +565,8 @@ def relative_vi(
             stage[i, k] = d @ stage_all[i]
             qrows[i, k] = d @ PH[i]
 
-    v, chosen, sweep = _sweep(stage, qrows, np.zeros(h), tol, max_iter)
+    _, greedy, sweep = _sweep(stage, qrows, np.zeros(h), tol, max_iter)
+    v, chosen = _finish(stage, qrows, greedy, tol, max_iter)
 
     matrix = np.zeros((model.n_states, m))
     for i, vs in enumerate(sets):

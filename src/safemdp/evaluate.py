@@ -105,13 +105,16 @@ def _trapped(Q: np.ndarray, valid: np.ndarray | bool = True) -> np.ndarray:
     below ``1 - ROW_SUM_TOL``, validate_model's row-sum tolerance.  The
     kept states are the Prob1 fixpoint: those that reach a leaking row
     through candidates whose taboo successors all stay kept.  A pass
-    leaves an item already at its fixpoint unchanged.
+    leaves an item already at its fixpoint unchanged, and where every
+    state has a valid leaking candidate, every state is kept at once.
     """
     if Q.ndim == 2:
         Q = Q[:, None, :]
-    support = Q > 0.0
     leaks = Q.sum(axis=-1) < 1.0 - ROW_SUM_TOL
     kept = np.ones(Q.shape[:-2], bool)
+    if (valid & leaks).any(axis=-1).all():
+        return ~kept
+    support = Q > 0.0
     while True:
         escapes = (support & ~kept[..., None, None, :]).any(axis=-1)
         allowed = valid & kept[..., None] & ~escapes
@@ -125,21 +128,22 @@ def _trapped(Q: np.ndarray, valid: np.ndarray | bool = True) -> np.ndarray:
         kept = reach
 
 
-def _witness(Q: np.ndarray) -> np.ndarray:
-    """A proper choice of candidates, one index per state of ``Q`` (h, k, h).
+def _witness(Q: np.ndarray, valid: np.ndarray | bool = True) -> np.ndarray:
+    """A proper choice of valid candidates, one index per state of ``Q`` (h, k, h).
 
-    Raises NotTransientError when ``_trapped(Q)`` finds states.  Otherwise
+    ``valid`` (h, k) masks the candidates as in ``_trapped``.  Raises
+    NotTransientError when ``_trapped(Q, valid)`` finds states.  Otherwise
     peels the Prob1 set in attractor layers: each state takes its first
-    candidate that leaks out of H or enters a lower layer.
+    valid candidate that leaks out of H or enters a lower layer.
     """
-    _require_transient(Q)
+    _require_transient(Q, valid)
     support = Q > 0.0
-    ready = Q.sum(axis=-1) < 1.0 - ROW_SUM_TOL
+    ready = (Q.sum(axis=-1) < 1.0 - ROW_SUM_TOL) & valid
     choice, done = np.zeros(Q.shape[0], int), np.zeros(Q.shape[0], bool)
     while not done.all():
         new = ready.any(axis=1) & ~done
         choice[new], done = ready[new].argmax(axis=1), done | new
-        ready |= (support & done).any(axis=-1)
+        ready |= (support & done).any(axis=-1) & valid
     return choice
 
 

@@ -122,28 +122,16 @@ class MdpModel:
         return {u: k for k, u in enumerate(self.actions)}
 
     def state_index(self, state) -> int:
-        """Map a state label (or pass through an index) to its canonical index."""
-        if isinstance(state, str):
-            try:
-                return self._state_index[state]
-            except KeyError:
-                raise KeyError(f"unknown state label {state!r}") from None
-        i = int(state)
-        if not 0 <= i < self.n_states:
-            raise KeyError(f"state index {i} out of range")
-        return i
+        """Map a state label, or else a position, to its canonical index.
+
+        A known label resolves as that label, also when it is a number;
+        any other integral, non-bool value is a position.
+        """
+        return _lookup(self._state_index, self.n_states, state, "state")
 
     def action_index(self, action) -> int:
-        """Map an action label (or pass through an index) to its index."""
-        if isinstance(action, str):
-            try:
-                return self._action_index[action]
-            except KeyError:
-                raise KeyError(f"unknown action label {action!r}") from None
-        k = int(action)
-        if not 0 <= k < self.n_actions:
-            raise KeyError(f"action index {k} out of range")
-        return k
+        """Map an action label, or else a position, to its index (as ``state_index``)."""
+        return _lookup(self._action_index, self.n_actions, action, "action")
 
     # The model view, derived once and read-only so no caller corrupts it.
 
@@ -284,6 +272,17 @@ def _require_list(doc: dict, key: str, default=None):
     if not isinstance(val, list):
         raise ModelFormatError(f"{key!r} must be a list")
     return val
+
+
+def _lookup(index: dict, n: int, key, kind: str) -> int:
+    """The index of label ``key``, or else ``key`` as a position below ``n``."""
+    if _known(index, key):
+        return index[key]
+    if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
+        raise KeyError(f"unknown {kind} label {key!r}")
+    if not 0 <= key < n:
+        raise KeyError(f"{kind} index {key} out of range")
+    return int(key)
 
 
 def _known(labels, label) -> bool:

@@ -520,6 +520,20 @@ def test_number_labels_through_eval_and_simulate(capsys, tmp_path, ex1_model,
     assert report["results"]["analytic"]["value"] == 3.6
 
 
+def test_simulate_start_label_that_is_also_a_position(capsys, tmp_path, ex1_model,
+                                                     ex1_policy):
+    """``--start 0`` names the state labelled 0, here b at position 1."""
+    model = relabeled(ex1_model, (2, 0, 1, 40, 50), ex1_model.actions)
+    mp, pp = write_pair(tmp_path, model, ex1_policy)
+    code, report = run_json(capsys, "simulate", mp, pp, "--start", "0", "--n", "100")
+    assert code == 0
+    assert report["results"]["analytic"]["value"] == 3.6
+    (tmp_path / "ex1").mkdir()
+    mp, pp = write_pair(tmp_path / "ex1", ex1_model, ex1_policy)
+    _, want = run_json(capsys, "simulate", mp, pp, "--start", "b", "--n", "100")
+    assert report["results"]["estimates"] == want["results"]["estimates"]
+
+
 def test_simulate_start_naming_two_states_exits_2(capsys, tmp_path, ex1_model,
                                                   ex1_policy):
     model = relabeled(ex1_model, (10, "10", 30, 40, 50), ex1_model.actions)

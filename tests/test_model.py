@@ -383,7 +383,7 @@ def test_policy_round_trip(ex1_model, ex1_policy):
 def test_policy_round_trip_number_labels(ex1_model, actions):
     """A number action label is written, and read back, as its JSON key text."""
     model = relabeled(ex1_model, (10, 2.5, -3, 0, 7), actions)
-    policy = sm.pure_policy(model, {0: 0, 1: 1, 2: 0})
+    policy = sm.pure_policy(model, {10: actions[0], 2.5: actions[1], -3: actions[0]})
     text = sm.serialize_policy(model, policy)
     assert np.array_equal(sm.load_policy(text, model).matrix, policy.matrix)
 
@@ -441,3 +441,30 @@ def test_state_index_lookup(ex1_model):
     assert ex1_model.state_index(4) == 4
     with pytest.raises(KeyError):
         ex1_model.state_index("zz")
+
+
+def test_number_labels_resolve_before_positions(ex1_model, ex1_policy):
+    """A known label wins over a position; other integers are positions.
+
+    ex1 relabeled so that states 2, 0 and 1 are the taboo states at
+    positions 0, 1 and 2, and the actions 1 and 0 sit at positions 0 and 1.
+    """
+    model = relabeled(ex1_model, (2, 0, 1, 40, 50), (1, 0))
+    assert [model.state_index(s) for s in (2, 0, 1, 40, np.int64(2))] == [0, 1, 2, 3, 0]
+    assert model.state_index(3) == 3 and model.state_index(np.int64(4)) == 4
+    assert [model.action_index(u) for u in (1, 0, np.int64(1))] == [0, 1, 0]
+    for bad in (5, -1, 2.5, "2"):
+        with pytest.raises(KeyError):
+            model.state_index(bad)
+    with pytest.raises(KeyError):
+        ex1_model.state_index(True)
+    assert model.action_index(1) == 0 and ex1_model.action_index(1) == 1
+    policy = sm.pure_policy(model, {2: 1, 0: 0, 1: 1})
+    assert np.array_equal(policy.matrix, ex1_policy.matrix)
+    for start, label in ((0, "b"), (2, "a"), (40, "d")):
+        got = sm.mc_estimates(model, policy, start, 200, 3)
+        want = sm.mc_estimates(ex1_model, ex1_policy, label, 200, 3)
+        assert got == want
+    got = sm.exhaustive_paths(model, policy, 0, 6)
+    want = sm.exhaustive_paths(ex1_model, ex1_policy, "b", 6)
+    assert got == want

@@ -138,6 +138,48 @@ def test_zero_cost_loop_model():
     assert sm.value(model, report.policy).tolist() == [1.0]
 
 
+def test_value_iteration_leaves_zero_cost_loop():
+    """The sweeps stop at once on the loop; the final ``_improve`` leaves it."""
+    model = zero_cost_loop_model()
+    res = sm.value_iteration(model)
+    assert res.value.tolist() == [1.0] and res.residual == 0.0
+    assert model.actions[res.policy.assignment()[0]] == "go"
+    assert res.iterations == 1
+
+
+def test_relative_vi_leaves_zero_cost_loop():
+    model = zero_cost_loop_model()
+    report = sm.relative_vi(model, 1.0)
+    assert report.value.tolist() == [1.0]
+    assert report.info["sweeps"] == 1
+    assert is_proper(model, report.policy)
+    assert sm.value(model, report.policy).tolist() == [1.0]
+
+
+def test_value_iteration_is_exact(ex1_model, solver_corpus, oracle_cases):
+    """The reported value is the exact value of the returned proper policy,
+    the sweeps are those of the kernel, and where the sweep's own choice
+    is proper the finish keeps it."""
+    kept = 0
+    for model, _ in [(ex1_model, 0.5)] + solver_corpus + oracle_cases:
+        stage, PH = model.stage_costs, model.taboo_block
+        try:
+            v, greedy, sweeps = _sweep(stage, PH, None, 1e-10, 100_000)
+        except sm.NotTransientError:
+            continue
+        res = sm.value_iteration(model)
+        assert res.iterations == sweeps
+        assert is_proper(model, res.policy)
+        exact = sm.value(model, res.policy)
+        assert np.abs(res.value - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+        assert res.residual <= 1e-10 * max(1.0, np.abs(exact).max())
+        ref = _greedy_policy(model, greedy)
+        if is_proper(model, ref):
+            assert np.abs(res.value - v).max() <= 1e-8 * max(1.0, np.abs(v).max())
+            kept += np.array_equal(res.policy.matrix, ref.matrix)
+    assert kept >= 100
+
+
 def test_corridor_values_are_exact():
     """Exact where the sweeps end up to 3e-8 away, on a slow-mixing corridor."""
     model = corridor_model(np.random.default_rng(5), 100, 0.002)
