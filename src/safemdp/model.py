@@ -286,11 +286,19 @@ def _lookup(index: dict, n: int, key, kind: str) -> int:
 
 
 def _known(labels, label) -> bool:
-    """Whether a dict or set of labels holds ``label``; a list or object never is."""
+    """Whether a dict or set of labels holds ``label``; a list or object never is.
+
+    A bool names only a bool label, and a number only a label that is not
+    a bool, though Python holds ``True == 1`` and ``False == 0``.
+    """
     try:
-        return label in labels
+        found = label in labels
     except TypeError:  # unhashable
         return False
+    if found and label in (0, 1):
+        is_bool = isinstance(label, (bool, np.bool_))
+        return any(x == label and isinstance(x, (bool, np.bool_)) == is_bool for x in labels)
+    return found
 
 
 def _text_index(labels, text=str) -> dict[str, int | None]:

@@ -14,8 +14,9 @@ Randomness: each trajectory owns a Philox4x64-10 stream keyed by
 are therefore bit-identical across reruns and do not depend on the order
 in which trajectories are walked.  Philox is counter-based (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so
-``mc_estimates`` computes the first block of every stream in one numpy
-pass instead of building a generator per trajectory.
+``mc_estimates`` computes a range of blocks of many streams in one numpy
+pass and steps those trajectories together; only the last few walk one
+by one, each on a generator resumed at the block it has reached.
 """
 
 from __future__ import annotations
@@ -33,8 +34,11 @@ from .model import MdpModel, Policy
 
 UNIFORM_BLOCK = 16
 MAX_DEPTH = 64
-# Trajectories stepped together through their first uniform block.
+# Trajectories stepped together.
 MC_CHUNK = 1 << 12
+# Philox blocks per trajectory in one lockstep batch, and the number of
+# trajectories still walking below which they finish one by one.
+MC_BATCH = 16
 
 # Philox4x64-10 multipliers and key increments (Random123, as in numpy).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -42,6 +46,9 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _U64 = (1 << 64) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
+_PHILOX_MUL = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
+_PHILOX_LO, _PHILOX_HI = _PHILOX_MUL & _LOW32, _PHILOX_MUL >> np.uint64(32)
+_PHILOX_W1 = np.uint64(_PHILOX_W[1])
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 
@@ -104,82 +111,130 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products ``a * b``."""
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
-    lh = a_lo * b_hi
-    hl = a_hi * b_lo
-    mid = ((a_lo * b_lo) >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
-    hi = a_hi * b_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, np.uint64(a) * b
+def _mulhi(a_lo, a_hi, b: np.ndarray, out: np.ndarray, t: np.ndarray, u: np.ndarray):
+    """High 64-bit words of the 128-bit products ``a * b``, written into ``out``.
+
+    ``a = a_hi * 2**32 + a_lo`` with 32-bit halves that broadcast against
+    ``b``; ``t`` and ``u`` are scratch of ``b``'s shape.  Each partial
+    product of 32-bit halves fits 64 bits, and so does each sum below
+    (Warren, *Hacker's Delight*, 2nd ed., §8-2).
+    """
+    np.bitwise_and(b, _LOW32, out=t)
+    np.multiply(t, a_lo, out=u)
+    u >>= _SHIFT32
+    t *= a_hi
+    t += u  # a_hi * b_lo plus the carry out of a_lo * b_lo
+    np.right_shift(b, _SHIFT32, out=u)
+    np.multiply(u, a_hi, out=out)
+    u *= a_lo
+    out += t >> _SHIFT32
+    t &= _LOW32
+    u += t  # a_lo * b_hi plus the low half of the line above
+    u >>= _SHIFT32
+    out += u
 
 
-def _philox_block(seed: int, index: np.ndarray, block: int) -> np.ndarray:
-    """Draws ``4 * block`` to ``4 * block + 3`` of every stream ``_stream(seed, k)``.
+def _philox_blocks(seed: int, index: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Draws ``4 * first`` to ``4 * (first + count) - 1`` of every stream ``_stream(seed, k)``.
 
-    Row r holds the four doubles that ``_stream(seed, index[r])`` yields
-    from its ``block``-th 4-word Philox block, computed without a
-    generator.  numpy bumps the counter before each block, so block b is
-    Philox4x64-10 of the counter (b + 1, 0, 0, 0) under the key (seed, k);
-    ``Generator.random`` turns a word x into the double ``(x >> 11) * 2**-53``.
+    Column r holds the ``4 * count`` doubles that ``_stream(seed, index[r])``
+    yields from its Philox blocks ``first`` to ``first + count - 1``, row d
+    being its draw ``4 * first + d``; no generator is built.  numpy bumps
+    the counter before each block, so block b is Philox4x64-10 of the
+    counter (b + 1, 0, 0, 0) under the key (seed, k); ``Generator.random``
+    turns a word x into the double ``(x >> 11) * 2**-53``.  The two words a
+    round multiplies, x0 and x2, are the rows of one array and x1 and x3
+    of another, so each round is a few in-place passes over every block
+    of every stream.
     """
     seed = int(np.array([seed, 0], dtype=np.uint64)[0])  # as ``_stream`` keys it
-    k1 = np.asarray(index, dtype=np.uint64)
-    x0 = np.full(len(k1), block + 1, dtype=np.uint64)
-    x1 = x2 = x3 = np.zeros_like(x0)
+    lanes = len(index)
+    # Element b * lanes + r of each row is block ``first + b`` of stream r.
+    shape = (2, count * lanes)
+    even, odd = np.zeros(shape, np.uint64), np.zeros(shape, np.uint64)
+    key = np.empty(shape, np.uint64)
+    even[0] = np.repeat(np.arange(first + 1, first + count + 1, dtype=np.uint64), lanes)
+    key[1] = np.tile(np.asarray(index, dtype=np.uint64), count)
+    hi, spare, t, u = (np.empty(shape, np.uint64) for _ in range(4))
     for r in range(_PHILOX_ROUNDS):
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _U64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-        k1 = k1 + np.uint64(_PHILOX_W[1])
-    words = np.stack((x0, x1, x2, x3), axis=1)
-    words >>= _SHIFT11
-    return words * (1.0 / 9007199254740992.0)
+        key[0] = (seed + r * _PHILOX_W[0]) & _U64
+        _mulhi(_PHILOX_LO, _PHILOX_HI, even, hi, t, u)
+        np.bitwise_xor(hi[::-1], odd, out=spare)
+        spare ^= key  # x0 = hi1 ^ x1 ^ k0 and x2 = hi0 ^ x3 ^ k1
+        np.multiply(even, _PHILOX_MUL, out=odd[::-1])  # x1 = lo1 and x3 = lo0
+        even, spare = spare, even
+        key[1] += _PHILOX_W1
+    words = np.empty((count, 4, lanes), np.uint64)
+    for w, row in enumerate((even[0], odd[0], even[1], odd[1])):
+        np.right_shift(row.reshape(count, lanes), _SHIFT11, out=words[:, w])
+    return (words * (1.0 / 9007199254740992.0)).reshape(4 * count, lanes)
 
 
-def _bisect_right(table: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``bisect_right(table[rows[r]], x[r])`` for every lane r, probe for probe."""
-    width = table.shape[1]
-    lo = np.zeros(len(rows), dtype=np.intp)
-    hi = np.full(len(rows), width, dtype=np.intp)
-    for _ in range(width.bit_length()):
-        mid = (lo + hi) >> 1
-        open_ = lo < hi
-        below = x < table[rows, np.minimum(mid, width - 1)]
-        hi = np.where(open_ & below, mid, hi)
-        lo = np.where(open_ & ~below, mid + 1, lo)
-    return lo
+def _support_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Search rows over each row's positive entries, and those entries' columns.
+
+    Row r of ``cum`` holds the running sums of the positive entries of
+    ``mass[r]`` in column order, then +inf; row r of ``col`` holds their
+    columns, then the last column of ``mass``.  A zero entry leaves a
+    running sum where it was, so the first entry of ``cum[r]`` above a draw
+    names the column that ``bisect_right`` on the running sums of the whole
+    row names, clamped to the last column as ``_Walker.run`` clamps a row
+    that sums short.  Draws lie in [0, 1), so a sum of at least 1 is above
+    every draw: it is stored as +inf, and the width is cut to the least
+    power of two that keeps one +inf in every row.
+    """
+    last = mass.shape[1] - 1
+    count = (mass > 0.0).sum(axis=1)
+    order = np.argsort(mass <= 0.0, axis=1, kind="stable")  # positive entries first
+    order = order[:, : int(count.max(initial=0)) + 1]
+    cum = np.cumsum(np.take_along_axis(mass, order, axis=1), axis=1)
+    beyond = np.arange(cum.shape[1]) >= count[:, None]
+    cum[beyond | (cum >= 1.0)] = np.inf
+    col = np.where(beyond, last, order)
+    width = 1 << int((cum < np.inf).sum(axis=1).max(initial=0)).bit_length()
+    pad = ((0, 0), (0, max(0, width - cum.shape[1])))
+    cum = np.pad(cum[:, :width], pad, constant_values=np.inf)
+    return cum, np.pad(col[:, :width], pad, constant_values=last)
 
 
-def _sampling_tables(model: MdpModel, policy: Policy):
-    """Cumulative action and successor rows as plain lists of floats for bisect."""
-    h = model.n_taboo
-    act = [list(accumulate(row)) for row in policy.matrix[:h].tolist()]
-    trans = [
-        [list(accumulate(row)) for row in rows]
-        for rows in model.transitions[:h].tolist()
-    ]
-    return act, trans
+def _first_above(cum: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Flat index into ``cum`` of the first entry of row ``rows[r]`` above ``x[r]``.
+
+    Rows are non-decreasing, end in +inf and have a power-of-two width,
+    so a branch-free binary search finds it in log2(width) probes.
+    """
+    width = cum.shape[1]
+    if width == 1:
+        return rows
+    flat = cum.ravel()
+    at = rows * width
+    step = width >> 1
+    while step > 1:
+        at += (flat[at + (step - 1)] <= x) * step
+        step >>= 1
+    at += flat[at] <= x
+    return at
+
+
+def _check_shape(model: MdpModel, policy: Policy) -> None:
+    if policy.matrix.shape != (model.n_states, model.n_actions):
+        raise ValueError("policy shape does not match the model")
 
 
 class _Walker:
-    """Shared immutable tables plus the per-trajectory sampling loop."""
+    """Cumulative rows as lists of floats, and the one-trajectory loop."""
 
     def __init__(self, model: MdpModel, policy: Policy):
-        if policy.matrix.shape != (model.n_states, model.n_actions):
-            raise ValueError("policy shape does not match the model")
+        _check_shape(model, policy)
         self.h = model.n_taboo
         self.nu = model.n_forbidden
         self.n_actions = model.n_actions
-        self.act_cum, self.trans_cum = _sampling_tables(model, policy)
-        # The same tables as arrays, for stepping many trajectories at once.
-        m, n_states = model.n_actions, model.n_states
-        self.act_table = np.array(self.act_cum).reshape(self.h, m)
-        self.trans_table = np.array(self.trans_cum).reshape(self.h * m, n_states)
-        self.reward_table = model.stage_costs
-        self.rewards = self.reward_table.tolist()
+        self.act_cum = [list(accumulate(row)) for row in policy.matrix[: self.h].tolist()]
+        self.trans_cum = [
+            [list(accumulate(row)) for row in rows]
+            for rows in model.transitions[: self.h].tolist()
+        ]
+        self.rewards = model.stage_costs.tolist()
 
     def run(self, start: int, rng: np.random.Generator, max_steps: int):
         """Walk until absorption; returns (path, actions, rewards, outcome)."""
@@ -211,38 +266,86 @@ class _Walker:
             i = j
         return states, actions, rewards, "truncated"
 
-    def run_first_block(self, start: int, seed: int, index: np.ndarray, max_steps: int):
-        """Step trajectories ``index`` together through their first block of draws.
-
-        Trajectory k draws from the stream ``_stream(seed, k)``; its first
-        ``UNIFORM_BLOCK`` values are computed one 4-word Philox block at a
-        time, and only for the trajectories still walking.  Each step
-        follows ``run`` exactly: same draws, same bisection, same clamps.
-        Returns every trajectory's current state and its rewards summed
-        from left to right; a trajectory still in a taboo state has taken
-        ``min(max_steps, UNIFORM_BLOCK // 2)`` steps.
-        """
-        state = np.full(len(index), start, dtype=np.intp)
-        total = np.zeros(len(index))
-        live = np.arange(len(index) if start < self.h else 0)
-        for t in range(min(max_steps, UNIFORM_BLOCK // 2)):
-            col = 2 * (t % 2)
-            if col == 0:
-                draws = _philox_block(seed, index[live], t // 2)
-            i = state[live]
-            u = _bisect_right(self.act_table, i, draws[:, col])
-            u = np.minimum(u, self.n_actions - 1)
-            row = i * self.n_actions + u
-            j = _bisect_right(self.trans_table, row, draws[:, col + 1])
-            j = np.minimum(j, self.trans_table.shape[1] - 1)
-            total[live] += self.reward_table[i, u]
-            state[live] = j
-            stay = j < self.h
-            live, draws = live[stay], draws[stay]
-        return state, total
-
     def _outcome(self, j: int) -> str:
         return "forbidden" if j < self.h + self.nu else "target"
+
+
+class _Lanes:
+    """Array tables for stepping many trajectories together, as ``_Walker.run`` steps one.
+
+    The tables cover every state.  A state's actions and a (state, action)
+    pair's successors are ``_support_table`` rows, and an action names the
+    flat row ``i * n_actions + u`` of the successor and cost tables.  An
+    absorbing state takes its last action at cost 0 and stays put, so an
+    absorbed trajectory can keep stepping without changing its outcome or
+    its total.
+    """
+
+    def __init__(self, model: MdpModel, policy: Policy):
+        _check_shape(model, policy)
+        h, m, n = model.n_taboo, model.n_actions, model.n_states
+        self.h = h
+        cum, col = _support_table(policy.matrix[:h])
+        self.act_cum = np.vstack([cum, np.full((n - h, cum.shape[1]), np.inf)])
+        col = np.vstack([col, np.full((n - h, cum.shape[1]), m - 1)])
+        self.act_row = (col + np.arange(0, n * m, m)[:, None]).ravel()
+        cum, col = _support_table(model.transitions[:h].reshape(h * m, n))
+        pad = ((n - h) * m, cum.shape[1])
+        self.succ_cum = np.vstack([cum, np.full(pad, np.inf)])
+        absorbed = np.broadcast_to(np.repeat(np.arange(h, n), m)[:, None], pad)
+        self.succ = np.vstack([col, absorbed]).ravel()
+        self.cost = np.zeros(n * m)
+        self.cost[: h * m] = model.stage_costs.ravel()
+
+    def _step(self, state: np.ndarray, x_act: np.ndarray, x_succ: np.ndarray):
+        """One step of every lane: its (state, action) rows and successor states."""
+        row = self.act_row[_first_above(self.act_cum, state, x_act)]
+        return row, self.succ[_first_above(self.succ_cum, row, x_succ)]
+
+    def run_together(self, start: int, seed: int, index: np.ndarray, max_steps: int):
+        """Step trajectories ``index`` together until few are left walking.
+
+        Trajectory k draws from the stream ``_stream(seed, k)``, step t
+        from its draws 2t and 2t + 1, and each step follows ``_Walker.run``:
+        the same draws, the same choices, the rewards summed from left to
+        right.  Through the first ``UNIFORM_BLOCK`` draws the draws are
+        computed one Philox block at a time, for the trajectories still
+        walking only, and those are gathered after every step.  Then, while
+        at least ``MC_BATCH`` are still walking, they take ``2 * MC_BATCH``
+        steps at a time from ``MC_BATCH`` blocks computed at once; one that
+        is absorbed keeps stepping in place until the batch ends.
+
+        Returns every trajectory's current state and total, the positions
+        of those still in a taboo state, and the steps all have taken.
+        """
+        h = self.h
+        state = np.full(len(index), start, dtype=np.intp)
+        total = np.zeros(len(index))
+        live = np.arange(len(index) if start < h else 0)
+        first = min(max_steps, UNIFORM_BLOCK // 2)
+        for t in range(first):
+            if len(live) == 0:
+                break
+            col = 2 * (t % 2)
+            if col == 0:
+                draws = _philox_blocks(seed, index[live], t // 2, 1)
+            row, j = self._step(state[live], draws[col], draws[col + 1])
+            total[live] += self.cost[row]
+            state[live] = j
+            stay = j < h
+            live, draws = live[stay], draws[:, stay]
+        t = first
+        while len(live) >= MC_BATCH and t < max_steps:
+            steps = min(2 * MC_BATCH, max_steps - t)
+            draws = _philox_blocks(seed, index[live], t // 2, (steps + 1) // 2)
+            i, acc = state[live], total[live]
+            for c in range(steps):
+                row, i = self._step(i, draws[2 * c], draws[2 * c + 1])
+                acc += self.cost[row]
+            state[live], total[live] = i, acc
+            live = live[i < h]
+            t += steps
+        return state, total, live, t
 
 
 def simulate(
@@ -279,11 +382,13 @@ def mc_estimates(
 ) -> McReport:
     """Monte Carlo safety, reach and value estimates from one start state.
 
-    Trajectory k walks the stream ``_stream(seed, k)``.  All trajectories
-    take the steps of their first ``UNIFORM_BLOCK`` draws together, with
-    the draws computed by numpy for every stream at once; the few still
-    in a taboo state then finish one by one, their streams resumed after
-    those draws.  The result equals walking each trajectory with its own
+    Trajectory k walks the stream ``_stream(seed, k)``.  Up to ``MC_CHUNK``
+    trajectories step together, with the draws computed by numpy for
+    every stream at once: their first ``UNIFORM_BLOCK`` draws one Philox
+    block at a time, then ``MC_BATCH`` blocks at a time while at least
+    ``MC_BATCH`` of them are still in a taboo state.  The fewer left then
+    finish one by one, their streams resumed after the blocks already
+    drawn.  The result equals walking each trajectory with its own
     generator, bit for bit.
 
     Truncated trajectories are excluded from the means but counted.
@@ -294,33 +399,35 @@ def mc_estimates(
         raise ValueError(f"trajectory count must be a positive integer, got {n}")
     n = int(n)
     i0 = model.state_index(start)
-    walker = _Walker(model, policy)
-    h = walker.h
-    resume_steps = max_steps - UNIFORM_BLOCK // 2
+    lanes = _Lanes(model, policy)
+    walker = None  # built for the first trajectory walked on its own
+    h, nu = model.n_taboo, model.n_forbidden
 
     hit_u = np.zeros(n)
     totals = np.zeros(n)
     truncated = np.zeros(n, dtype=bool)
     # One generator for every resumed stream: its state is set to the key
-    # (seed, k) with the first four blocks (counters 1-4) already spent.
+    # (seed, k) with the blocks already drawn (counters 1 to t // 2) spent.
     rng = _stream(seed, 0)
     bit_gen = rng.bit_generator
     resumed = bit_gen.state
-    resumed["state"]["counter"][0] = UNIFORM_BLOCK // 4
     key = resumed["state"]["key"]
 
     for lo in range(0, n, MC_CHUNK):
         index = np.arange(lo, min(n, lo + MC_CHUNK))
-        state, total = walker.run_first_block(i0, seed, index, max_steps)
-        forbidden = state < h + walker.nu
-        for r in np.flatnonzero(state < h):
-            k = lo + int(r)
-            if resume_steps <= 0:
+        state, total, live, t = lanes.run_together(i0, seed, index, max_steps)
+        forbidden = state < h + nu
+        resumed["state"]["counter"][0] = t // 2
+        for r in live.tolist():
+            k = lo + r
+            if t >= max_steps:
                 truncated[k] = True
                 continue
             key[1] = k
             bit_gen.state = resumed
-            _, _, rewards, outcome = walker.run(int(state[r]), rng, resume_steps)
+            if walker is None:
+                walker = _Walker(model, policy)
+            _, _, rewards, outcome = walker.run(int(state[r]), rng, max_steps - t)
             if outcome == "truncated":
                 truncated[k] = True
                 continue

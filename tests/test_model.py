@@ -468,3 +468,26 @@ def test_number_labels_resolve_before_positions(ex1_model, ex1_policy):
     got = sm.exhaustive_paths(model, policy, 0, 6)
     want = sm.exhaustive_paths(ex1_model, ex1_policy, "b", 6)
     assert got == want
+
+
+def test_bool_names_only_a_bool_label(ex1_model):
+    """``True == 1`` in Python, yet a bool never names the label 1, nor 1 a bool label."""
+    model = relabeled(ex1_model, (2, 0, 1, 40, 50), (1, 0))
+    for bad in (True, False, np.True_):
+        with pytest.raises(KeyError, match="unknown state label"):
+            model.state_index(bad)
+        with pytest.raises(KeyError, match="unknown action label"):
+            model.action_index(bad)
+    assert [model.state_index(s) for s in (1, 0, 1.0, np.int64(1))] == [2, 1, 2, 2]
+    assert [model.action_index(u) for u in (1, 0, 0.0)] == [0, 1, 1]
+    rows = [{"state": s, "dist": {"0": 1.0}} for s in (2, 0, 1)]
+    assert sm.load_policy(json.dumps({"policy": rows}), model).matrix[:3, 1].all()
+    rows[2]["state"] = True
+    with pytest.raises(sm.ModelFormatError, match="policy names unknown state True"):
+        sm.load_policy(json.dumps({"policy": rows}), model)
+    flagged = relabeled(ex1_model, (True, "b", "c", "d", "e"), ex1_model.actions)
+    assert flagged.state_index(True) == 0 and flagged.state_index(1) == 1
+    doc = json.loads(sm.serialize_model(flagged))
+    doc["partition"]["taboo"][0] = 1
+    with pytest.raises(sm.ModelFormatError, match="partition names unknown state 1"):
+        sm.load_model(json.dumps(doc))

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -82,14 +83,6 @@ def test_mc_estimates_bit_identical_rerun(ex1_model, ex1_policy):
     assert a == b
 
 
-def test_mc_estimates_threading_invariant(ex1_model, ex1_policy, monkeypatch):
-    """Worker count must not change a single stream's outcome."""
-    serial = sm.mc_estimates(ex1_model, ex1_policy, "b", n=4_000, seed=5)
-    monkeypatch.setenv("SAFE_MDP_THREADS", "4")
-    threaded = sm.mc_estimates(ex1_model, ex1_policy, "b", n=4_000, seed=5)
-    assert serial == threaded
-
-
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_uint64_rejected(ex1_model, ex1_policy, seed):
     error = rf"seed must lie in \[0, 2\^64\), got {seed}"
@@ -110,13 +103,25 @@ def test_fractional_seed_rejected(ex1_model, ex1_policy, seed):
 
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**63 + 5, 2**64 - 1])
 def test_philox_block_matches_numpy_streams(seed):
-    """The one-pass Philox equals each stream's own generator, bit for bit."""
+    """The one-pass Philox equals each stream's own generator, bit for bit.
+
+    Blocks 0-40 come as one range, as ranges that split it at every
+    lockstep batch edge, and one block at a time.
+    """
+    philox_blocks = simulate_module._philox_blocks
     index = np.array([0, 1, 2, 3, 1000, 2**32 - 1, 2**32, 2**40 - 1, 2**40])
-    got = np.hstack([simulate_module._philox_block(seed, index, b) for b in range(6)])
-    for row, k in enumerate(index.tolist()):
+    whole = philox_blocks(seed, index, 0, 41)
+    edges = [0, 4, 20, 36, 41]
+    split = np.vstack(
+        [philox_blocks(seed, index, a, b - a) for a, b in itertools.pairwise(edges)]
+    )
+    single = np.vstack([philox_blocks(seed, index, b, 1) for b in range(41)])
+    assert whole.shape == (4 * 41, len(index))
+    for col, k in enumerate(index.tolist()):
         key = np.array([seed, k], dtype=np.uint64)
-        want = np.random.Generator(np.random.Philox(key=key)).random(24)
-        assert np.array_equal(got[row].view(np.uint64), want.view(np.uint64))
+        want = np.random.Generator(np.random.Philox(key=key)).random(4 * 41).view(np.uint64)
+        for got in (whole, split, single):
+            assert np.array_equal(got[:, col].view(np.uint64), want)
 
 
 def _per_trajectory_mc(model, policy, start, n, seed, max_steps=10**5):
@@ -157,7 +162,11 @@ def _per_trajectory_mc(model, policy, start, n, seed, max_steps=10**5):
     return report, longest
 
 
-MAX_STEPS_CASES = [1, 8, 9, 12, 10**5]
+# A lockstep batch spans 2 * MC_BATCH steps after the first 8; the cases
+# sit on both sides of the first-block and first-batch edges.
+BATCH_EDGE = simulate_module.UNIFORM_BLOCK // 2 + 2 * simulate_module.MC_BATCH
+MAX_STEPS_CASES = [1, 8, 9, 12, BATCH_EDGE - 1, BATCH_EDGE, BATCH_EDGE + 1, 10**5]
+
 
 # Two taboo states that mostly stay put: trajectories run for tens of
 # steps, well past the first block of draws.
@@ -203,27 +212,119 @@ def test_mc_estimates_equals_per_trajectory_walk_ex1(ex1_model, ex1_policy, max_
         assert repr(got) == repr(want)
 
 
+def birth_death_corridor(h=30, hazard=0.01):
+    """h taboo states in a row between a forbidden and a target state.
+
+    Action 0 steps left or right with equal mass, action 1 steps right
+    with 0.6 of it; both also send ``hazard`` straight to the forbidden
+    state.  From the middle a trajectory takes hundreds of steps.
+    """
+    n = h + 2
+    forbidden, target = h, h + 1
+    trans = np.zeros((n, 2, n))
+    for i in range(h):
+        left, right = (forbidden if i == 0 else i - 1), (target if i == h - 1 else i + 1)
+        for u, p_right in enumerate((0.5, 0.6)):
+            trans[i, u, forbidden] += hazard
+            trans[i, u, left] += (1.0 - hazard) * (1.0 - p_right)
+            trans[i, u, right] += (1.0 - hazard) * p_right
+    trans[forbidden, :, forbidden] = trans[target, :, target] = 1.0
+    rewards = np.zeros((2, n))
+    rewards[0, :h], rewards[1, :h] = np.linspace(0.5, 1.0, h), np.linspace(1.5, 3.0, h)
+    return sm.MdpModel(
+        states=tuple(f"h{i}" for i in range(h)) + ("u0", "e0"),
+        actions=("fair", "push"),
+        partition=sm.StatePartition(
+            taboo=tuple(f"h{i}" for i in range(h)), forbidden=("u0",), target=("e0",)
+        ),
+        transitions=trans,
+        rewards=rewards,
+    )
+
+
+def corridor_case():
+    """The corridor from its middle, pushing on a third of it and mixing on a fifth."""
+    model = birth_death_corridor()
+    matrix = np.zeros((model.n_states, 2))
+    matrix[:, 0] = 1.0
+    matrix[20:30] = (0.0, 1.0)
+    matrix[8:14] = (0.3, 0.7)
+    return model, sm.make_policy(model, matrix), 15
+
+
 @pytest.mark.parametrize("max_steps", MAX_STEPS_CASES)
 def test_mc_estimates_equals_per_trajectory_walk_corpus(max_steps, monkeypatch):
-    """Covers truncation, the first-block/resumed boundary and chunk edges."""
+    """Covers truncation, the first-block, batch and hand-off edges and chunk edges."""
     monkeypatch.setattr(simulate_module, "MC_CHUNK", 37)
     rng = np.random.default_rng(2024)
     slow = sm.load_model(SLOW_DOC)
-    cases = [(slow, random_policy(rng, slow), start) for start in (0, 1)]
+    cases = [(slow, random_policy(rng, slow), start, 150) for start in (0, 1)]
     for _ in range(12):
         model = random_model_small(rng)
-        cases.append(
-            (model, random_policy(rng, model), int(rng.integers(0, model.n_states)))
-        )
+        start = int(rng.integers(0, model.n_states))
+        cases.append((model, random_policy(rng, model), start, 150))
+    cases.append((*corridor_case(), 240))
     longest = 0
-    for model, pol, start in cases:
+    for model, pol, start, n in cases:
         seed = int(rng.integers(2**63))
-        got = sm.mc_estimates(model, pol, start, 150, seed, max_steps)
-        want, steps = _per_trajectory_mc(model, pol, start, 150, seed, max_steps)
+        got = sm.mc_estimates(model, pol, start, n, seed, max_steps)
+        want, steps = _per_trajectory_mc(model, pol, start, n, seed, max_steps)
         assert repr(got) == repr(want)
         longest = max(longest, steps)
-    # Some trajectory hits the step cap or walks well past its first block.
-    assert longest >= min(max_steps, simulate_module.UNIFORM_BLOCK // 2 + 4)
+    # Some trajectory hits the step cap or walks past the first batch.
+    assert longest >= min(max_steps, BATCH_EDGE + 1)
+
+
+@pytest.mark.parametrize(
+    "chunk, batch", [(37, 1), (37, 2), (37, 3), (4096, 5), (4096, 16), (37, 10**9)]
+)
+def test_mc_estimates_invariant_under_chunk_and_batch(chunk, batch, monkeypatch):
+    """Chunk, batch and hand-off sizes change no estimate, only who walks how.
+
+    ``MC_BATCH`` sets both the blocks per batch and the hand-off: at 1 every
+    trajectory stays in lockstep to its end, at 10**9 every one still
+    walking after the first block finishes alone.
+    """
+    model, pol, start = corridor_case()
+    walks = []
+    run = simulate_module._Walker.run
+
+    def counted(self, *args):
+        walks.append(args)
+        return run(self, *args)
+
+    want, _ = _per_trajectory_mc(model, pol, start, 200, 5)
+    monkeypatch.setattr(simulate_module, "MC_CHUNK", chunk)
+    monkeypatch.setattr(simulate_module, "MC_BATCH", batch)
+    monkeypatch.setattr(simulate_module._Walker, "run", counted)
+    assert repr(sm.mc_estimates(model, pol, start, 200, 5)) == repr(want)
+    if batch == 1:
+        assert walks == []
+    if batch == 10**9:
+        assert len(walks) > 150
+
+
+def test_support_table_search_is_bisect_with_clamp():
+    """The first support entry above a draw is ``bisect_right`` plus the clamp."""
+    rows = np.array(
+        [
+            [0.0, 0.25, 0.0, 0.5, 0.0, 0.125, 0.0],  # sums to 0.875: draws above clamp
+            [0.5, 1e-300, 0.0, 0.0, 0.0, 0.0, 0.5],  # a positive entry that adds nothing
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.1] * 7,
+        ]
+    )
+    draws = [0.0, 0.1, 0.25, 0.2500001, 0.5, 0.74999, 0.75, 0.8, 0.875, 0.9, 1 - 2**-53]
+    cum, col = simulate_module._support_table(rows)
+    width = cum.shape[1]
+    assert width & (width - 1) == 0 and np.isinf(cum[:, -1]).all()
+    for r, row in enumerate(rows.tolist()):
+        running = list(itertools.accumulate(row))
+        for x in draws:
+            want = min(bisect_right(running, x), len(row) - 1)
+            at = simulate_module._first_above(cum, np.array([r]), np.array([x]))
+            assert col.ravel()[at[0]] == want, (r, x)
 
 
 def test_mc_constant_outcome_has_zero_spread(ex1_model, ex1_policy):
