@@ -13,10 +13,17 @@ current values over each state's candidates.  ``_sweep`` repeats that
 until the change between sweeps is small, for value iteration,
 ``constrained_vi_pure``, ``relative_vi`` and the iterative evaluators.
 ``_improve``, Howard's policy iteration from a proper policy, solves
-each choice exactly; it serves ``safest_policy`` and ``dual_inner``, and
-finishes ``value_iteration`` and ``relative_vi`` from their sweeps'
-greedy choice (or from the witness where that choice never leaves H), so
-their value is the exact value of the proper policy they return.
+each choice exactly, one ``_round`` at a time; it serves
+``safest_policy`` and ``dual_inner``, and finishes ``relative_vi`` from
+its sweeps' greedy choice (or from the witness where that choice never
+leaves H).  Value iteration also stops its sweeps at the first
+checkpoint (sweep CERTIFY_FROM, then doubling up to CERTIFY_GAP apart)
+where the greedy choice is proper and one ``_round`` from it switches
+no state: the modified-policy-iteration certificate (Puterman 1994,
+6.5-6.6).  Where no checkpoint passes, it finishes like ``relative_vi``.
+Either way the value is the exact value of the proper policy returned,
+and exceeds the best proper policy's by at most ``tol * max(1, |v|)``
+per expected visit under that policy (README, Numerical notes).
 Stage costs, taboo block and exit masses come from the model view on
 :class:`~safemdp.model.MdpModel`.
 
@@ -33,19 +40,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import _induce, _require_transient, _solve, _trapped, _witness
+from .evaluate import _induce, _require_transient, _solve, _witness
 from .exceptions import MaxIterationsError, NotTransientError
 from .model import MdpModel, Policy
+
+# Value iteration tries its certificate after CERTIFY_FROM sweeps, then
+# at every doubling of the count until checkpoints are CERTIFY_GAP sweeps
+# apart, then every CERTIFY_GAP sweeps: 16, 32, ..., 256, 512, 768, ...
+# Doubling alone overshoots by up to the sweeps already run; on the bench
+# corridors this cap took a sixth off value iteration's time, and a
+# start of 8 lost on corridor and dense what it won on enum.
+CERTIFY_FROM, CERTIFY_GAP = 16, 256
 
 
 @dataclass(frozen=True)
 class BellmanResult:
     """Outcome of a value-iteration run.
 
-    ``value`` is the exact value of ``policy``, and ``residual`` the
-    sup-norm of one more operator application at that value: at most the
-    improvement threshold ``tol * max(1, |v|)``, plus rounding.
-    ``history`` holds every iterate (including the start) when requested.
+    ``value`` is the exact value of the proper ``policy``, and
+    ``residual`` the sup-norm of one more operator application at that
+    value: at most the improvement threshold ``tol * max(1, |v|)``, plus
+    rounding.  ``iterations`` counts the sweeps run, up to the change
+    rule or the certificate, whichever stopped them first, and
+    ``history`` holds those iterates (including the start) when
+    requested.
     """
 
     value: np.ndarray
@@ -92,6 +110,7 @@ def _sweep(
     tol: float,
     max_iter: int,
     history: list | None = None,
+    certify=None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Sweep ``v(i) <- min_k [stage(i, k) + sum_j Q(i, k, j) v(j)]`` from ``v0``.
 
@@ -106,10 +125,15 @@ def _sweep(
     the last iterate.  ``history`` receives a copy of every iterate.
     ``v0`` None means zeros; a NaN or negative ``tol`` or a non-finite
     ``v0``, which no sweep can settle, raises ValueError first.
+    ``certify``, when given, is called with the candidate-major rows and
+    stage costs of ``_candidate_major`` and the minimizing candidates
+    at the checkpoints of CERTIFY_FROM and CERTIFY_GAP that the change
+    rule did not stop before; a true answer stops the sweeps there.
 
     Each sweep is one product of the candidate-major rows into a reused
     buffer, a minimum over candidates into the spare iterate and the
-    change measured in place; the argmin is taken once, at the end.
+    change measured in place; the argmin is taken only at the end and
+    at the certificate's checkpoints.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
@@ -119,7 +143,7 @@ def _sweep(
     _require_transient(Q, np.isfinite(stage))
     rows, flat = _candidate_major(stage, Q)
     totals, nxt, delta = np.empty(flat.size), np.empty_like(v), np.empty_like(v)
-    diff = np.inf
+    diff, check = np.inf, CERTIFY_FROM if certify else 0
     for sweep in range(1, max_iter + 1):
         grid = _bellman(rows, flat, v, out=totals)
         grid.min(axis=0, out=nxt)
@@ -130,9 +154,45 @@ def _sweep(
             history.append(v.copy())
         if diff <= tol:
             return v, grid.argmin(axis=0), sweep
+        if sweep == check:
+            greedy, check = grid.argmin(axis=0), check + min(check, CERTIFY_GAP)
+            if certify(rows, flat, greedy):
+                return v, greedy, sweep
     raise MaxIterationsError(
         f"no convergence within {max_iter} sweeps (last change {diff:.3g})", last=v
     )
+
+
+def _round(
+    rows: np.ndarray, flat: np.ndarray, choice: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """One round of policy iteration from ``choice``, one candidate per state.
+
+    ``rows`` and ``flat`` are the candidates of ``_candidate_major``.
+    Solves ``choice`` exactly (NotTransientError where it never leaves
+    H) and switches each state to its best candidate where that beats
+    the current one by more than ``tol * max(1, |v|)``.  Returns the
+    values, the next choice and whether none switched.  When none did,
+    the choice returned is the lowest-index greedy one, its values
+    solved once more, if that is proper and differs; else ``choice``.
+    """
+    h = choice.shape[0]
+    states = np.arange(h)
+    at = choice * h + states
+    v = _solve(rows[at], flat[at])
+    totals = _bellman(rows, flat, v)
+    greedy = totals.argmin(axis=0)
+    gain = totals[choice, states] - totals[greedy, states]
+    switch = gain > tol * np.maximum(1.0, np.abs(v))
+    if switch.any():
+        return v, np.where(switch, greedy, choice), False
+    if (greedy == choice).all():
+        return v, choice, True
+    at = greedy * h + states
+    try:
+        return _solve(rows[at], flat[at]), greedy, True
+    except NotTransientError:  # the greedy choice never leaves H
+        return v, choice, True
 
 
 def _improve(
@@ -140,31 +200,18 @@ def _improve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Policy iteration from a proper ``choice`` on ``stage`` (h, k), ``Q`` (h, k, h).
 
-    Each round solves the current choice exactly; a state switches to
-    its best candidate only when that beats the current one by more than
-    ``tol * max(1, |v|)``, which keeps every choice proper (README,
-    Numerical notes).  Returns the last choice, or the lowest-index greedy
-    one at its values when that is proper, with the exact values of the
-    one returned; past ``max_iter`` rounds raises MaxIterationsError.
+    Runs ``_round`` until no state switches, which keeps every choice
+    proper (README, Numerical notes), and returns that round's values
+    and choice; past ``max_iter`` rounds raises MaxIterationsError.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     rows, flat = _candidate_major(stage, Q)
-    h = Q.shape[0]
-    states, v = np.arange(h), None
+    v = None
     for _ in range(max_iter):
-        at = choice * h + states
-        v = _solve(rows[at], flat[at])
-        totals = _bellman(rows, flat, v)
-        greedy = totals.argmin(axis=0)
-        gain = totals[choice, states] - totals[greedy, states]
-        switch = gain > tol * np.maximum(1.0, np.abs(v))
-        if not switch.any():
-            if (greedy == choice).all() or _trapped(Q[states, greedy]).any():
-                return v, choice
-            at = greedy * h + states
-            return _solve(rows[at], flat[at]), greedy
-        choice = np.where(switch, greedy, choice)
+        v, choice, stable = _round(rows, flat, choice, tol)
+        if stable:
+            return v, choice
     raise MaxIterationsError(f"no policy is stable within {max_iter} rounds", last=v)
 
 
@@ -192,22 +239,44 @@ def value_iteration(
 ) -> BellmanResult:
     """Value iteration for the minimal expected cost until absorption.
 
-    Starts from ``v0`` (zeros by default; must be nonnegative) and sweeps the
-    Bellman operator until the sup-norm change drops to ``tol``; ``history``
-    and ``iterations`` are those sweeps.  It then runs ``_improve`` (``tol``
-    its threshold, ``max_iter`` its cap on exact solves) from the greedy
-    choice, or from the witness where that choice never leaves H, so the
-    returned policy is proper and ``value`` its exact value.  States that
-    no policy leads out of H raise NotTransientError before any sweep.
+    Starts from ``v0`` (zeros by default; must be nonnegative) and sweeps
+    the Bellman operator until the sup-norm change drops to ``tol``, or
+    until the certificate passes: at a checkpoint (sweep CERTIFY_FROM,
+    then doubling up to CERTIFY_GAP apart), the greedy choice is proper
+    and one policy-iteration round from it (``_round``, ``tol`` its
+    threshold) switches no state.
+    ``history`` and ``iterations`` are the sweeps run.  Where the change
+    rule stopped them, ``_improve`` (``max_iter`` its cap on exact
+    solves) runs from the greedy choice, or from the witness where that
+    choice never leaves H.  Either way the returned policy is proper and
+    ``value`` its exact value.  At the exact value of the policy the last
+    round solved, no state's best candidate beats it by more than
+    eps = ``tol * max(1, |v|)``, so that value exceeds the best proper
+    policy's by at most G eps, G the best policy's expected visits; a
+    lowest-index greedy choice returned in its place has no higher
+    value.  States that no policy leads out of H raise NotTransientError
+    before any sweep.
     """
     h = model.n_taboo
     v0 = np.zeros(h) if v0 is None else np.asarray(v0, dtype=float)
     if (v0 < 0).any():
         raise ValueError("starting values must be nonnegative")
     stage, PH = model.stage_costs, model.taboo_block
+    exact = None
+
+    def certify(rows: np.ndarray, flat: np.ndarray, greedy: np.ndarray) -> bool:
+        nonlocal exact
+        try:
+            v, choice, stable = _round(rows, flat, greedy, tol)
+        except NotTransientError:  # the greedy choice never leaves H
+            return False
+        if stable:
+            exact = v, choice
+        return stable
+
     history = [v0.copy()] if keep_history else None
-    _, greedy, sweeps = _sweep(stage, PH, v0, tol, max_iter, history)
-    v, choice = _finish(stage, PH, greedy, tol, max_iter)
+    _, greedy, sweeps = _sweep(stage, PH, v0, tol, max_iter, history, certify)
+    v, choice = exact or _finish(stage, PH, greedy, tol, max_iter)
     totals = _bellman(*_candidate_major(stage, PH), v)
     residual = float(np.abs(totals.min(axis=0) - v).max(initial=0.0))
     return BellmanResult(v, _greedy_policy(model, choice), sweeps, residual, history or [])

@@ -1,4 +1,5 @@
-"""Module layering of the package: imports sit at module level and form no cycle."""
+"""Module layering of the package: imports sit at module level and form no
+cycle, and one loop sweeps for every fixed-point solver."""
 import ast
 from pathlib import Path
 
@@ -53,3 +54,20 @@ def test_module_import_graph_is_acyclic():
 
     for module in MODULES:
         visit(module, ())
+
+
+def test_one_sweep_loop():
+    """One sweep kernel serves every fixed-point solver: the package holds
+    exactly one ``for sweep in range(...)`` loop."""
+    loops = [
+        f"{module}:{node.lineno}"
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.For)
+        and isinstance(node.target, ast.Name)
+        and node.target.id == "sweep"
+        and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Name)
+        and node.iter.func.id == "range"
+    ]
+    assert len(loops) == 1, loops

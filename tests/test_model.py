@@ -107,6 +107,18 @@ def test_empty_partitions_flagged(ex1_model):
     assert any("target set is empty" in v for v in err.value.violations)
 
 
+def _bool_for_label(entry, key, label):
+    """ex1 relabeled with states (2, 0, 1, 40, 50) and actions (1, 0), then a
+    JSON bool where the first ``entry`` whose ``key`` is ``label`` names it."""
+
+    def mangle(d):
+        model = relabeled(sm.load_model(json.dumps(d)), (2, 0, 1, 40, 50), (1, 0))
+        d.update(json.loads(sm.serialize_model(model)))
+        next(e for e in d[entry] if e[key] == label)[key] = bool(label)
+
+    return mangle
+
+
 @pytest.mark.parametrize(
     "mangle,message",
     [
@@ -133,6 +145,10 @@ def test_empty_partitions_flagged(ex1_model):
         (lambda d: d["partition"].update(taboo=5), "'taboo' must be a list"),
         (lambda d: d["partition"]["target"].append(["e"]),
          r"partition names unknown state \['e'\]"),
+        (_bool_for_label("transitions", "to", 1), "transition names unknown state True"),
+        (_bool_for_label("transitions", "from", 0), "transition names unknown state False"),
+        (_bool_for_label("transitions", "action", 1), "transition names unknown action True"),
+        (_bool_for_label("rewards", "state", 1), "reward names unknown state True"),
     ],
 )
 def test_format_errors(ex1_model, mangle, message):

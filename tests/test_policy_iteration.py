@@ -13,7 +13,7 @@ import pytest
 
 import safemdp as sm
 from corpus import corridor_model, sparse_model
-from safemdp.bellman import _greedy_policy, _improve, _sweep
+from safemdp.bellman import CERTIFY_FROM, CERTIFY_GAP, _finish, _greedy_policy, _improve, _sweep
 from safemdp.constrained import _multiplier_offsets
 from safemdp.evaluate import _exact, _solve, _trapped
 
@@ -156,28 +156,90 @@ def test_relative_vi_leaves_zero_cost_loop():
     assert sm.value(model, report.policy).tolist() == [1.0]
 
 
+def sweep_value_iteration(model, tol=1e-10, max_iter=100_000):
+    """``value_iteration`` as it was: the kernel to ``tol``, then ``_finish``."""
+    stage, PH = model.stage_costs, model.taboo_block
+    _, greedy, sweeps = _sweep(stage, PH, None, tol, max_iter)
+    v, choice = _finish(stage, PH, greedy, tol, max_iter)
+    return v, _greedy_policy(model, choice), sweeps
+
+
+def assert_value_iteration_exact(model):
+    """Bit for bit the answer of the sweeps to ``tol`` and the finish, in
+    no more sweeps; the value is the exact value of the proper policy.
+    Returns the sweeps (new, plain), or None where both raise."""
+    try:
+        v, pol, sweeps = sweep_value_iteration(model)
+    except sm.NotTransientError as err:
+        with pytest.raises(sm.NotTransientError) as got:
+            sm.value_iteration(model)
+        assert got.value.trapped == err.trapped
+        return None
+    res = sm.value_iteration(model)
+    assert res.iterations <= sweeps
+    assert np.array_equal(res.value, v)
+    assert np.array_equal(res.policy.matrix, pol.matrix)
+    assert is_proper(model, res.policy)
+    exact = sm.value(model, res.policy)
+    assert np.abs(res.value - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+    assert res.residual <= 1e-10 * max(1.0, np.abs(exact).max())
+    return res.iterations, sweeps
+
+
 def test_value_iteration_is_exact(ex1_model, solver_corpus, oracle_cases):
-    """The reported value is the exact value of the returned proper policy,
-    the sweeps are those of the kernel, and where the sweep's own choice
-    is proper the finish keeps it."""
-    kept = 0
-    for model, _ in [(ex1_model, 0.5)] + solver_corpus + oracle_cases:
-        stage, PH = model.stage_costs, model.taboo_block
-        try:
-            v, greedy, sweeps = _sweep(stage, PH, None, 1e-10, 100_000)
-        except sm.NotTransientError:
-            continue
-        res = sm.value_iteration(model)
-        assert res.iterations == sweeps
-        assert is_proper(model, res.policy)
-        exact = sm.value(model, res.policy)
-        assert np.abs(res.value - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
-        assert res.residual <= 1e-10 * max(1.0, np.abs(exact).max())
-        ref = _greedy_policy(model, greedy)
-        if is_proper(model, ref):
-            assert np.abs(res.value - v).max() <= 1e-8 * max(1.0, np.abs(v).max())
-            kept += np.array_equal(res.policy.matrix, ref.matrix)
-    assert kept >= 100
+    """The certificate returns what the sweeps to ``tol`` and the finish
+    return, and stops some runs before the change rule would."""
+    rng = np.random.default_rng(2026)
+    models = [m for m, _ in [(ex1_model, 0.5)] + solver_corpus + oracle_cases]
+    counts = [assert_value_iteration_exact(m) for m in models]
+    counts += [assert_value_iteration_exact(sparse_model(rng)) for _ in range(300)]
+    counts = [c for c in counts if c is not None]
+    assert len(counts) >= 400
+    assert sum(new < plain for new, plain in counts) >= 100
+
+
+def loop_beside_slow_state_model():
+    """Two taboo states: ``s`` as in ``zero_cost_loop_model``, and ``t``,
+    which leaves to the target with probability 1/10 at cost 1 a step
+    (``loop``) or 2 (``go``), so the change rule waits for t's value 10."""
+    doc = json.loads(sm.serialize_model(zero_cost_loop_model()))
+    doc["states"].insert(1, "t")
+    doc["partition"]["taboo"].append("t")
+    doc["transitions"] += [
+        {"from": "t", "action": a, "to": to, "p": p}
+        for a in ("loop", "go")
+        for to, p in (("t", 0.9), ("e", 0.1))
+    ]
+    doc["rewards"] += [
+        {"state": "t", "action": "loop", "rho": 1.0},
+        {"state": "t", "action": "go", "rho": 2.0},
+    ]
+    return sm.load_model(json.dumps(doc))
+
+
+def test_certificate_declines_improper_greedy_choice():
+    """At every checkpoint s's greedy choice is the zero-cost loop, which
+    never leaves H, so the certificate declines it and the change rule
+    stops the sweeps; the finish from the witness then leaves the loop."""
+    model = loop_beside_slow_state_model()
+    new, plain = assert_value_iteration_exact(model)
+    assert new == plain > 4 * CERTIFY_FROM
+    res = sm.value_iteration(model)
+    assert [model.actions[u] for u in res.policy.assignment()[:2]] == ["go", "loop"]
+    assert np.allclose(res.value, [1.0, 10.0], rtol=1e-12)
+
+
+def test_certificate_stops_corridor_sweeps():
+    """On a slow-mixing corridor the certificate passes at a checkpoint,
+    long before the change rule, with the same answer."""
+    for hazard in (0.0, 0.002):
+        model = corridor_model(np.random.default_rng(5), 100, hazard)
+        new, plain = assert_value_iteration_exact(model)
+        assert new < plain / 2
+        checkpoints = [CERTIFY_FROM]
+        while checkpoints[-1] < new:
+            checkpoints.append(checkpoints[-1] + min(checkpoints[-1], CERTIFY_GAP))
+        assert new == checkpoints[-1] and new > CERTIFY_GAP
 
 
 def test_corridor_values_are_exact():
