@@ -15,8 +15,9 @@ are therefore bit-identical across reruns and do not depend on the order
 in which trajectories are walked.  Philox is counter-based (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so
 ``mc_estimates`` computes a range of blocks of many streams in one numpy
-pass and steps those trajectories together; only the last few walk one
-by one, each on a generator resumed at the block it has reached.
+pass and steps those trajectories together, in batches of 1, 2, 4, ...
+blocks.  Once fewer than ``MC_BATCH`` are still walking, each finishes
+alone on its own generator, advanced past the blocks already drawn.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ UNIFORM_BLOCK = 16
 MAX_DEPTH = 64
 # Trajectories stepped together.
 MC_CHUNK = 1 << 12
-# Philox blocks per trajectory in one lockstep batch, and the number of
-# trajectories still walking below which they finish one by one.
+# The most Philox blocks per trajectory in one lockstep batch, and the number
+# of trajectories still walking below which they finish one by one.
 MC_BATCH = 16
 
 # Philox4x64-10 multipliers and key increments (Random123, as in numpy).
@@ -303,17 +304,17 @@ class _Lanes:
         return row, self.succ[_first_above(self.succ_cum, row, x_succ)]
 
     def run_together(self, start: int, seed: int, index: np.ndarray, max_steps: int):
-        """Step trajectories ``index`` together until few are left walking.
+        """Step trajectories ``index`` together while at least ``MC_BATCH`` are walking.
 
         Trajectory k draws from the stream ``_stream(seed, k)``, step t
         from its draws 2t and 2t + 1, and each step follows ``_Walker.run``:
         the same draws, the same choices, the rewards summed from left to
-        right.  Through the first ``UNIFORM_BLOCK`` draws the draws are
-        computed one Philox block at a time, for the trajectories still
-        walking only, and those are gathered after every step.  Then, while
-        at least ``MC_BATCH`` are still walking, they take ``2 * MC_BATCH``
-        steps at a time from ``MC_BATCH`` blocks computed at once; one that
-        is absorbed keeps stepping in place until the batch ends.
+        right.  Each batch computes the next Philox blocks of the
+        trajectories still walking in one pass and takes two steps per
+        block; one that is absorbed keeps stepping in place until the batch
+        ends.  The first batch is one block and each later one doubles, up
+        to ``MC_BATCH`` blocks, so no trajectory gets more blocks drawn
+        ahead than it has used so far, plus one.
 
         Returns every trajectory's current state and total, the positions
         of those still in a taboo state, and the steps all have taken.
@@ -322,21 +323,9 @@ class _Lanes:
         state = np.full(len(index), start, dtype=np.intp)
         total = np.zeros(len(index))
         live = np.arange(len(index) if start < h else 0)
-        first = min(max_steps, UNIFORM_BLOCK // 2)
-        for t in range(first):
-            if len(live) == 0:
-                break
-            col = 2 * (t % 2)
-            if col == 0:
-                draws = _philox_blocks(seed, index[live], t // 2, 1)
-            row, j = self._step(state[live], draws[col], draws[col + 1])
-            total[live] += self.cost[row]
-            state[live] = j
-            stay = j < h
-            live, draws = live[stay], draws[:, stay]
-        t = first
+        t, count = 0, 1
         while len(live) >= MC_BATCH and t < max_steps:
-            steps = min(2 * MC_BATCH, max_steps - t)
+            steps = min(2 * count, max_steps - t)
             draws = _philox_blocks(seed, index[live], t // 2, (steps + 1) // 2)
             i, acc = state[live], total[live]
             for c in range(steps):
@@ -345,6 +334,7 @@ class _Lanes:
             state[live], total[live] = i, acc
             live = live[i < h]
             t += steps
+            count = min(2 * count, MC_BATCH)
         return state, total, live, t
 
 
@@ -383,13 +373,14 @@ def mc_estimates(
     """Monte Carlo safety, reach and value estimates from one start state.
 
     Trajectory k walks the stream ``_stream(seed, k)``.  Up to ``MC_CHUNK``
-    trajectories step together, with the draws computed by numpy for
-    every stream at once: their first ``UNIFORM_BLOCK`` draws one Philox
-    block at a time, then ``MC_BATCH`` blocks at a time while at least
-    ``MC_BATCH`` of them are still in a taboo state.  The fewer left then
-    finish one by one, their streams resumed after the blocks already
-    drawn.  The result equals walking each trajectory with its own
-    generator, bit for bit.
+    trajectories step together while at least ``MC_BATCH`` of them are
+    still in a taboo state, with the draws computed by numpy for every
+    stream at once, in batches that double from one Philox block to
+    ``MC_BATCH`` blocks (``_Lanes.run_together``).  The fewer left, from
+    step 0 on if the chunk is that small, finish one by one, each on
+    ``_stream(seed, k)`` advanced past the blocks already drawn.  The
+    result equals walking each trajectory with its own generator, bit for
+    bit.
 
     Truncated trajectories are excluded from the means but counted.
     Standard errors are sample standard deviations (ddof=1) over root n.
@@ -403,28 +394,22 @@ def mc_estimates(
     walker = None  # built for the first trajectory walked on its own
     h, nu = model.n_taboo, model.n_forbidden
 
+    _stream(seed, 0)  # rejects a bad seed even if no trajectory walks alone
     hit_u = np.zeros(n)
     totals = np.zeros(n)
     truncated = np.zeros(n, dtype=bool)
-    # One generator for every resumed stream: its state is set to the key
-    # (seed, k) with the blocks already drawn (counters 1 to t // 2) spent.
-    rng = _stream(seed, 0)
-    bit_gen = rng.bit_generator
-    resumed = bit_gen.state
-    key = resumed["state"]["key"]
 
     for lo in range(0, n, MC_CHUNK):
         index = np.arange(lo, min(n, lo + MC_CHUNK))
         state, total, live, t = lanes.run_together(i0, seed, index, max_steps)
         forbidden = state < h + nu
-        resumed["state"]["counter"][0] = t // 2
         for r in live.tolist():
             k = lo + r
             if t >= max_steps:
                 truncated[k] = True
                 continue
-            key[1] = k
-            bit_gen.state = resumed
+            rng = _stream(seed, k)
+            rng.bit_generator.advance(t // 2)  # past the blocks drawn in lockstep
             if walker is None:
                 walker = _Walker(model, policy)
             _, _, rewards, outcome = walker.run(int(state[r]), rng, max_steps - t)
@@ -509,8 +494,7 @@ def exhaustive_paths(
         raise ValueError(f"depth must lie in [0, {MAX_DEPTH}]")
     i0 = model.state_index(start)
     h, nu = model.n_taboo, model.n_forbidden
-    if policy.matrix.shape != (model.n_states, model.n_actions):
-        raise ValueError("policy shape does not match the model")
+    _check_shape(model, policy)
     if i0 >= h:
         s_lo = 1.0 if i0 < h + nu else 0.0
         return PathBounds(s_lo, s_lo, 0.0, 0.0, 0)

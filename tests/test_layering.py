@@ -1,5 +1,6 @@
 """Module layering of the package: imports sit at module level and form no
-cycle, and one loop sweeps for every fixed-point solver."""
+cycle, one loop sweeps for every fixed-point solver, and one lockstep loop
+draws every Monte Carlo batch."""
 import ast
 from pathlib import Path
 
@@ -71,3 +72,17 @@ def test_one_sweep_loop():
         and node.iter.func.id == "range"
     ]
     assert len(loops) == 1, loops
+
+
+def test_one_philox_pass():
+    """Monte Carlo steps in lockstep in one loop: the package calls
+    ``_philox_blocks`` from exactly one place."""
+    calls = [
+        f"{module}:{node.lineno}"
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.Call)
+        and "_philox_blocks"
+        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert len(calls) == 1, calls

@@ -84,21 +84,27 @@ def test_mc_estimates_bit_identical_rerun(ex1_model, ex1_policy):
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
-def test_seed_outside_uint64_rejected(ex1_model, ex1_policy, seed):
+def test_seed_outside_uint64_rejected(ex1_model, ex1_policy, seed, monkeypatch):
     error = rf"seed must lie in \[0, 2\^64\), got {seed}"
     with pytest.raises(ValueError, match=error):
         sm.simulate(ex1_model, ex1_policy, "b", seed=seed)
     with pytest.raises(ValueError, match=error):
         sm.mc_estimates(ex1_model, ex1_policy, "b", n=10, seed=seed)
+    monkeypatch.setattr(simulate_module, "MC_BATCH", 1)  # no trajectory walks alone
+    with pytest.raises(ValueError, match=error):
+        sm.mc_estimates(ex1_model, ex1_policy, "b", n=400, seed=seed)
 
 
 @pytest.mark.parametrize("seed", [1.5, 2**40 + 0.5])
-def test_fractional_seed_rejected(ex1_model, ex1_policy, seed):
+def test_fractional_seed_rejected(ex1_model, ex1_policy, seed, monkeypatch):
     """A fractional seed used to be truncated to the stream of its integer part."""
     with pytest.raises(ValueError, match="seed must be an integer"):
         sm.simulate(ex1_model, ex1_policy, "b", seed=seed)
     with pytest.raises(ValueError, match="seed must be an integer"):
         sm.mc_estimates(ex1_model, ex1_policy, "b", n=10, seed=seed)
+    monkeypatch.setattr(simulate_module, "MC_BATCH", 1)  # no trajectory walks alone
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sm.mc_estimates(ex1_model, ex1_policy, "b", n=400, seed=seed)
 
 
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**63 + 5, 2**64 - 1])
@@ -111,7 +117,7 @@ def test_philox_block_matches_numpy_streams(seed):
     philox_blocks = simulate_module._philox_blocks
     index = np.array([0, 1, 2, 3, 1000, 2**32 - 1, 2**32, 2**40 - 1, 2**40])
     whole = philox_blocks(seed, index, 0, 41)
-    edges = [0, 4, 20, 36, 41]
+    edges = [0, 1, 3, 7, 15, 31, 41]
     split = np.vstack(
         [philox_blocks(seed, index, a, b - a) for a, b in itertools.pairwise(edges)]
     )
@@ -162,10 +168,17 @@ def _per_trajectory_mc(model, policy, start, n, seed, max_steps=10**5):
     return report, longest
 
 
-# A lockstep batch spans 2 * MC_BATCH steps after the first 8; the cases
-# sit on both sides of the first-block and first-batch edges.
-BATCH_EDGE = simulate_module.UNIFORM_BLOCK // 2 + 2 * simulate_module.MC_BATCH
-MAX_STEPS_CASES = [1, 8, 9, 12, BATCH_EDGE - 1, BATCH_EDGE, BATCH_EDGE + 1, 10**5]
+# Lockstep batches of 1, 2, 4, ... up to MC_BATCH Philox blocks take two
+# steps a block, so they end after steps 2, 6, 14, 30 and 62, then every
+# 2 * MC_BATCH steps.  The cases sit on both sides of those edges, and of
+# steps 8 and 40, the edges of an earlier schedule.
+BATCH_EDGES = list(
+    itertools.accumulate(2 * min(1 << b, simulate_module.MC_BATCH) for b in range(5))
+)
+BATCH_EDGE = BATCH_EDGES[-1]
+MAX_STEPS_CASES = sorted(
+    {1, 8, 9, 12, 39, 40, 41, 10**5} | {e + d for e in BATCH_EDGES for d in (-1, 0, 1)}
+)
 
 
 # Two taboo states that mostly stay put: trajectories run for tens of
@@ -254,7 +267,7 @@ def corridor_case():
 
 @pytest.mark.parametrize("max_steps", MAX_STEPS_CASES)
 def test_mc_estimates_equals_per_trajectory_walk_corpus(max_steps, monkeypatch):
-    """Covers truncation, the first-block, batch and hand-off edges and chunk edges."""
+    """Covers truncation, the batch and hand-off edges and chunk edges."""
     monkeypatch.setattr(simulate_module, "MC_CHUNK", 37)
     rng = np.random.default_rng(2024)
     slow = sm.load_model(SLOW_DOC)
@@ -281,9 +294,9 @@ def test_mc_estimates_equals_per_trajectory_walk_corpus(max_steps, monkeypatch):
 def test_mc_estimates_invariant_under_chunk_and_batch(chunk, batch, monkeypatch):
     """Chunk, batch and hand-off sizes change no estimate, only who walks how.
 
-    ``MC_BATCH`` sets both the blocks per batch and the hand-off: at 1 every
-    trajectory stays in lockstep to its end, at 10**9 every one still
-    walking after the first block finishes alone.
+    ``MC_BATCH`` sets both the most blocks per batch and the hand-off: at 1
+    every trajectory stays in lockstep to its end, at 10**9 every one walks
+    alone from step 0.
     """
     model, pol, start = corridor_case()
     walks = []
@@ -302,6 +315,36 @@ def test_mc_estimates_invariant_under_chunk_and_batch(chunk, batch, monkeypatch)
         assert walks == []
     if batch == 10**9:
         assert len(walks) > 150
+
+
+@pytest.mark.parametrize("chunk", [40, 4096])
+def test_lockstep_draw_schedule(chunk, monkeypatch):
+    """Each chunk draws 1, 2, 4, ... up to MC_BATCH blocks, back to back.
+
+    A batch draws at most twice the blocks of the one before, so no lane
+    gets more blocks drawn ahead than it has used, plus one; and only at
+    least ``MC_BATCH`` lanes step in lockstep.
+    """
+    calls = []
+    philox_blocks = simulate_module._philox_blocks
+
+    def recorded(seed, index, first, count):
+        calls.append((first, count, len(index)))
+        return philox_blocks(seed, index, first, count)
+
+    monkeypatch.setattr(simulate_module, "MC_CHUNK", chunk)
+    monkeypatch.setattr(simulate_module, "_philox_blocks", recorded)
+    model, pol, start = corridor_case()
+    sm.mc_estimates(model, pol, start, 200, 5)
+    batch = simulate_module.MC_BATCH
+    assert [c for c in calls if c[0] == 0] == [(0, 1, min(chunk, 200))] * -(-200 // chunk)
+    for (first, count, lanes), (nxt, nxt_count, nxt_lanes) in itertools.pairwise(calls):
+        if nxt == 0:
+            continue
+        assert nxt == first + count
+        assert nxt_count <= min(2 * count, batch)
+        assert batch <= nxt_lanes <= lanes
+    assert max(count for _, count, _ in calls) == batch
 
 
 def test_support_table_search_is_bisect_with_clamp():
