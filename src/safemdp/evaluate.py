@@ -89,7 +89,7 @@ def decompose(P: np.ndarray, partition: StatePartition) -> BlockDecomposition:
     if P.shape != (n, n):
         raise ValueError(f"matrix has shape {P.shape}, partition implies {(n, n)}")
     sums = P.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > 1e-10)[0]
+    bad = np.nonzero(~(np.abs(sums - 1.0) <= 1e-10))[0]  # NaN sums too
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"row {i} sums to {sums[i]:.12g}, matrix is not stochastic")
@@ -252,8 +252,11 @@ def green_neumann(Q: np.ndarray, tail_tol: float = NEUMANN_TAIL_TOL) -> np.ndarr
 
     Sums ``I + Q + Q^2 + ...`` until the sup-norm of the next power drops
     below ``tail_tol``.  Kept deliberately separate from :func:`green` so the
-    two routes can be compared in tests.
+    two routes can be compared in tests.  Raises ValueError unless
+    ``tail_tol`` is positive.
     """
+    if not tail_tol > 0:
+        raise ValueError(f"tail_tol must be positive, got {tail_tol!r}")
     Q = np.asarray(Q, dtype=float)
     _require_transient(Q)
     h = Q.shape[0]
@@ -347,7 +350,7 @@ def _check_initial(model: MdpModel, initial: np.ndarray) -> np.ndarray:
             f"initial distribution has shape {initial.shape}, expected "
             f"{(model.n_states,)}"
         )
-    if (initial < -1e-12).any() or abs(initial.sum() - 1.0) > 1e-10:
+    if (initial < -1e-12).any() or not abs(initial.sum() - 1.0) <= 1e-10:
         raise ValueError("initial distribution must be nonnegative and sum to 1")
     return initial
 

@@ -526,7 +526,7 @@ def make_policy(model: MdpModel, matrix: np.ndarray) -> Policy:
             f"{(model.n_states, model.n_actions)}"
         )
     for i, row in enumerate(matrix):
-        if (row < -SIMPLEX_TOL).any() or abs(row.sum() - 1.0) > SIMPLEX_TOL:
+        if (row < -SIMPLEX_TOL).any() or not abs(row.sum() - 1.0) <= SIMPLEX_TOL:
             raise PolicyError(
                 f"policy row for state {model.states[i]!r} is not a distribution"
             )

@@ -18,6 +18,13 @@ al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so
 pass and steps those trajectories together, in batches of 1, 2, 4, ...
 blocks.  Once fewer than ``MC_BATCH`` are still walking, each finishes
 alone on its own generator, advanced past the blocks already drawn.
+
+Sampling rule: step t of a trajectory reads draws 2t and 2t + 1 of its
+stream.  The action is the first whose running sum of the state's policy
+row exceeds the first draw, the successor the first whose running sum of
+the (state, action) transition row exceeds the second; a row that sums
+short of a draw gives its last column.  Both loops search the same
+``_support_table`` rows.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -174,15 +181,15 @@ def _philox_blocks(seed: int, index: np.ndarray, first: int, count: int) -> np.n
 def _support_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Search rows over each row's positive entries, and those entries' columns.
 
-    Row r of ``cum`` holds the running sums of the positive entries of
-    ``mass[r]`` in column order, then +inf; row r of ``col`` holds their
-    columns, then the last column of ``mass``.  A zero entry leaves a
-    running sum where it was, so the first entry of ``cum[r]`` above a draw
-    names the column that ``bisect_right`` on the running sums of the whole
-    row names, clamped to the last column as ``_Walker.run`` clamps a row
-    that sums short.  Draws lie in [0, 1), so a sum of at least 1 is above
-    every draw: it is stored as +inf, and the width is cut to the least
-    power of two that keeps one +inf in every row.
+    The sampling rule: a draw picks the first column whose running sum of
+    the row exceeds it, or the last column if none does.  Row r of ``cum``
+    holds the running sums of the positive entries of ``mass[r]`` in
+    column order, then +inf; row r of ``col`` holds their columns, then
+    the last column of ``mass``.  A zero entry leaves a running sum where
+    it was, so the column of the first entry of ``cum[r]`` above a draw is
+    the one the rule picks.  Draws lie in [0, 1), so a sum of at least 1
+    is above every draw: it is stored as +inf, and the width is cut to the
+    least power of two that keeps one +inf in every row.
     """
     last = mass.shape[1] - 1
     count = (mass > 0.0).sum(axis=1)
@@ -222,79 +229,34 @@ def _check_shape(model: MdpModel, policy: Policy) -> None:
         raise ValueError("policy shape does not match the model")
 
 
-class _Walker:
-    """Cumulative rows as lists of floats, and the one-trajectory loop."""
-
-    def __init__(self, model: MdpModel, policy: Policy):
-        _check_shape(model, policy)
-        self.h = model.n_taboo
-        self.nu = model.n_forbidden
-        self.n_actions = model.n_actions
-        self.act_cum = [list(accumulate(row)) for row in policy.matrix[: self.h].tolist()]
-        self.trans_cum = [
-            [list(accumulate(row)) for row in rows]
-            for rows in model.transitions[: self.h].tolist()
-        ]
-        self.rewards = model.stage_costs.tolist()
-
-    def run(self, start: int, rng: np.random.Generator, max_steps: int):
-        """Walk until absorption; returns (path, actions, rewards, outcome)."""
-        states = [start]
-        actions: list[int] = []
-        rewards: list[float] = []
-        i = start
-        if i >= self.h:
-            return states, actions, rewards, self._outcome(i)
-        block: list[float] = []
-        cursor = 0
-        for _ in range(max_steps):
-            if cursor + 2 > len(block):
-                block = rng.random(UNIFORM_BLOCK).tolist()
-                cursor = 0
-            u = bisect_right(self.act_cum[i], block[cursor])
-            if u >= self.n_actions:
-                u = self.n_actions - 1
-            row = self.trans_cum[i][u]
-            j = bisect_right(row, block[cursor + 1])
-            if j >= len(row):
-                j = len(row) - 1
-            cursor += 2
-            actions.append(u)
-            rewards.append(self.rewards[i][u])
-            states.append(j)
-            if j >= self.h:
-                return states, actions, rewards, self._outcome(j)
-            i = j
-        return states, actions, rewards, "truncated"
-
-    def _outcome(self, j: int) -> str:
-        return "forbidden" if j < self.h + self.nu else "target"
-
-
 class _Lanes:
-    """Array tables for stepping many trajectories together, as ``_Walker.run`` steps one.
+    """Sampling tables for stepping trajectories together or one by one.
 
     The tables cover every state.  A state's actions and a (state, action)
     pair's successors are ``_support_table`` rows, and an action names the
     flat row ``i * n_actions + u`` of the successor and cost tables.  An
     absorbing state takes its last action at cost 0 and stays put, so an
     absorbed trajectory can keep stepping without changing its outcome or
-    its total.
+    its total.  ``run_together`` searches the arrays, ``walk`` list copies
+    of them made on its first call.
     """
 
     def __init__(self, model: MdpModel, policy: Policy):
         _check_shape(model, policy)
         h, m, n = model.n_taboo, model.n_actions, model.n_states
         self.h = h
-        cum, col = _support_table(policy.matrix[:h])
-        self.act_cum = np.vstack([cum, np.full((n - h, cum.shape[1]), np.inf)])
-        col = np.vstack([col, np.full((n - h, cum.shape[1]), m - 1)])
-        self.act_row = (col + np.arange(0, n * m, m)[:, None]).ravel()
-        cum, col = _support_table(model.transitions[:h].reshape(h * m, n))
-        pad = ((n - h) * m, cum.shape[1])
-        self.succ_cum = np.vstack([cum, np.full(pad, np.inf)])
+        (act_cum, act_col), (succ_cum, succ) = [
+            _support_table(mass)
+            for mass in (policy.matrix[:h], model.transitions[:h].reshape(h * m, n))
+        ]
+        pad = (n - h, act_cum.shape[1])
+        self.act_cum = np.vstack([act_cum, np.full(pad, np.inf)])
+        act_col = np.vstack([act_col, np.full(pad, m - 1)])
+        self.act_row = (act_col + np.arange(0, n * m, m)[:, None]).ravel()
+        pad = ((n - h) * m, succ_cum.shape[1])
+        self.succ_cum = np.vstack([succ_cum, np.full(pad, np.inf)])
         absorbed = np.broadcast_to(np.repeat(np.arange(h, n), m)[:, None], pad)
-        self.succ = np.vstack([col, absorbed]).ravel()
+        self.succ = np.vstack([succ, absorbed]).ravel()
         self.cost = np.zeros(n * m)
         self.cost[: h * m] = model.stage_costs.ravel()
 
@@ -306,15 +268,15 @@ class _Lanes:
     def run_together(self, start: int, seed: int, index: np.ndarray, max_steps: int):
         """Step trajectories ``index`` together while at least ``MC_BATCH`` are walking.
 
-        Trajectory k draws from the stream ``_stream(seed, k)``, step t
-        from its draws 2t and 2t + 1, and each step follows ``_Walker.run``:
-        the same draws, the same choices, the rewards summed from left to
-        right.  Each batch computes the next Philox blocks of the
-        trajectories still walking in one pass and takes two steps per
-        block; one that is absorbed keeps stepping in place until the batch
-        ends.  The first batch is one block and each later one doubles, up
-        to ``MC_BATCH`` blocks, so no trajectory gets more blocks drawn
-        ahead than it has used so far, plus one.
+        Trajectory k draws from the stream ``_stream(seed, k)`` and takes
+        step t by the sampling rule on its draws 2t and 2t + 1, as ``walk``
+        does, with the rewards summed from left to right.  Each batch
+        computes the next Philox blocks of the trajectories still walking
+        in one pass and takes two steps per block; one that is absorbed
+        keeps stepping in place until the batch ends.  The first batch is
+        one block and each later one doubles, up to ``MC_BATCH`` blocks, so
+        no trajectory gets more blocks drawn ahead than it has used so far,
+        plus one.
 
         Returns every trajectory's current state and total, the positions
         of those still in a taboo state, and the steps all have taken.
@@ -337,6 +299,47 @@ class _Lanes:
             count = min(2 * count, MC_BATCH)
         return state, total, live, t
 
+    @cached_property
+    def _walk_rows(self):
+        """The search rows as lists: every state's, then every (state, action) row's.
+
+        Entry ``n_states + row`` stands for the (state, action) row ``row``:
+        the columns of a state's search row name (state, action) rows, and
+        those of a (state, action) row's name states.
+        """
+        n = len(self.act_cum)
+        col = (self.act_row + n).reshape(n, -1).tolist()
+        col += self.succ.reshape(len(self.succ_cum), -1).tolist()
+        return self.act_cum.tolist() + self.succ_cum.tolist(), col
+
+    def walk(self, start: int, rng: np.random.Generator, max_steps: int):
+        """One trajectory from ``start``, taking step t on ``rng``'s draws 2t and 2t + 1.
+
+        Each draw moves from a state to its (state, action) row or from a
+        row to the successor state, by ``bisect_right`` on the
+        ``_support_table`` row.  Stops on absorption or after
+        ``max_steps`` steps; returns the states visited and the rows taken.
+        """
+        cum, col = self._walk_rows
+        h, n = self.h, len(self.act_cum)
+        node, path, stop = start, [start], 2 * max_steps + 1
+        while node < h and len(path) < stop:
+            # An even count of draws, so the block ends on a state.
+            for x in rng.random(UNIFORM_BLOCK)[: stop - len(path)].tolist():
+                node = col[node][bisect_right(cum[node], x)]
+                path.append(node)
+                if h <= node < n:
+                    break
+        return path[::2], [row - n for row in path[1::2]]
+
+
+def _check_steps(max_steps) -> int:
+    """``max_steps`` as an int; ValueError unless it is a positive integer."""
+    integral = isinstance(max_steps, numbers.Integral) and not isinstance(max_steps, bool)
+    if not (integral and max_steps >= 1):
+        raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
+    return int(max_steps)
+
 
 def simulate(
     model: MdpModel,
@@ -349,15 +352,19 @@ def simulate(
 
     Deterministic given ``seed`` (the trajectory uses stream index 0).
     A start already in a forbidden or target state returns immediately
-    with no transitions.  A seed other than an integer in [0, 2^64) raises ValueError.
+    with no transitions.  A seed other than an integer in [0, 2^64), or a
+    ``max_steps`` other than a positive integer, raises ValueError.
     """
+    max_steps = _check_steps(max_steps)
     i = model.state_index(start)
-    walker = _Walker(model, policy)
-    states, actions, rewards, outcome = walker.run(i, _stream(seed, 0), max_steps)
+    lanes = _Lanes(model, policy)
+    states, rows = lanes.walk(i, _stream(seed, 0), max_steps)
+    end, h, nu = states[-1], model.n_taboo, model.n_forbidden
+    outcome = "truncated" if end < h else "forbidden" if end < h + nu else "target"
     return Trajectory(
         states=tuple(model.states[s] for s in states),
-        actions=tuple(model.actions[u] for u in actions),
-        rewards=tuple(float(r) for r in rewards),
+        actions=tuple(model.actions[row % model.n_actions] for row in rows),
+        rewards=tuple(lanes.cost[rows].tolist()),
         absorbed_in=outcome,
     )
 
@@ -372,26 +379,26 @@ def mc_estimates(
 ) -> McReport:
     """Monte Carlo safety, reach and value estimates from one start state.
 
-    Trajectory k walks the stream ``_stream(seed, k)``.  Up to ``MC_CHUNK``
-    trajectories step together while at least ``MC_BATCH`` of them are
-    still in a taboo state, with the draws computed by numpy for every
-    stream at once, in batches that double from one Philox block to
-    ``MC_BATCH`` blocks (``_Lanes.run_together``).  The fewer left, from
-    step 0 on if the chunk is that small, finish one by one, each on
-    ``_stream(seed, k)`` advanced past the blocks already drawn.  The
-    result equals walking each trajectory with its own generator, bit for
-    bit.
+    Trajectory k walks the stream ``_stream(seed, k)`` by the sampling
+    rule.  Up to ``MC_CHUNK`` trajectories step together while at least
+    ``MC_BATCH`` of them are still in a taboo state, with the draws
+    computed by numpy for every stream at once, in batches that double
+    from one Philox block to ``MC_BATCH`` blocks (``_Lanes.run_together``).
+    The fewer left, from step 0 on if the chunk is that small, finish one
+    by one (``_Lanes.walk``), each on ``_stream(seed, k)`` advanced past
+    the blocks already drawn.  Both search the same rows, so the result
+    equals walking each trajectory with its own generator, bit for bit.
 
     Truncated trajectories are excluded from the means but counted.
     Standard errors are sample standard deviations (ddof=1) over root n.
-    A non-integral seed or ``n``, a seed outside [0, 2^64) or n < 1 raises ValueError.
+    A non-integral seed or ``n``, a seed outside [0, 2^64), n < 1 or a
+    ``max_steps`` other than a positive integer raises ValueError.
     """
     if not (n >= 1 and float(n).is_integer()):
         raise ValueError(f"trajectory count must be a positive integer, got {n}")
-    n = int(n)
+    n, max_steps = int(n), _check_steps(max_steps)
     i0 = model.state_index(start)
     lanes = _Lanes(model, policy)
-    walker = None  # built for the first trajectory walked on its own
     h, nu = model.n_taboo, model.n_forbidden
 
     _stream(seed, 0)  # rejects a bad seed even if no trajectory walks alone
@@ -404,21 +411,15 @@ def mc_estimates(
         state, total, live, t = lanes.run_together(i0, seed, index, max_steps)
         forbidden = state < h + nu
         for r in live.tolist():
-            k = lo + r
-            if t >= max_steps:
-                truncated[k] = True
-                continue
-            rng = _stream(seed, k)
+            rng = _stream(seed, lo + r)
             rng.bit_generator.advance(t // 2)  # past the blocks drawn in lockstep
-            if walker is None:
-                walker = _Walker(model, policy)
-            _, _, rewards, outcome = walker.run(int(state[r]), rng, max_steps - t)
-            if outcome == "truncated":
-                truncated[k] = True
+            states, rows = lanes.walk(int(state[r]), rng, max_steps - t)
+            if states[-1] < h:
+                truncated[lo + r] = True
                 continue
-            forbidden[r] = outcome == "forbidden"
+            forbidden[r] = states[-1] < h + nu
             acc = total[r]
-            for reward in rewards:
+            for reward in lanes.cost[rows].tolist():
                 acc += reward
             total[r] = acc
         hit_u[lo : lo + len(index)] = forbidden

@@ -39,6 +39,14 @@ def test_decompose_rejects_non_square(ex1_model):
         sm.decompose(np.ones((3, 5)), ex1_model.partition)
 
 
+def test_decompose_rejects_nan_row(ex1_model, ex1_policy):
+    """A NaN row sum used to pass the ``abs(sum - 1) > tol`` test."""
+    P = sm.induced_matrix(ex1_model, ex1_policy).copy()
+    P[1, 0] = np.nan
+    with pytest.raises(ValueError, match="row 1 sums to nan, matrix is not stochastic"):
+        sm.decompose(P, ex1_model.partition)
+
+
 def test_transient_on_nilpotent_block(ex1_model, ex1_policy):
     P = sm.induced_matrix(ex1_model, ex1_policy)
     Q = sm.decompose(P, ex1_model.partition).q
@@ -83,6 +91,13 @@ def test_green_neumann_geometric():
     assert sm.green_neumann(Q)[0, 0] == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("tail_tol", [0.0, -1e-12, np.nan, -np.inf])
+def test_green_neumann_rejects_tail_tol(tail_tol):
+    """The stop test ``norm < tail_tol`` never held: 10^7 products ran silently."""
+    with pytest.raises(ValueError, match="tail_tol must be positive"):
+        sm.green_neumann(np.array([[0.5]]), tail_tol=tail_tol)
+
+
 def test_occupation_hitting_golden(ex1_model, ex1_policy):
     """Uniform start over taboo states, golden policy."""
     mu = np.array([1 / 3, 1 / 3, 1 / 3, 0, 0])
@@ -104,6 +119,9 @@ def test_initial_must_be_distribution(ex1_model, ex1_policy):
         sm.occupation(ex1_model, ex1_policy, np.array([1.0, 1.0, 0, 0, 0]))
     with pytest.raises(ValueError):
         sm.occupation(ex1_model, ex1_policy, np.array([1.0, 0, 0, 0]))
+    # A NaN sum used to pass and give NaN visit counts.
+    with pytest.raises(ValueError, match="sum to 1"):
+        sm.occupation(ex1_model, ex1_policy, np.array([np.nan, 0, 0, 0, 0]))
 
 
 def test_evolution_residual_golden(ex1_model, ex1_policy):

@@ -194,6 +194,18 @@ def test_eval_csv(capsys, model_path, policy_path):
     assert any(line.startswith("green,b,c,0.2") for line in lines)
 
 
+def test_eval_nan_policy_mass_exits_2(capsys, tmp_path, model_path, policy_path):
+    """A NaN mass used to pass the row check and exit 4 with NotTransient."""
+    doc = json.loads(open(policy_path).read())
+    doc["policy"][0]["dist"] = {"u1": float("nan")}
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "eval", model_path, str(path))
+    assert code == 2
+    assert report["error"]["kind"] == "Invalid"
+    assert "policy row for state 'a' is not a distribution" in report["error"]["message"]
+
+
 def test_eval_non_transient_exits_4(capsys, loop_policy):
     mp, pp = loop_policy
     code, report = run_json(capsys, "eval", mp, pp)

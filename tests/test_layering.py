@@ -1,6 +1,6 @@
 """Module layering of the package: imports sit at module level and form no
-cycle, one loop sweeps for every fixed-point solver, and one lockstep loop
-draws every Monte Carlo batch."""
+cycle, one loop sweeps for every fixed-point solver, one lockstep loop
+draws every Monte Carlo batch, and one table holds the sampling rule."""
 import ast
 from pathlib import Path
 
@@ -74,15 +74,35 @@ def test_one_sweep_loop():
     assert len(loops) == 1, loops
 
 
-def test_one_philox_pass():
-    """Monte Carlo steps in lockstep in one loop: the package calls
-    ``_philox_blocks`` from exactly one place."""
-    calls = [
+def _call_sites(name: str) -> list[str]:
+    """Every call of a function or method ``name`` in the package."""
+    return [
         f"{module}:{node.lineno}"
         for module in MODULES
         for node in ast.walk(_tree(module))
         if isinstance(node, ast.Call)
-        and "_philox_blocks"
-        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
+
+
+def test_one_philox_pass():
+    """Monte Carlo steps in lockstep in one loop: the package calls
+    ``_philox_blocks`` from exactly one place."""
+    calls = _call_sites("_philox_blocks")
     assert len(calls) == 1, calls
+
+
+def test_one_sampling_table():
+    """The sampling rule is built once and searched one by one in one place:
+    ``_support_table`` and ``bisect_right`` each have one call site, and no
+    module imports ``accumulate`` to build running sums of its own."""
+    assert len(_call_sites("_support_table")) == 1, _call_sites("_support_table")
+    assert len(_call_sites("bisect_right")) == 1, _call_sites("bisect_right")
+    imports = [
+        f"{module}:{node.lineno}"
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(alias.name.split(".")[-1] == "accumulate" for alias in node.names)
+    ]
+    assert not imports, imports

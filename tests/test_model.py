@@ -389,6 +389,15 @@ def test_make_policy_shape_and_rows(ex1_model):
         sm.make_policy(ex1_model, bad)
 
 
+@pytest.mark.parametrize("row", [[np.nan, 0.0], [np.nan, 1.0], [np.inf, -np.inf]])
+def test_make_policy_rejects_nan_mass(ex1_model, row):
+    """A NaN row sum used to pass the ``abs(sum - 1) > tol`` test."""
+    matrix = np.tile([1.0, 0.0], (5, 1))
+    matrix[0] = row
+    with pytest.raises(sm.PolicyError, match="policy row for state 'a' is not a distribution"):
+        sm.make_policy(ex1_model, matrix)
+
+
 def test_policy_round_trip(ex1_model, ex1_policy):
     text = sm.serialize_policy(ex1_model, ex1_policy)
     again = sm.load_policy(text, ex1_model)

@@ -130,17 +130,49 @@ def test_philox_block_matches_numpy_streams(seed):
             assert np.array_equal(got[:, col].view(np.uint64), want)
 
 
+def reference_walker(model, policy):
+    """The sampling rule over the model's full rows, one trajectory at a time.
+
+    The returned ``walk(start, rng, max_steps)`` takes step t on draws 2t
+    and 2t + 1 of ``rng``: the action is the first whose running policy
+    sum exceeds the first draw, the successor the first whose running
+    transition sum exceeds the second, each clamped to the last column.
+    It returns the states, actions and rewards as indices and floats, and
+    "forbidden", "target" or "truncated".
+    """
+    h, nu = model.n_taboo, model.n_forbidden
+    act = [list(itertools.accumulate(row)) for row in policy.matrix.tolist()]
+    succ = [[list(itertools.accumulate(r)) for r in rows] for rows in model.transitions.tolist()]
+    rho = model.rewards.tolist()
+
+    def walk(start, rng, max_steps):
+        states, actions, rewards = [start], [], []
+        i = start
+        while i < h and len(actions) < max_steps:
+            x, y = rng.random(2).tolist()
+            u = min(bisect_right(act[i], x), model.n_actions - 1)
+            j = min(bisect_right(succ[i][u], y), model.n_states - 1)
+            states.append(j)
+            actions.append(u)
+            rewards.append(rho[u][i])
+            i = j
+        outcome = "truncated" if i < h else "forbidden" if i < h + nu else "target"
+        return states, actions, rewards, outcome
+
+    return walk
+
+
 def _per_trajectory_mc(model, policy, start, n, seed, max_steps=10**5):
     """mc_estimates as documented: trajectory k walks ``_stream(seed, k)`` alone.
 
     Returns the report and the longest number of steps any trajectory took.
     """
-    walker = simulate_module._Walker(model, policy)
+    walk = reference_walker(model, policy)
     i0 = model.state_index(start)
     hit_u, totals, longest = [], [], 0
     for k in range(n):
         rng = simulate_module._stream(seed, k)
-        _, actions, rewards, outcome = walker.run(i0, rng, max_steps)
+        _, actions, rewards, outcome = walk(i0, rng, max_steps)
         longest = max(longest, len(actions))
         if outcome == "truncated":
             continue
@@ -300,16 +332,16 @@ def test_mc_estimates_invariant_under_chunk_and_batch(chunk, batch, monkeypatch)
     """
     model, pol, start = corridor_case()
     walks = []
-    run = simulate_module._Walker.run
+    walk = simulate_module._Lanes.walk
 
     def counted(self, *args):
         walks.append(args)
-        return run(self, *args)
+        return walk(self, *args)
 
     want, _ = _per_trajectory_mc(model, pol, start, 200, 5)
     monkeypatch.setattr(simulate_module, "MC_CHUNK", chunk)
     monkeypatch.setattr(simulate_module, "MC_BATCH", batch)
-    monkeypatch.setattr(simulate_module._Walker, "run", counted)
+    monkeypatch.setattr(simulate_module._Lanes, "walk", counted)
     assert repr(sm.mc_estimates(model, pol, start, 200, 5)) == repr(want)
     if batch == 1:
         assert walks == []
@@ -345,6 +377,92 @@ def test_lockstep_draw_schedule(chunk, monkeypatch):
         assert nxt_count <= min(2 * count, batch)
         assert batch <= nxt_lanes <= lanes
     assert max(count for _, count, _ in calls) == batch
+
+
+@pytest.mark.parametrize("max_steps", MAX_STEPS_CASES)
+def test_simulate_equals_reference_walk(ex1_model, ex1_policy, max_steps):
+    """``simulate`` walks the ``_support_table`` rows as the rule walks the full rows."""
+    rng = np.random.default_rng(31)
+    cases = [(ex1_model, ex1_policy, start) for start in ex1_model.states]
+    for _ in range(12):
+        model = random_model_small(rng)
+        cases.append((model, random_policy(rng, model), int(rng.integers(model.n_states))))
+    cases.append(corridor_case())
+    longest = 0
+    for model, pol, start in cases:
+        walk = reference_walker(model, pol)
+        for seed in range(8):
+            got = sm.simulate(model, pol, start, seed, max_steps)
+            i0 = model.state_index(start)
+            states, actions, rewards, outcome = walk(
+                i0, simulate_module._stream(seed, 0), max_steps
+            )
+            assert got.states == tuple(model.states[i] for i in states)
+            assert got.actions == tuple(model.actions[u] for u in actions)
+            assert got.rewards == tuple(rewards)
+            assert got.absorbed_in == outcome
+            longest = max(longest, len(actions))
+    # Some walk is cut at the cap or runs past two blocks of 16 draws.
+    assert min(max_steps, 17) <= longest <= max_steps
+
+
+class _StubRng:
+    """Hands out the given draws in order, as ``Generator.random`` would."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self, size):
+        head, self.draws = self.draws[:size], self.draws[size:]
+        return np.array(head)
+
+
+def test_walk_row_short_of_one_takes_last_action():
+    """A draw equal to a running sum passes it; one above the row's sum
+    picks the last action, zero mass and all."""
+    doc = json.loads(GEOMETRIC_DOC)
+    doc["actions"] = ["a0", "a1", "a2"]
+    doc["transitions"] += [
+        {"from": "h0", "action": "a1", "to": "h0", "p": 0.5},
+        {"from": "h0", "action": "a1", "to": "e0", "p": 0.5},
+        {"from": "h0", "action": "a2", "to": "e0", "p": 1.0},
+        {"from": "e0", "action": "a1", "to": "e0", "p": 1.0},
+        {"from": "e0", "action": "a2", "to": "e0", "p": 1.0},
+    ]
+    doc["rewards"] += [
+        {"state": "h0", "action": "a1", "rho": 2.0},
+        {"state": "h0", "action": "a2", "rho": 5.0},
+    ]
+    model = sm.load_model(json.dumps(doc))
+    short = 1.0 - 2.0**-45
+    pol = sm.make_policy(model, np.array([[0.25, 0.75 - 2.0**-45, 0.0], [1, 0, 0]]))
+    assert pol.matrix[0].sum() == short
+    # Step 1 draws the sum of a0 and takes a1, back to h0; step 2 draws
+    # above the row's sum.
+    draws = [0.25, 0.25, (1.0 + short) / 2, 0.0] + [0.0] * 12
+    lanes = simulate_module._Lanes(model, pol)
+    assert lanes.walk(0, _StubRng(draws), 10) == ([0, 0, 1], [1, 2])
+    want = ([0, 0, 1], [1, 2], [2.0, 5.0], "target")
+    assert reference_walker(model, pol)(0, _StubRng(draws), 10) == want
+
+
+@pytest.mark.parametrize("max_steps", [0, -3, 2.5, 3.0, True, "3", None])
+def test_max_steps_must_be_a_positive_integer(ex1_model, ex1_policy, max_steps):
+    """2.5 used to raise TypeError, and -3 to give truncated results."""
+    with pytest.raises(ValueError, match="max_steps must be a positive integer"):
+        sm.mc_estimates(ex1_model, ex1_policy, "b", 10, 0, max_steps)
+    with pytest.raises(ValueError, match="max_steps must be a positive integer"):
+        sm.simulate(ex1_model, ex1_policy, "b", 0, max_steps)
+
+
+def test_max_steps_accepts_numpy_integer(ex1_model, ex1_policy):
+    steps = np.int64(3)
+    assert sm.simulate(ex1_model, ex1_policy, "c", 7, steps) == sm.simulate(
+        ex1_model, ex1_policy, "c", 7, 3
+    )
+    assert sm.mc_estimates(ex1_model, ex1_policy, "c", 50, 7, steps) == sm.mc_estimates(
+        ex1_model, ex1_policy, "c", 50, 7, 3
+    )
 
 
 def test_support_table_search_is_bisect_with_clamp():
