@@ -100,7 +100,35 @@ def _policy_doc(model: MdpModel, policy: Policy) -> dict:
 
 def _emit(report: dict, started: float) -> None:
     report["timings"] = {"total_seconds": time.perf_counter() - started}
-    print(json.dumps(_round_floats(report), sort_keys=True, indent=2))
+    print(_indented(_round_floats(report)))
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` on a line that ``pad`` starts.
+
+    ``indent`` selects the pure-Python encoder.  Here the C encoder writes
+    every dict or list that holds no container, with the next line's
+    indent in its item separator, and only the levels above are joined
+    by hand.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        if any(isinstance(v, _CONTAINERS) for _, v in items):
+            # The key as the encoder writes it, a number or bool key included.
+            body = (inner + json.dumps({k: 0})[1:-4] + ": " + _indented(v, inner)
+                    for k, v in items)
+            return "{" + ",".join(body) + pad + "}"
+    elif isinstance(obj, (list, tuple)):
+        if any(isinstance(v, _CONTAINERS) for v in obj):
+            return "[" + ",".join(inner + _indented(v, inner) for v in obj) + pad + "]"
+    else:
+        return json.dumps(obj)
+    text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+    return text[0] + inner + text[1:-1] + pad + text[-1] if obj else text
 
 
 def _error_report(report: dict, started: float, kind: str, message: str, code: int) -> int:

@@ -25,6 +25,25 @@ Labels are JSON strings or numbers; probabilities, costs and policy masses
 are JSON numbers.  ``load_model`` touches each entry once and reports the
 first defect in document order; ``serialize_model`` writes the
 ``json.dumps(indent=2)`` layout byte for byte without building the dicts.
+
+Two parse paths share one build step (``_build``).  ``json.loads`` is the
+reference.  Where the optional ``orjson`` package is installed,
+``load_model`` parses with it first and keeps that model only where the
+reference would give the same one; any other text, including every text
+that orjson or the build rejects, is parsed again by ``json.loads``, so
+each error is the reference's.  orjson is trusted where:
+
+- the text holds at most ``ORJSON_MAX_BRACKETS`` brackets, so it nests no
+  deeper than that; orjson 3.8.3 has no depth limit and overflows an
+  8 MB stack at about 52,000 nested objects, where ``json.loads`` raises
+  RecursionError;
+- it holds at most nine containers besides the transition and reward
+  entries, so nothing the build skips nests deep enough for
+  ``json.loads`` to hit the recursion limit;
+- no label is a float or the int -2**63.  orjson reads an integer literal
+  outside [-2**63, 2**64) as the nearest float, which can only equal a
+  float label or -2**63.  Such a float in ``p`` or ``rho`` is
+  ``float(int)`` on both paths, as both round correctly.
 """
 
 from __future__ import annotations
@@ -37,8 +56,19 @@ import numpy as np
 
 from .exceptions import ModelFormatError, ModelValidationError, PolicyError
 
+try:  # an optional accelerator, not a dependency
+    import orjson
+except ImportError:
+    orjson = None
+
 ROW_SUM_TOL = 1e-12
 SIMPLEX_TOL = 1e-12
+# The most "{" and "[" characters in a text that orjson may parse.  Each
+# nested object takes it about 160 bytes of C stack, so 2**15 levels fit
+# in an 8 MB stack with room to spare.
+ORJSON_MAX_BRACKETS = 1 << 15
+# The only int that an integer literal below -2**63 can round to.
+_INT64_MIN = -(1 << 63)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -370,10 +400,44 @@ def load_model(text: str) -> MdpModel:
         When the parsed model violates an invariant; carries the full
         violation list.
     """
+    if orjson is not None and isinstance(text, str):
+        model = _load_orjson(text)
+        if model is not None:
+            return model
+    return _build(_parse(text))
+
+
+def _parse(text):
+    """``json.loads(text)``, with a ValueError as a ModelFormatError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:  # also an integer beyond int_max_str_digits
         raise ModelFormatError(f"not valid JSON: {exc}") from None
+
+
+def _load_orjson(text: str) -> MdpModel | None:
+    """The model built from orjson's parse where it is ``json.loads``' model, else None.
+
+    The module docstring gives the rules; None sends the text through
+    ``json.loads``, which then gives the model or the error.
+    """
+    brackets = text.count("{") + text.count("[")
+    if brackets > ORJSON_MAX_BRACKETS:
+        return None
+    try:
+        doc = orjson.loads(text)
+        model = _build(doc)
+    except Exception:  # noqa: BLE001 - the reference path gives every error
+        return None
+    entries = len(doc.get("transitions", ())) + len(doc.get("rewards", ()))
+    labels = model.states + model.actions
+    if brackets > entries + 9 or _INT64_MIN in labels or float in set(map(type, labels)):
+        return None
+    return model
+
+
+def _build(doc) -> MdpModel:
+    """The model of a parsed document; ``load_model`` less the parse."""
     if not isinstance(doc, dict):
         raise ModelFormatError("top-level document must be an object")
 
@@ -569,10 +633,7 @@ def load_policy(text: str, model: MdpModel) -> Policy:
     A ``dist`` key names the action whose label JSON writes as that key, so
     the action labelled 2 is keyed ``"2"``; a key two labels share is an error.
     """
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also an integer beyond int_max_str_digits
-        raise ModelFormatError(f"not valid JSON: {exc}") from None
+    doc = _parse(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("policy"), list):
         raise ModelFormatError("policy document must contain a 'policy' list")
     action_at = _text_index(model.actions, _key_text)

@@ -111,10 +111,8 @@ class PathBounds:
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
-    if not 0 <= seed < 2**64:
+    if not 0 <= _check_count(seed, "seed") < 2**64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    if not float(seed).is_integer():
-        raise ValueError(f"seed must be an integer, got {seed}")
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -305,12 +303,22 @@ class _Lanes:
 
         Entry ``n_states + row`` stands for the (state, action) row ``row``:
         the columns of a state's search row name (state, action) rows, and
-        those of a (state, action) row's name states.
+        those of a (state, action) row's name states.  Each row is cut after
+        its first +inf, which is above every draw.  Absorbing states and
+        their rows, which ``walk`` never searches, have None.
         """
-        n = len(self.act_cum)
-        col = (self.act_row + n).reshape(n, -1).tolist()
-        col += self.succ.reshape(len(self.succ_cum), -1).tolist()
-        return self.act_cum.tolist() + self.succ_cum.tolist(), col
+        h, n = self.h, len(self.act_cum)
+        m = len(self.succ_cum) // n
+        cum, col = [None] * (n + n * m), [None] * (n + n * m)
+        tables = (
+            (0, self.act_cum[:h], self.act_row.reshape(n, -1)[:h] + n),
+            (n, self.succ_cum[: h * m], self.succ.reshape(n * m, -1)[: h * m]),
+        )
+        for first, rows, cols in tables:
+            ends = ((rows < np.inf).sum(axis=1) + 1).tolist()
+            for node, (row, to, end) in enumerate(zip(rows, cols, ends), first):
+                cum[node], col[node] = row[:end].tolist(), to[:end].tolist()
+        return cum, col
 
     def walk(self, start: int, rng: np.random.Generator, max_steps: int):
         """One trajectory from ``start``, taking step t on ``rng``'s draws 2t and 2t + 1.
@@ -333,12 +341,17 @@ class _Lanes:
         return path[::2], [row - n for row in path[1::2]]
 
 
-def _check_steps(max_steps) -> int:
-    """``max_steps`` as an int; ValueError unless it is a positive integer."""
-    integral = isinstance(max_steps, numbers.Integral) and not isinstance(max_steps, bool)
-    if not (integral and max_steps >= 1):
-        raise ValueError(f"max_steps must be a positive integer, got {max_steps!r}")
-    return int(max_steps)
+def _check_count(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int; ValueError unless it is an integer, not a bool, of at least ``least``.
+
+    Every count and seed argument goes through it, so all of them reject
+    the same inputs: bools, floats (3.0 and NaN too), strings and None.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (least is not None and value < least)):
+        kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[least]
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def simulate(
@@ -353,9 +366,10 @@ def simulate(
     Deterministic given ``seed`` (the trajectory uses stream index 0).
     A start already in a forbidden or target state returns immediately
     with no transitions.  A seed other than an integer in [0, 2^64), or a
-    ``max_steps`` other than a positive integer, raises ValueError.
+    ``max_steps`` other than a positive integer, raises ValueError; a bool
+    or a float is not an integer here.
     """
-    max_steps = _check_steps(max_steps)
+    max_steps = _check_count(max_steps, "max_steps", 1)
     i = model.state_index(start)
     lanes = _Lanes(model, policy)
     states, rows = lanes.walk(i, _stream(seed, 0), max_steps)
@@ -391,12 +405,12 @@ def mc_estimates(
 
     Truncated trajectories are excluded from the means but counted.
     Standard errors are sample standard deviations (ddof=1) over root n.
-    A non-integral seed or ``n``, a seed outside [0, 2^64), n < 1 or a
-    ``max_steps`` other than a positive integer raises ValueError.
+    A seed other than an integer in [0, 2^64), or an ``n`` or ``max_steps``
+    other than a positive integer, raises ValueError; a bool or a float is
+    not an integer here.
     """
-    if not (n >= 1 and float(n).is_integer()):
-        raise ValueError(f"trajectory count must be a positive integer, got {n}")
-    n, max_steps = int(n), _check_steps(max_steps)
+    n = _check_count(n, "trajectory count", 1)
+    max_steps = _check_count(max_steps, "max_steps", 1)
     i0 = model.state_index(start)
     lanes = _Lanes(model, policy)
     h, nu = model.n_taboo, model.n_forbidden
@@ -487,12 +501,14 @@ def exhaustive_paths(
     so paths are never merged by state.  ``nodes`` counts every taboo
     node, the cutoff leaves included.  The budget is checked before a
     level is built, so ``PathExplosionError`` comes before the memory
-    for more than ``node_budget`` nodes is taken.
+    for more than ``node_budget`` nodes is taken.  A ``depth`` other than an
+    integer in [0, ``MAX_DEPTH``], or a ``node_budget`` other than a
+    nonnegative integer, raises ValueError; a bool or a float is not an
+    integer here.
     """
-    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral):
-        raise ValueError(f"depth must be an integer, got {depth!r}")
-    if not 0 <= depth <= MAX_DEPTH:
+    if not 0 <= _check_count(depth, "depth") <= MAX_DEPTH:
         raise ValueError(f"depth must lie in [0, {MAX_DEPTH}]")
+    node_budget = _check_count(node_budget, "node_budget", 0)
     i0 = model.state_index(start)
     h, nu = model.n_taboo, model.n_forbidden
     _check_shape(model, policy)

@@ -6,11 +6,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import safemdp as sm
 from corpus import relabeled
 from safemdp import evaluate
-from safemdp.cli import main
+from safemdp.cli import _indented, main
 
 
 def run(capsys, *argv):
@@ -596,6 +598,36 @@ def test_report_matches_snapshot(capsys, data_dir, model_path, policy_path,
         assert out == want
     else:
         assert without_timings_and_paths(out) == without_timings_and_paths(want)
+
+
+JSON_REPORTS = [r for r in REPORTS if r[0].endswith(".json")]
+
+
+@pytest.mark.parametrize("name,exit_code,argv", JSON_REPORTS, ids=[r[0] for r in JSON_REPORTS])
+def test_report_layout_is_the_encoders(capsys, data_dir, model_path, policy_path,
+                                       name, exit_code, argv):
+    """Each report prints, byte for byte, as ``json.dumps(indent=2)`` writes it."""
+    paths = {"MODEL": model_path, "POLICY": policy_path}
+    _, out = run(capsys, *[paths.get(arg, arg) for arg in argv])
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    want = json.loads((data_dir / "cli_reports" / name).read_text())
+    assert _indented(want) == json.dumps(want, sort_keys=True, indent=2)
+
+
+JSON_LEAVES = (st.text() | st.integers() | st.floats(allow_nan=False) | st.booleans()
+               | st.none())
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=2)),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(tree=JSON_TREES)
+def test_indented_matches_encoder(tree):
+    assert _indented(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
 def test_console_entry_point(model_path):

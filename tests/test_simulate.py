@@ -455,6 +455,45 @@ def test_max_steps_must_be_a_positive_integer(ex1_model, ex1_policy, max_steps):
         sm.simulate(ex1_model, ex1_policy, "b", 0, max_steps)
 
 
+def test_walk_rows_end_at_first_inf_and_skip_absorbing_states():
+    """Each list row stops at its first +inf; absorbing states and their rows are None."""
+    rng = np.random.default_rng(23)
+    model = random_model_small(rng)
+    lanes = simulate_module._Lanes(model, random_policy(rng, model))
+    cum, col = lanes._walk_rows
+    h, n, m = model.n_taboo, model.n_states, model.n_actions
+    searched = list(range(h)) + list(range(n, n + h * m))
+    assert [node for node, row in enumerate(cum) if row is not None] == searched
+    assert [node for node, row in enumerate(col) if row is not None] == searched
+    for node in searched:
+        assert len(col[node]) == len(cum[node])
+        assert cum[node][-1] == np.inf and np.isfinite(cum[node][:-1]).all()
+
+
+@pytest.mark.parametrize("seed", [True, False, 3.0, np.float64(3.0), "3", None])
+def test_seed_must_be_an_integer_not_bool_or_float(ex1_model, ex1_policy, seed):
+    """``True`` and 3.0 used to pass as seeds 1 and 3."""
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sm.simulate(ex1_model, ex1_policy, "b", seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sm.mc_estimates(ex1_model, ex1_policy, "b", n=10, seed=seed)
+
+
+@pytest.mark.parametrize("n", [True, False, 400.0, np.float64(10.0), float("nan"), "3", None])
+def test_mc_trajectory_count_must_be_an_integer(ex1_model, ex1_policy, n):
+    """``True`` used to run one trajectory and 400.0 to run 400."""
+    with pytest.raises(ValueError, match="trajectory count must be a positive integer"):
+        sm.mc_estimates(ex1_model, ex1_policy, "b", n, 0)
+
+
+def test_seed_and_count_accept_numpy_integers(ex1_model, ex1_policy):
+    want = sm.mc_estimates(ex1_model, ex1_policy, "b", 50, 7)
+    assert sm.mc_estimates(ex1_model, ex1_policy, "b", np.int64(50), np.uint64(7)) == want
+    assert sm.simulate(ex1_model, ex1_policy, "b", np.uint64(7)) == sm.simulate(
+        ex1_model, ex1_policy, "b", 7
+    )
+
+
 def test_max_steps_accepts_numpy_integer(ex1_model, ex1_policy):
     steps = np.int64(3)
     assert sm.simulate(ex1_model, ex1_policy, "c", 7, steps) == sm.simulate(
@@ -615,6 +654,22 @@ def test_exhaustive_paths_node_budget():
         sm.exhaustive_paths(
             model, pol, model.partition.taboo[0], depth=30, node_budget=10_000
         )
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -5, -1, True, False, 10.0, 2.5, "9", None])
+def test_exhaustive_paths_node_budget_must_be_a_nonnegative_integer(
+        ex1_model, ex1_policy, budget):
+    """NaN used to switch the memory guard off, and -5 to raise PathExplosionError."""
+    with pytest.raises(ValueError, match="node_budget must be a nonnegative integer"):
+        sm.exhaustive_paths(ex1_model, ex1_policy, "b", depth=3, node_budget=budget)
+
+
+def test_exhaustive_paths_node_budget_zero_and_numpy(ex1_model, ex1_policy):
+    with pytest.raises(sm.PathExplosionError, match="exceeded 0 nodes at depth 0"):
+        sm.exhaustive_paths(ex1_model, ex1_policy, "b", depth=3, node_budget=0)
+    want = sm.exhaustive_paths(ex1_model, ex1_policy, "b", depth=3)
+    assert sm.exhaustive_paths(ex1_model, ex1_policy, "b", depth=3,
+                               node_budget=np.int64(want.nodes)) == want
 
 
 def test_exhaustive_paths_depth_cap(ex1_model, ex1_policy):
