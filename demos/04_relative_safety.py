@@ -83,16 +83,15 @@ def main():
     model = sm.load_model(json.dumps(MODEL))
     q = 2.0
     print(f"per-state admissible mixes at q = {q}:")
-    for vs in sm.relative_admissible(model, q):
-        state = model.states[vs.state]
+    vs = sm.relative_admissible(model, q)
+    for state, rows, valid, pure in zip(model.states, vs.weights, vs.valid, vs.pure_count):
         labels = []
-        for vertex in vs.vertices:
+        for vertex in rows[valid]:
             terms = [
                 f"{model.actions[u]}: {w:.4g}" for u, w in enumerate(vertex) if w > 0
             ]
             labels.append("(" + ", ".join(terms) + ")")
-        print(f"  {state}: {len(vs.vertices)} vertices, {vs.pure_count} pure "
-              + " ".join(labels))
+        print(f"  {state}: {valid.sum()} vertices, {pure} pure " + " ".join(labels))
     print("  at state a only u1 passes; the boundary mix leans 8/15 toward u2")
 
     rep = sm.relative_vi(model, q)

@@ -14,13 +14,13 @@ until the change between sweeps is small, for value iteration,
 ``constrained_vi_pure``, ``relative_vi`` and the iterative evaluators.
 ``_improve``, Howard's policy iteration from a proper policy, solves
 each choice exactly, one ``_round`` at a time; it serves
-``safest_policy`` and ``dual_inner``, and finishes ``relative_vi`` from
-its sweeps' greedy choice (or from the witness where that choice never
-leaves H).  Value iteration also stops its sweeps at the first
+``safest_policy`` and ``dual_inner``.  ``_settle`` ends the sweeps of
+``value_iteration`` and ``relative_vi`` one way: at the first
 checkpoint (sweep CERTIFY_FROM, then doubling up to CERTIFY_GAP apart)
 where the greedy choice is proper and one ``_round`` from it switches
-no state: the modified-policy-iteration certificate (Puterman 1994,
-6.5-6.6).  Where no checkpoint passes, it finishes like ``relative_vi``.
+no state, the modified-policy-iteration certificate (Puterman 1994,
+6.5-6.6), or else at the change rule, followed by ``_improve`` from the
+greedy choice (or from the witness where that choice never leaves H).
 Either way the value is the exact value of the proper policy returned,
 and exceeds the best proper policy's by at most ``tol * max(1, |v|)``
 per expected visit under that policy (README, Numerical notes).
@@ -215,53 +215,29 @@ def _improve(
     raise MaxIterationsError(f"no policy is stable within {max_iter} rounds", last=v)
 
 
-def _finish(
-    stage: np.ndarray, Q: np.ndarray, greedy: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_improve`` from a sweep's greedy choice, or from the witness over the
-    finite candidates where the first exact solve finds that choice improper.
+def _settle(
+    stage: np.ndarray,
+    Q: np.ndarray,
+    v0: np.ndarray,
+    tol: float,
+    max_iter: int,
+    history: list | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Value iteration on ``stage`` (h, k), ``Q`` (h, k, h) to a proper policy.
 
-    Later rounds cannot raise NotTransientError: a switch above the
-    threshold keeps a proper choice proper (README, Numerical notes).
+    Runs ``_sweep`` from ``v0`` and stops at the first checkpoint
+    (CERTIFY_FROM, then doubling up to CERTIFY_GAP apart) where the
+    greedy choice passes the certificate of modified policy iteration
+    (Puterman 1994, 6.5-6.6): it is proper and one ``_round`` from it
+    switches no state; that round's values and choice are returned.
+    Where the change rule stops the sweeps first, ``_improve`` runs from
+    their greedy choice, or from the witness over the finite candidates
+    where the first exact solve finds that choice improper; a switch
+    above the threshold keeps a proper choice proper (README, Numerical
+    notes).  Returns the exact values of the proper choice, the choice
+    and the sweeps run; ``tol`` is both the change rule and the
+    improvement threshold, ``max_iter`` caps the sweeps and the rounds.
     """
-    try:
-        return _improve(stage, Q, greedy, tol, max_iter)
-    except NotTransientError:
-        return _improve(stage, Q, _witness(Q, np.isfinite(stage)), tol, max_iter)
-
-
-def value_iteration(
-    model: MdpModel,
-    v0: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    keep_history: bool = False,
-) -> BellmanResult:
-    """Value iteration for the minimal expected cost until absorption.
-
-    Starts from ``v0`` (zeros by default; must be nonnegative) and sweeps
-    the Bellman operator until the sup-norm change drops to ``tol``, or
-    until the certificate passes: at a checkpoint (sweep CERTIFY_FROM,
-    then doubling up to CERTIFY_GAP apart), the greedy choice is proper
-    and one policy-iteration round from it (``_round``, ``tol`` its
-    threshold) switches no state.
-    ``history`` and ``iterations`` are the sweeps run.  Where the change
-    rule stopped them, ``_improve`` (``max_iter`` its cap on exact
-    solves) runs from the greedy choice, or from the witness where that
-    choice never leaves H.  Either way the returned policy is proper and
-    ``value`` its exact value.  At the exact value of the policy the last
-    round solved, no state's best candidate beats it by more than
-    eps = ``tol * max(1, |v|)``, so that value exceeds the best proper
-    policy's by at most G eps, G the best policy's expected visits; a
-    lowest-index greedy choice returned in its place has no higher
-    value.  States that no policy leads out of H raise NotTransientError
-    before any sweep.
-    """
-    h = model.n_taboo
-    v0 = np.zeros(h) if v0 is None else np.asarray(v0, dtype=float)
-    if (v0 < 0).any():
-        raise ValueError("starting values must be nonnegative")
-    stage, PH = model.stage_costs, model.taboo_block
     exact = None
 
     def certify(rows: np.ndarray, flat: np.ndarray, greedy: np.ndarray) -> bool:
@@ -274,9 +250,42 @@ def value_iteration(
             exact = v, choice
         return stable
 
+    _, greedy, sweeps = _sweep(stage, Q, v0, tol, max_iter, history, certify)
+    if exact is None:
+        try:
+            exact = _improve(stage, Q, greedy, tol, max_iter)
+        except NotTransientError:
+            exact = _improve(stage, Q, _witness(Q, np.isfinite(stage)), tol, max_iter)
+    return *exact, sweeps
+
+
+def value_iteration(
+    model: MdpModel,
+    v0: np.ndarray | None = None,
+    tol: float = 1e-10,
+    max_iter: int = 100_000,
+    keep_history: bool = False,
+) -> BellmanResult:
+    """Value iteration for the minimal expected cost until absorption.
+
+    Starts from ``v0`` (zeros by default; must be nonnegative) and runs
+    ``_settle``: the sweeps stop at the certificate or where the
+    sup-norm change drops to ``tol``, and end at the exact value of a
+    proper policy.  ``history`` and ``iterations`` are the sweeps run.
+    At the exact value of the policy the last round solved, no state's
+    best candidate beats it by more than eps = ``tol * max(1, |v|)``, so
+    that value exceeds the best proper policy's by at most G eps, G the
+    best policy's expected visits; a lowest-index greedy choice returned
+    in its place has no higher value.  States that no policy leads out
+    of H raise NotTransientError before any sweep.
+    """
+    h = model.n_taboo
+    v0 = np.zeros(h) if v0 is None else np.asarray(v0, dtype=float)
+    if (v0 < 0).any():
+        raise ValueError("starting values must be nonnegative")
+    stage, PH = model.stage_costs, model.taboo_block
     history = [v0.copy()] if keep_history else None
-    _, greedy, sweeps = _sweep(stage, PH, v0, tol, max_iter, history, certify)
-    v, choice = exact or _finish(stage, PH, greedy, tol, max_iter)
+    v, choice, sweeps = _settle(stage, PH, v0, tol, max_iter, history)
     totals = _bellman(*_candidate_major(stage, PH), v)
     residual = float(np.abs(totals.min(axis=0) - v).max(initial=0.0))
     return BellmanResult(v, _greedy_policy(model, choice), sweeps, residual, history or [])

@@ -36,14 +36,7 @@ from .exceptions import (
     PolicyError,
     SafeMdpError,
 )
-from .model import (
-    MdpModel,
-    Policy,
-    _text_index,
-    load_model,
-    load_policy,
-    validate_model,
-)
+from .model import MdpModel, Policy, _key_text, _text_index, load_model, load_policy
 from .simulate import mc_estimates
 
 EXIT_OK = 0
@@ -78,12 +71,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+# Reports key a label by the text JSON writes for it as an object key
+# (``_key_text``), the text a policy document's ``dist`` keys and
+# ``--start`` are matched against: the state labelled true is "true".
 def _labeled(model: MdpModel, vec) -> dict:
-    return dict(zip(map(str, model.states), np.asarray(vec, float).tolist()))
+    return dict(zip(map(_key_text, model.states), np.asarray(vec, float).tolist()))
 
 
 def _labeled_matrix(model: MdpModel, mat) -> dict:
-    labels = list(map(str, model.states))
+    labels = list(map(_key_text, model.states))
     return {
         labels[i]: dict(zip(labels, row))
         for i, row in enumerate(np.asarray(mat, float).tolist())
@@ -91,9 +87,9 @@ def _labeled_matrix(model: MdpModel, mat) -> dict:
 
 
 def _policy_doc(model: MdpModel, policy: Policy) -> dict:
-    actions = list(map(str, model.actions))
+    actions = list(map(_key_text, model.actions))
     return {
-        str(s): {a: x for a, x in zip(actions, row) if x != 0.0}
+        _key_text(s): {a: x for a, x in zip(actions, row) if x != 0.0}
         for s, row in zip(model.states, policy.matrix[: model.n_taboo].tolist())
     }
 
@@ -141,18 +137,14 @@ def cmd_validate(args, report: dict, started: float) -> int:
     report["inputs"] = {"model": _digest(args.model)}
     try:
         model = load_model(_read(args.model))
-    except ModelValidationError as exc:
-        report["results"] = {"valid": False, "violations": exc.violations}
+    except (ModelFormatError, ModelValidationError) as exc:
+        violations = getattr(exc, "violations", [str(exc)])
+        report["results"] = {"valid": False, "violations": violations}
         _emit(report, started)
         return EXIT_INVALID
-    except ModelFormatError as exc:
-        report["results"] = {"valid": False, "violations": [str(exc)]}
-        _emit(report, started)
-        return EXIT_INVALID
-    violations = validate_model(model)
     report["results"] = {
-        "valid": not violations,
-        "violations": violations,
+        "valid": True,
+        "violations": [],
         "states": len(model.states),
         "taboo": model.n_taboo,
         "forbidden": model.n_forbidden,
@@ -160,7 +152,7 @@ def cmd_validate(args, report: dict, started: float) -> int:
         "actions": model.n_actions,
     }
     _emit(report, started)
-    return EXIT_OK if not violations else EXIT_INVALID
+    return EXIT_OK
 
 
 def _load_pair(args) -> tuple[MdpModel, Policy]:
@@ -287,17 +279,10 @@ def cmd_solve(args, report: dict, started: float) -> int:
         rep = constrained.dual_ascent(model, args.p, inner_tol=args.tol)
         if not rep.feasible:
             results.update(
-                feasible=False,
-                min_safety=_labeled(model, rep.info["min_safety"]),
-                p=args.p,
+                feasible=False, min_safety=_labeled(model, rep.info["min_safety"]), p=args.p
             )
             report["results"] = results
-            report["error"] = {
-                "kind": "Infeasible",
-                "message": f"no policy keeps safety within {args.p} everywhere",
-            }
-            _emit(report, started)
-            return EXIT_INFEASIBLE
+            raise InfeasibleError(f"no policy keeps safety within {args.p} everywhere")
         results.update(
             value=_labeled(model, rep.value),
             policy=_policy_doc(model, rep.policy),
@@ -443,7 +428,7 @@ def main(argv=None) -> int:
     except NotTransientError as exc:
         results = report.setdefault("results", {})
         results["spectral_radius"] = exc.spectral_radius
-        results["trapped"] = [str(args.loaded_model.states[i]) for i in exc.trapped]
+        results["trapped"] = [_key_text(args.loaded_model.states[i]) for i in exc.trapped]
         return _error_report(report, started, "NotTransient", str(exc), EXIT_NOT_TRANSIENT)
     except (InfeasibleError, LpUnboundedError) as exc:
         return _error_report(report, started, "Infeasible", str(exc), EXIT_INFEASIBLE)

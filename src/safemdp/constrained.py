@@ -12,7 +12,8 @@ bound on the probability of absorption in a forbidden state:
 
 A fifth solver handles the local one-step variant, where per-state action
 distributions are constrained by the ratio of forbidden-exit to
-target-exit mass.
+target-exit mass; ``relative_admissible`` holds the vertices of those
+per-state polytopes as one weight array, built without a Python loop.
 
 On multipliers: ``dual_inner`` evaluates the dual function exactly at
 any nonnegative per-state multiplier vector, but the bisection in
@@ -29,10 +30,10 @@ the rest of the package tests against.
 Shared machinery: every solver here reads the stage costs, taboo block
 and exit masses from the model view on :class:`~safemdp.model.MdpModel`;
 the dual inner problem runs the policy iteration of :mod:`safemdp.bellman`
-over the actions, ``constrained_vi_pure`` and ``relative_vi`` its sweep
-kernel over admissible actions and vertices, ``relative_vi`` then its
-policy iteration over the vertices; every exact policy evaluation
-goes through the evaluation core of :mod:`safemdp.evaluate`, whose
+over the actions, ``constrained_vi_pure`` its sweep kernel over the
+admissible actions, and ``relative_vi`` value iteration's sweeps and
+certificate (``bellman._settle``) over the vertices; every exact policy
+evaluation goes through the evaluation core of :mod:`safemdp.evaluate`, whose
 pure-policy kernel ``_pure_blocks`` ``_admissible_blocks`` filters; its
 streaming ``_admissible_scan`` serves ``brute_force_constrained`` and
 ``constrained_vi_pure``.
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bellman import _finish, _greedy_policy, _improve, _sweep, safest_policy
+from .bellman import _greedy_policy, _improve, _settle, _sweep, safest_policy
 from .evaluate import _exact, _pure_blocks, _witness
 from .exceptions import InfeasibleError
 from .model import MdpModel, Policy
@@ -474,118 +475,95 @@ def constrained_vi_pure(
 
 @dataclass(frozen=True)
 class RelativeVertexSet:
-    """Vertices of one state's admissible action-distribution polytope.
+    """Vertices of every taboo state's admissible action-distribution polytope.
 
-    Each vertex is a weight row over actions: the pure admissible
-    actions first (ascending index), then boundary mixtures of one
-    admissible and one violating action, ordered by that index pair.
+    ``weights`` (h, k, m) holds vertex c of state i as a weight row over
+    actions at ``weights[i, c]`` where ``valid[i, c]``, and zeros past
+    the state's vertices: the pure admissible actions first (ascending
+    index, ``pure_count[i]`` of them), then the boundary mixtures of one
+    strictly admissible and one strictly violating action, ordered by
+    that index pair.  k is the most vertices any state has; a state
+    with no valid row admits no distribution at level ``q``.
     """
 
-    state: int
-    vertices: tuple[np.ndarray, ...]
-    pure_count: int
-
-    @property
-    def feasible(self) -> bool:
-        return bool(self.vertices)
+    weights: np.ndarray
+    valid: np.ndarray
+    pure_count: np.ndarray
+    q: float
 
 
-def relative_admissible(model: MdpModel, q: float) -> list[RelativeVertexSet]:
-    """Per-state vertex description of {d : d.K <= q d.L}.
+def relative_admissible(model: MdpModel, q: float) -> RelativeVertexSet:
+    """Vertex description of {d : d.K <= q d.L} at every taboo state.
 
     The constraint is a half-space cut through the action simplex, so
-    every vertex is either an admissible pure action or the boundary
-    point on an edge between a strictly admissible and a strictly
-    violating action: weight x = g_v / (g_v - g_s) on the admissible
-    one, where g = K - qL.
+    every vertex is either an admissible pure action (g <= RELATIVE_TOL,
+    where g = K - qL) or the boundary point on an edge from an action s
+    with g_s < -RELATIVE_TOL to one v with g_v > RELATIVE_TOL: weight
+    x = g_v / (g_v - g_s) on s and 1 - x on v.  Built by array
+    operations: each state's admissible actions and (s, v) pairs, in
+    that order, fill its rows from the front.
     """
     _check_level(q, "q")
     if q < 0:
         raise ValueError("q must be nonnegative")
-    K, L = model.forbidden_exit, model.target_exit
-    out: list[RelativeVertexSet] = []
-    m = model.n_actions
-    for i in range(model.n_taboo):
-        g = K[i] - q * L[i]
-        vertices: list[np.ndarray] = []
-        pure = [u for u in range(m) if g[u] <= RELATIVE_TOL]
-        for u in pure:
-            row = np.zeros(m)
-            row[u] = 1.0
-            vertices.append(row)
-        for s in range(m):
-            if g[s] >= -RELATIVE_TOL:
-                continue
-            for vv in range(m):
-                if g[vv] <= RELATIVE_TOL:
-                    continue
-                x = g[vv] / (g[vv] - g[s])
-                row = np.zeros(m)
-                row[s] = x
-                row[vv] = 1.0 - x
-                vertices.append(row)
-        out.append(
-            RelativeVertexSet(state=i, vertices=tuple(vertices), pure_count=len(pure))
-        )
-    return out
+    g = model.forbidden_exit - q * model.target_exit
+    h, m = g.shape
+    pure = g <= RELATIVE_TOL
+    pair = (g < -RELATIVE_TOL)[:, :, None] & (g > RELATIVE_TOL)[:, None]
+    # Candidate u < m is pure action u, candidate m + s*m + v the pair (s, v);
+    # a valid candidate's row is the number of valid candidates before it.
+    candidates = np.concatenate([pure, pair.reshape(h, m * m)], axis=1)
+    row = np.cumsum(candidates, axis=1) - 1
+    count = candidates.sum(axis=1)
+    weights = np.zeros((h, count.max(), m))
+    i, u = np.nonzero(pure)
+    weights[i, row[i, u], u] = 1.0
+    i, s, v = np.nonzero(pair)
+    x = g[i, v] / (g[i, v] - g[i, s])
+    at = row[i, m + s * m + v]
+    weights[i, at, s] = x
+    weights[i, at, v] = 1.0 - x
+    valid = np.arange(count.max()) < count[:, None]
+    return RelativeVertexSet(weights, valid, pure.sum(axis=1), q)
 
 
 def relative_vi(
-    model: MdpModel,
-    q: float,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    model: MdpModel, q: float, tol: float = 1e-10, max_iter: int = 100_000
 ) -> ConstrainedSolveReport:
     """Bellman iteration with per-state minimization over admissible vertices.
 
     The per-state objective is linear in the action distribution, so the
     minimum over the cut simplex is attained at one of the vertices from
-    relative_admissible; ties resolve to the first vertex in that
+    ``relative_admissible``; ties resolve to the first vertex in that
     ordering.  Entirely local: each state's update reads only its own
-    vertex data and the current values of its successors.  The sweeps
-    end with ``bellman._improve`` over the vertices (``tol`` its
-    threshold) from their greedy choice, or from the witness where that
-    choice never leaves H, so ``value`` is the exact value of ``policy``.
+    vertex data and the current values of its successors.  Candidate c
+    of state i costs ``weights[i, c] @ stage_costs[i]`` (+inf where not
+    valid) and moves by ``weights[i, c] @ taboo_block[i]``; the sweeps
+    end as ``value_iteration``'s do (``bellman._settle``, ``tol`` its
+    change rule and improvement threshold), so ``value`` is the exact
+    value of ``policy``, whose row i is ``weights[i, chosen[i]]``.
     """
-    sets = relative_admissible(model, q)
-    for vs in sets:
-        if not vs.vertices:
-            raise InfeasibleError(
-                f"state '{model.states[vs.state]}' admits no action distribution "
-                f"at relative level q={q}"
-            )
-    h, m = model.n_taboo, model.n_actions
-    PH, stage_all = model.taboo_block, model.stage_costs
-    counts = [len(vs.vertices) for vs in sets]
-    kmax = max(counts)
-    stage = np.full((h, kmax), np.inf)
-    qrows = np.zeros((h, kmax, h))
-    for i, vs in enumerate(sets):
-        for k, d in enumerate(vs.vertices):
-            stage[i, k] = d @ stage_all[i]
-            qrows[i, k] = d @ PH[i]
-
-    _, greedy, sweep = _sweep(stage, qrows, np.zeros(h), tol, max_iter)
-    v, chosen = _finish(stage, qrows, greedy, tol, max_iter)
-
-    matrix = np.zeros((model.n_states, m))
-    for i, vs in enumerate(sets):
-        matrix[i] = vs.vertices[chosen[i]]
+    vs = relative_admissible(model, q)
+    empty = np.flatnonzero(~vs.valid.any(axis=1))
+    if empty.size:
+        raise InfeasibleError(
+            f"state '{model.states[empty[0]]}' admits no action distribution "
+            f"at relative level q={q}"
+        )
+    h = model.n_taboo
+    stage = np.where(vs.valid, np.einsum("ikm,im->ik", vs.weights, model.stage_costs), np.inf)
+    Q = vs.weights @ model.taboo_block
+    v, chosen, sweep = _settle(stage, Q, np.zeros(h), tol, max_iter)
+    matrix = np.zeros((model.n_states, model.n_actions))
+    matrix[:h] = vs.weights[np.arange(h), chosen]
     matrix[h:, 0] = 1.0
-    return ConstrainedSolveReport(
-        value=v,
-        policy=Policy(matrix=matrix),
-        multipliers=np.zeros(h),
-        method="relative-vi",
-        feasible=True,
-        gap=None,
-        info={
-            "sweeps": sweep,
-            "q": q,
-            "vertices_per_state": counts,
-            "chosen_vertex": [int(c) for c in chosen],
-        },
-    )
+    info = {
+        "sweeps": sweep,
+        "q": q,
+        "vertices_per_state": vs.valid.sum(axis=1).tolist(),
+        "chosen_vertex": chosen.tolist(),
+    }
+    return ConstrainedSolveReport(v, Policy(matrix), np.zeros(h), "relative-vi", True, None, info)
 
 
 def p_to_q(p):

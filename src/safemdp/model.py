@@ -35,8 +35,8 @@ each error is the reference's.  orjson is trusted where:
 
 - the text holds at most ``ORJSON_MAX_BRACKETS`` brackets, so it nests no
   deeper than that; orjson 3.8.3 has no depth limit and overflows an
-  8 MB stack at about 52,000 nested objects, where ``json.loads`` raises
-  RecursionError;
+  8 MB stack at about 52,000 nested objects, where ``json.loads`` gives
+  up with RecursionError;
 - it holds at most nine containers besides the transition and reward
   entries, so nothing the build skips nests deep enough for
   ``json.loads`` to hit the recursion limit;
@@ -44,13 +44,17 @@ each error is the reference's.  orjson is trusted where:
   outside [-2**63, 2**64) as the nearest float, which can only equal a
   float label or -2**63.  Such a float in ``p`` or ``rho`` is
   ``float(int)`` on both paths, as both round correctly.
+
+``load_model`` and ``load_policy`` raise ModelFormatError, not
+RecursionError, on a text nested past the interpreter's recursion limit
+and on a label too deep for ``repr`` to quote in an error message.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -144,12 +148,14 @@ class MdpModel:
         return len(self.partition.target)
 
     @cached_property
-    def _state_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.states)}
+    def _state_get(self):
+        """State label to canonical index under ``_getter``'s bool rule."""
+        return _getter({s: i for i, s in enumerate(self.states)})
 
     @cached_property
-    def _action_index(self) -> dict[str, int]:
-        return {u: k for k, u in enumerate(self.actions)}
+    def _action_get(self):
+        """Action label to index under ``_getter``'s bool rule."""
+        return _getter({u: k for k, u in enumerate(self.actions)})
 
     def state_index(self, state) -> int:
         """Map a state label, or else a position, to its canonical index.
@@ -157,11 +163,11 @@ class MdpModel:
         A known label resolves as that label, also when it is a number;
         any other integral, non-bool value is a position.
         """
-        return _lookup(self._state_index, self.n_states, state, "state")
+        return _lookup(self._state_get, self.n_states, state, "state")
 
     def action_index(self, action) -> int:
         """Map an action label, or else a position, to its index (as ``state_index``)."""
-        return _lookup(self._action_index, self.n_actions, action, "action")
+        return _lookup(self._action_get, self.n_actions, action, "action")
 
     # The model view, derived once and read-only so no caller corrupts it.
 
@@ -304,10 +310,11 @@ def _require_list(doc: dict, key: str, default=None):
     return val
 
 
-def _lookup(index: dict, n: int, key, kind: str) -> int:
-    """The index of label ``key``, or else ``key`` as a position below ``n``."""
-    if _known(index, key):
-        return index[key]
+def _lookup(get, n: int, key, kind: str) -> int:
+    """The index ``get`` finds for label ``key``, or else ``key`` as a position below ``n``."""
+    found = _find(get, key)
+    if found is not None:
+        return found
     if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
         raise KeyError(f"unknown {kind} label {key!r}")
     if not 0 <= key < n:
@@ -315,55 +322,57 @@ def _lookup(index: dict, n: int, key, kind: str) -> int:
     return int(key)
 
 
-def _known(labels, label) -> bool:
-    """Whether a dict or set of labels holds ``label``; a list or object never is.
-
-    A bool names only a bool label, and a number only a label that is not
-    a bool, though Python holds ``True == 1`` and ``False == 0``.
-    """
-    try:
-        found = label in labels
-    except TypeError:  # unhashable
-        return False
-    if found and label in (0, 1):
-        is_bool = isinstance(label, (bool, np.bool_))
-        return any(x == label and isinstance(x, (bool, np.bool_)) == is_bool for x in labels)
-    return found
-
-
 def _getter(index: dict):
-    """``index.get`` under ``_known``'s rule: a bool names only a bool label.
+    """``index.get`` under one rule: a bool names only a bool label, and a
+    number only a label that is not a bool, though Python holds ``True == 1``
+    and ``False == 0``.  numpy's bools count as bools.
 
     Only a key equal to 0 or 1 can answer for a label of the other kind,
-    so without one the plain ``dict.get`` is exact; the checked look-up
+    so without one the plain ``dict.get`` is exact; a checked look-up
     would add a fifth to ``load_model`` on a 2.3 MB dense document.  With
     one, a key equal to ``label`` is a bool exactly when it is in
     ``bools``, so one set look-up tells a bool from the number it equals.
+    Like ``dict.get``, the getter raises TypeError for an unhashable label.
     """
     if not any(label in (0, 1) for label in index):
         return index.get
-    bools = {label for label in index if isinstance(label, bool)}
-    return lambda label: index.get(label) if (label in bools) == isinstance(label, bool) else None
+    kinds = (bool, np.bool_)
+    bools = {label for label in index if isinstance(label, kinds)}
+    return lambda key: index.get(key) if (key in bools) == isinstance(key, kinds) else None
 
 
-def _text_index(labels, text=str) -> dict[str, int | None]:
-    """Map ``text(label)`` to the label's index, or to None where labels share it."""
+def _find(get, label):
+    """``get(label)``, or None where ``label`` is unhashable (a list or object)."""
+    try:
+        return get(label)
+    except TypeError:
+        return None
+
+
+def _text_index(labels) -> dict[str, int | None]:
+    """Map each label's ``_key_text`` to its index, or to None where labels share it."""
     index: dict[str, int | None] = {}
     for i, label in enumerate(labels):
-        key = text(label)
+        key = _key_text(label)
         index[key] = None if key in index else i
     return index
 
 
 def _key_text(label) -> str:
-    """The text ``json.dumps`` writes for ``label`` as an object key."""
+    """The text ``json.dumps`` writes for ``label`` as an object key.
+
+    A string is its own key text and is not encoded; ``True`` is keyed
+    ``"true"``, ``None`` ``"null"`` and the number 2 ``"2"``.
+    """
+    if type(label) is str:
+        return label
     (key,) = json.loads(json.dumps({label: 0}))
     return key
 
 
 def _unknown(entry: str, refs) -> ModelFormatError:
-    """The error for the first (label, kind, labels) in ``refs`` that is unknown."""
-    label, kind = next((s, kind) for s, kind, labels in refs if not _known(labels, s))
+    """The error for the first (label, kind, get) in ``refs`` whose ``get`` finds no label."""
+    label, kind = next((s, kind) for s, kind, get in refs if _find(get, s) is None)
     return ModelFormatError(f"{entry} names unknown {kind} {label!r}")
 
 
@@ -377,6 +386,25 @@ def _check_number(value, entry: str) -> None:
         raise ModelFormatError(f"{entry} is out of float range") from None
 
 
+def _shallow(load):
+    """``load`` with a RecursionError raised as a ModelFormatError.
+
+    ``json.loads`` raises RecursionError on a text nested past the
+    interpreter's recursion limit (about 1,000 levels), and ``repr`` may on
+    a label nested nearly that deep when an error message quotes it.
+    """
+
+    @wraps(load)
+    def checked(text, *args):
+        try:
+            return load(text, *args)
+        except RecursionError as exc:
+            raise ModelFormatError(f"document nests too deeply: {exc}") from None
+
+    return checked
+
+
+@_shallow
 def load_model(text: str) -> MdpModel:
     """Parse and validate a model document.
 
@@ -393,9 +421,10 @@ def load_model(text: str) -> MdpModel:
     Raises
     ------
     ModelFormatError
-        On malformed JSON, missing sections, list or object labels, unknown
-        labels, duplicates or a probability or cost that is not a JSON
-        number in float range; the first defect in document order wins.
+        On malformed JSON, a text nested too deeply to parse, missing
+        sections, list or object labels, unknown labels, duplicates or a
+        probability or cost that is not a JSON number in float range; the
+        first defect in document order wins.
     ModelValidationError
         When the parsed model violates an invariant; carries the full
         violation list.
@@ -461,8 +490,9 @@ def _build(doc) -> MdpModel:
         target=tuple(_require_list(part_doc, "target", default=[])),
     )
     state_set = set(states)
+    known = _getter({s: i for i, s in enumerate(states)})
     for s in part.taboo + part.forbidden + part.target:
-        if not _known(state_set, s):
+        if _find(known, s) is None:
             raise ModelFormatError(f"partition names unknown state {s!r}")
 
     canonical = list(part.taboo + part.forbidden + part.target)
@@ -472,9 +502,8 @@ def _build(doc) -> MdpModel:
         # Incomplete partitions cannot be reordered; keep document order and
         # let validation report the defect.
         order = list(states)
-    sidx = {s: i for i, s in enumerate(order)}
-    aidx = {u: k for k, u in enumerate(actions)}
-    sget, aget = _getter(sidx), _getter(aidx)
+    sget = _getter({s: i for i, s in enumerate(order)})
+    aget = _getter({u: k for k, u in enumerate(actions)})
 
     # One pass per entry list with the checks in document order; a cell is
     # the flat index of its entry in the array it fills.
@@ -493,7 +522,7 @@ def _build(doc) -> MdpModel:
             i = u = j = None
         if i is None or u is None or j is None:
             raise _unknown(
-                "transition", ((src, "state", sidx), (dst, "state", sidx), (act, "action", aidx))
+                "transition", ((src, "state", sget), (dst, "state", sget), (act, "action", aget))
             )
         cell = (i * m + u) * n + j
         if cell in seen:
@@ -519,7 +548,7 @@ def _build(doc) -> MdpModel:
         except TypeError:
             i = u = None
         if i is None or u is None:
-            raise _unknown("reward", ((st, "state", sidx), (act, "action", aidx)))
+            raise _unknown("reward", ((st, "state", sget), (act, "action", aget)))
         cell = u * n + i
         if cell in seen:
             raise ModelFormatError(f"duplicate reward entry {(st, act)}")
@@ -625,6 +654,7 @@ def pure_policy(model: MdpModel, assignment) -> Policy:
     return Policy(matrix=matrix)
 
 
+@_shallow
 def load_policy(text: str, model: MdpModel) -> Policy:
     """Parse a policy document against a model.
 
@@ -636,16 +666,16 @@ def load_policy(text: str, model: MdpModel) -> Policy:
     doc = _parse(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("policy"), list):
         raise ModelFormatError("policy document must contain a 'policy' list")
-    action_at = _text_index(model.actions, _key_text)
+    action_at = _text_index(model.actions)
     matrix = np.zeros((model.n_states, model.n_actions))
     seen = set()
     for entry in doc["policy"]:
         if not isinstance(entry, dict) or "state" not in entry or "dist" not in entry:
             raise ModelFormatError("policy entries need 'state' and 'dist' keys")
         label = entry["state"]
-        if not _known(model._state_index, label):
+        i = _find(model._state_get, label)
+        if i is None:
             raise ModelFormatError(f"policy names unknown state {label!r}")
-        i = model._state_index[label]
         if i in seen:
             raise ModelFormatError(f"duplicate policy row for state {label!r}")
         seen.add(i)

@@ -76,9 +76,8 @@ def test_golden_safety_and_green(ex1_model):
 
 
 def test_golden_relative_safety(ex1_model):
-    sets = sm.relative_admissible(ex1_model, 2.0)
-    at_a = sets[0]
-    pure_actions = [int(np.argmax(v)) for v in at_a.vertices[: at_a.pure_count]]
+    vs = sm.relative_admissible(ex1_model, 2.0)
+    pure_actions = vs.weights[0, : vs.pure_count[0]].argmax(axis=1).tolist()
     assert pure_actions == [0]
 
     assert sm.p_to_q(Fraction(2, 3)) == 2

@@ -557,6 +557,49 @@ def test_simulate_start_naming_two_states_exits_2(capsys, tmp_path, ex1_model,
     assert report["error"]["message"] == "--start names more than one state: '10'"
 
 
+def test_solve_policy_keys_feed_eval(capsys, tmp_path, ex1_model, ex1_policy):
+    """Report keys are the JSON key texts of the labels, so the policy that
+    ``solve`` reports, written as a policy document, evaluates; ``--start``
+    matches the same text."""
+    model = relabeled(ex1_model, (True, "b", None, 4.5, "e"), (True, None))
+    mp, _ = write_pair(tmp_path, model, ex1_policy)
+    code, report = run_json(capsys, "solve", mp, "--mode", "unconstrained")
+    assert code == 0
+    policy = report["results"]["policy"]
+    assert policy == {"true": {"true": 1.0}, "b": {"null": 1.0}, "null": {"true": 1.0}}
+    assert sorted(report["results"]["value"]) == ["b", "null", "true"]
+    labels = {"true": True, "b": "b", "null": None}
+    rows = [{"state": labels[s], "dist": dist} for s, dist in policy.items()]
+    pp = tmp_path / "solved.json"
+    pp.write_text(json.dumps({"policy": rows}))
+    code, report = run_json(capsys, "eval", mp, str(pp))
+    assert code == 0
+    assert report["results"]["value"] == {"true": 1.0, "b": 3.6, "null": 4.0}
+    assert sorted(report["results"]["green"]["null"]) == ["b", "null", "true"]
+    code, report = run_json(capsys, "simulate", mp, str(pp), "--start", "null", "--n", "50")
+    assert code == 0
+    assert report["results"]["analytic"]["value"] == 4.0
+
+
+def test_validate_deep_document_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"states": ' + "[" * 3000 + "]" * 3000 + "}")
+    code, report = run_json(capsys, "validate", str(path))
+    assert code == 2
+    assert report["results"]["valid"] is False
+    (violation,) = report["results"]["violations"]
+    assert violation.startswith("document nests too deeply")
+
+
+def test_eval_deep_policy_exits_2(capsys, tmp_path, model_path):
+    path = tmp_path / "deep_policy.json"
+    path.write_text('{"policy": [{"state": "a", "dist": ' + "[" * 3000 + "]" * 3000 + "}]}")
+    code, report = run_json(capsys, "eval", model_path, str(path))
+    assert code == 2
+    assert report["error"]["kind"] == "Invalid"
+    assert report["error"]["message"].startswith("document nests too deeply")
+
+
 # Reports of ex1 on every command, as the CLI printed them when these files
 # were written.  Regenerate one with
 #   PYTHONPATH=src python -m safemdp.cli ARGS > tests/data/cli_reports/NAME

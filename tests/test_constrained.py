@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import safemdp as sm
 from safemdp.bellman import _sweep
-from safemdp.constrained import ADMISSIBLE_TOL
+from safemdp.constrained import ADMISSIBLE_TOL, RELATIVE_TOL
 from safemdp.evaluate import _exact
+from test_policy_iteration import finish
 
 GOLDEN = np.array([1.0, 3.6, 4.0])
 
@@ -518,32 +521,193 @@ def test_constrained_vi_matches_reference(oracle_cases, monkeypatch, chunk):
 
 
 def test_relative_admissible_golden(ex1_model):
-    sets = sm.relative_admissible(ex1_model, q=2.0)
-    at_a = sets[0]
-    assert at_a.pure_count == 1
-    assert len(at_a.vertices) == 2
-    assert np.allclose(at_a.vertices[0], [1.0, 0.0], atol=0)
-    assert np.allclose(at_a.vertices[1], [7 / 15, 8 / 15], atol=1e-12)
-    for i in (1, 2):
-        assert sets[i].pure_count == 2
-        assert len(sets[i].vertices) == 2
+    vs = sm.relative_admissible(ex1_model, q=2.0)
+    assert vs.pure_count.tolist() == [1, 2, 2]
+    assert vs.valid.tolist() == [[True, True]] * 3
+    assert np.array_equal(vs.weights[0, 0], [1.0, 0.0])
+    assert np.allclose(vs.weights[0, 1], [7 / 15, 8 / 15], atol=1e-12)
+    assert vs.q == 2.0
 
 
 def test_relative_boundary_mixture_sits_on_boundary(ex1_model):
     """K and qL agree exactly at the mixed vertex."""
-    sets = sm.relative_admissible(ex1_model, q=2.0)
-    d = sets[0].vertices[1]
+    d = sm.relative_admissible(ex1_model, q=2.0).weights[0, 1]
     K = d[0] * 0.4 + d[1] * 0.9
     L = d[0] * 0.6 + d[1] * 0.1
     assert K == pytest.approx(2.0 * L, abs=1e-12)
 
 
 def test_relative_admissible_zero_q(ex1_model):
-    sets = sm.relative_admissible(ex1_model, q=0.0)
-    assert not sets[0].feasible
-    assert sets[1].feasible and sets[2].feasible
+    vs = sm.relative_admissible(ex1_model, q=0.0)
+    assert vs.valid.any(axis=1).tolist() == [False, True, True]
+    assert not vs.weights[0].any()
 
 
+RELATIVE_LEVELS = (0.0, 0.3, 1.0, 2.0, 9.0, 1e9)
+
+
+def reference_relative_admissible(model, q):
+    """The per-state loop builder the arrays replaced: (vertices, pure count) per state."""
+    K, L = model.forbidden_exit, model.target_exit
+    m = model.n_actions
+    out = []
+    for i in range(model.n_taboo):
+        g = K[i] - q * L[i]
+        vertices = []
+        pure = [u for u in range(m) if g[u] <= RELATIVE_TOL]
+        for u in pure:
+            row = np.zeros(m)
+            row[u] = 1.0
+            vertices.append(row)
+        for s in range(m):
+            if g[s] >= -RELATIVE_TOL:
+                continue
+            for v in range(m):
+                if g[v] <= RELATIVE_TOL:
+                    continue
+                x = g[v] / (g[v] - g[s])
+                row = np.zeros(m)
+                row[s] = x
+                row[v] = 1.0 - x
+                vertices.append(row)
+        out.append((vertices, len(pure)))
+    return out
+
+
+def reference_relative_vi(model, q, tol=1e-10, max_iter=100_000):
+    """``relative_vi`` over the loop builder's vertices, copied into padded
+    arrays one vertex at a time, sweeping to ``tol`` and then ``finish``.
+
+    Returns the value, the policy matrix, the sweeps, the chosen vertices
+    and the vertex counts.
+    """
+    sets = reference_relative_admissible(model, q)
+    for i, (vertices, _) in enumerate(sets):
+        if not vertices:
+            raise sm.InfeasibleError(
+                f"state '{model.states[i]}' admits no action distribution "
+                f"at relative level q={q}"
+            )
+    h = model.n_taboo
+    counts = [len(vertices) for vertices, _ in sets]
+    stage = np.full((h, max(counts)), np.inf)
+    qrows = np.zeros((h, max(counts), h))
+    for i, (vertices, _) in enumerate(sets):
+        for k, d in enumerate(vertices):
+            stage[i, k] = d @ model.stage_costs[i]
+            qrows[i, k] = d @ model.taboo_block[i]
+    _, greedy, sweeps = _sweep(stage, qrows, np.zeros(h), tol, max_iter)
+    v, chosen = finish(stage, qrows, greedy, tol, max_iter)
+    matrix = np.zeros((model.n_states, model.n_actions))
+    for i, (vertices, _) in enumerate(sets):
+        matrix[i] = vertices[chosen[i]]
+    matrix[h:, 0] = 1.0
+    return v, matrix, sweeps, chosen.tolist(), counts
+
+
+def relative_cases(ex1_model, solver_corpus, oracle_cases):
+    """Each distinct model of ex1, the solver corpus and the oracle cases at every level."""
+    models = {id(m): m for m in [ex1_model] + [m for m, _ in solver_corpus + oracle_cases]}
+    return [(model, q) for model in models.values() for q in RELATIVE_LEVELS]
+
+
+def test_relative_admissible_matches_loop_builder(ex1_model, solver_corpus, oracle_cases):
+    """The arrays hold the loop builder's vertices bit for bit, zeros after them."""
+    for model, q in relative_cases(ex1_model, solver_corpus, oracle_cases):
+        vs = sm.relative_admissible(model, q)
+        want = reference_relative_admissible(model, q)
+        assert vs.pure_count.tolist() == [pure for _, pure in want]
+        assert vs.valid.shape[1] == max(len(vertices) for vertices, _ in want)
+        for i, (vertices, _) in enumerate(want):
+            n = len(vertices)
+            assert vs.valid[i].tolist() == [True] * n + [False] * (vs.valid.shape[1] - n)
+            rows = np.array(vertices).reshape(n, model.n_actions)
+            assert vs.weights[i, :n].tobytes() == rows.tobytes()
+            assert not vs.weights[i, n:].any()
+
+
+def test_relative_vi_matches_reference(ex1_model, solver_corpus, oracle_cases):
+    """The same policy, vertices and errors as the loop builder's route, in no
+    more sweeps, and the value bit for bit or within 1e-14 max(1, |v|): the
+    batched products may round the candidate rows in another order."""
+    feasible = differ = fewer = 0
+    for model, q in relative_cases(ex1_model, solver_corpus, oracle_cases):
+        try:
+            v, matrix, sweeps, chosen, counts = reference_relative_vi(model, q)
+        except (sm.InfeasibleError, sm.NotTransientError) as err:
+            with pytest.raises(type(err), match=re.escape(str(err))) as got:
+                sm.relative_vi(model, q)
+            assert getattr(got.value, "trapped", None) == getattr(err, "trapped", None)
+            continue
+        rep = sm.relative_vi(model, q)
+        feasible += 1
+        assert rep.policy.matrix.tobytes() == matrix.tobytes()
+        assert rep.info["chosen_vertex"] == chosen
+        assert rep.info["vertices_per_state"] == counts
+        assert rep.info["sweeps"] <= sweeps
+        fewer += rep.info["sweeps"] < sweeps
+        if rep.value.tobytes() != v.tobytes():
+            differ += 1
+            assert (np.abs(rep.value - v) <= 1e-14 * np.maximum(1.0, np.abs(v))).all()
+    assert feasible >= 700 and fewer >= feasible // 2
+    print(f"relative_vi: {differ} of {feasible} values differ in the last bits, "
+          f"{fewer} stop at the certificate")
+
+
+MASSES = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 1e-9, 1e-12, 1e-13]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def exit_masses(draw):
+    """A model whose taboo rows send (K, L) to one forbidden and one target
+    state and the rest back to their own state, with a level q."""
+    h, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    T = np.zeros((h + 2, m, h + 2))
+    for i in range(h):
+        for u in range(m):
+            k, l = draw(MASSES), draw(MASSES)
+            k, l = (k, l) if k + l <= 1.0 else (k / 2, l / 2)
+            T[i, u, [h, h + 1, i]] = k, l, 1.0 - k - l
+    T[h:, :, h:] = np.eye(2)[:, None, :]
+    states = tuple(f"h{i}" for i in range(h)) + ("u", "e")
+    model = sm.MdpModel(
+        states=states,
+        actions=tuple(f"a{u}" for u in range(m)),
+        partition=sm.StatePartition(states[:h], ("u",), ("e",)),
+        transitions=T,
+        rewards=np.zeros((m, h + 2)),
+    )
+    q = draw(st.sampled_from(RELATIVE_LEVELS) | st.floats(0.0, 100.0))
+    return model, q
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=exit_masses())
+def test_relative_vertices_are_the_polytope_vertices(case):
+    """Every valid row is a distribution d with d.g <= RELATIVE_TOL, g = K - qL;
+    the pure rows are the actions with g <= RELATIVE_TOL in index order, and
+    each boundary row mixes the pair (s, v) with g_s < -tol < tol < g_v, in
+    pair order, on the boundary d.g = 0 up to rounding."""
+    model, q = case
+    vs = sm.relative_admissible(model, q)
+    g = model.forbidden_exit - q * model.target_exit
+    m = model.n_actions
+    for i, (rows, valid, pure) in enumerate(zip(vs.weights, vs.valid, vs.pure_count)):
+        n = int(valid.sum())
+        assert valid[:n].all() and not rows[n:].any()
+        rows = rows[:n]
+        assert (rows >= 0).all()
+        assert (np.abs(rows.sum(axis=1) - 1.0) <= 4e-16).all()
+        assert (rows @ g[i] <= RELATIVE_TOL).all()
+        admissible = np.flatnonzero(g[i] <= RELATIVE_TOL)
+        assert pure == admissible.size
+        assert np.array_equal(rows[:pure], np.eye(m)[admissible])
+        pairs = [(s, v) for s in range(m) for v in range(m)
+                 if g[i, s] < -RELATIVE_TOL and g[i, v] > RELATIVE_TOL]
+        assert [tuple(np.flatnonzero(row)) for row in rows[pure:]] == [
+            tuple(sorted(pair)) for pair in pairs]
+        scale = max(1.0, np.abs(g[i]).max())
+        assert (np.abs(rows[pure:] @ g[i]) <= 1e-12 * scale).all()
 def test_relative_vi_golden(ex1_model):
     rep = sm.relative_vi(ex1_model, q=2.0)
     assert np.abs(rep.value - GOLDEN).max() <= 1e-9

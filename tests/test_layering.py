@@ -1,6 +1,7 @@
 """Module layering of the package: imports sit at module level and form no
 cycle, one loop sweeps for every fixed-point solver, one lockstep loop
-draws every Monte Carlo batch, and one table holds the sampling rule."""
+draws every Monte Carlo batch, one table holds the sampling rule, and
+the relative-safety route runs on arrays."""
 import ast
 from pathlib import Path
 
@@ -106,3 +107,18 @@ def test_one_sampling_table():
         and any(alias.name.split(".")[-1] == "accumulate" for alias in node.names)
     ]
     assert not imports, imports
+
+
+def test_relative_route_has_no_loop():
+    """The relative-safety vertices and sweeps are array operations: neither
+    ``relative_admissible`` nor ``relative_vi`` holds a ``for`` statement or
+    a comprehension."""
+    loops = [
+        f"{func.name}:{node.lineno}"
+        for func in ast.walk(_tree("constrained"))
+        if isinstance(func, ast.FunctionDef)
+        and func.name in ("relative_admissible", "relative_vi")
+        for node in ast.walk(func)
+        if isinstance(node, (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+    ]
+    assert not loops, loops

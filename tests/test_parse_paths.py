@@ -143,9 +143,38 @@ def test_edge_texts_match(orjson_module, data_dir):
 
 
 def test_edge_texts_reach_both_outcomes(data_dir):
-    """The edge list holds models and errors, RecursionError among them."""
-    kinds = {outcome(text)[0] for text in edge_texts(_ex1_text(data_dir)).values()}
-    assert {"model", sm.ModelFormatError, sm.ModelValidationError, RecursionError} <= kinds
+    """The edge list holds models and errors; a text nested too deeply for
+    ``json.loads`` is a ModelFormatError, never a RecursionError."""
+    outcomes = {name: outcome(text) for name, text in edge_texts(_ex1_text(data_dir)).items()}
+    kinds = {result[0] for result in outcomes.values()}
+    assert {"model", sm.ModelFormatError, sm.ModelValidationError} <= kinds
+    assert RecursionError not in kinds
+    deep = ("deep document", "deep label", "p [[[[[[[[[[[[", "rho [[[[[[[[[[[[",
+            "ignored deep list", "ignored deep object", "ignored deep in entry")
+    for name in deep:
+        kind, message = outcomes[name]
+        assert kind is sm.ModelFormatError, name
+        assert message.startswith("document nests too deeply: maximum recursion"), name
+
+
+def _nested(depth):
+    label = 0
+    for _ in range(depth):
+        label = [label]
+    return label
+
+
+def test_repr_of_deep_label_is_a_format_error(ex1_model, monkeypatch):
+    """An error message quoting a label too deep for ``repr`` raises
+    ModelFormatError; ``_parse`` hands the build such a label directly."""
+    doc = json.loads(sm.serialize_model(ex1_model))
+    doc["states"][0] = _nested(5000)
+    policy = {"policy": [{"state": _nested(5000), "dist": {"u1": 1.0}}]}
+    monkeypatch.setattr(model_module, "orjson", None)
+    for load, parsed in ((sm.load_model, doc), (lambda t: sm.load_policy(t, ex1_model), policy)):
+        monkeypatch.setattr(model_module, "_parse", lambda text, parsed=parsed: parsed)
+        with pytest.raises(sm.ModelFormatError, match="nests too deeply: .* repr"):
+            load("")
 
 
 def test_bracket_count_caps_orjson(orjson_module, data_dir, monkeypatch):
@@ -159,7 +188,8 @@ def test_bracket_count_caps_orjson(orjson_module, data_dir, monkeypatch):
 
 def test_nesting_past_orjson_stack_raises(orjson_module, tmp_path):
     """orjson 3.8.3 overflows the C stack on 60,000 nested objects; the cap keeps
-    such a text from it, so ``json.loads`` raises RecursionError instead."""
+    such a text from it, so ``json.loads`` gives up and ``load_model`` raises
+    ModelFormatError instead."""
     depth = 60_000
     path = tmp_path / "deep.json"
     path.write_text('{"states": ' + '{"k": ' * depth + "0" + "}" * depth + "}")
@@ -167,7 +197,7 @@ def test_nesting_past_orjson_stack_raises(orjson_module, tmp_path):
     code = ("import pathlib, sys, safemdp\n"
             "try:\n"
             "    safemdp.load_model(pathlib.Path(sys.argv[1]).read_text())\n"
-            "except RecursionError:\n"
+            "except safemdp.ModelFormatError:\n"
             "    sys.exit(3)\n")
     proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
                           env={**os.environ, "PYTHONPATH": str(src)})

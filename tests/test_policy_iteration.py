@@ -13,9 +13,9 @@ import pytest
 
 import safemdp as sm
 from corpus import corridor_model, sparse_model
-from safemdp.bellman import CERTIFY_FROM, CERTIFY_GAP, _finish, _greedy_policy, _improve, _sweep
+from safemdp.bellman import CERTIFY_FROM, CERTIFY_GAP, _greedy_policy, _improve, _sweep
 from safemdp.constrained import _multiplier_offsets
-from safemdp.evaluate import _exact, _solve, _trapped
+from safemdp.evaluate import _exact, _solve, _trapped, _witness
 
 
 def sweep_safest_policy(model, tol=1e-12, max_iter=100_000):
@@ -156,11 +156,21 @@ def test_relative_vi_leaves_zero_cost_loop():
     assert sm.value(model, report.policy).tolist() == [1.0]
 
 
+def finish(stage, Q, greedy, tol, max_iter):
+    """How the sweeps ended before the certificate: ``_improve`` from their
+    greedy choice, or from the witness over the finite candidates where the
+    first exact solve finds that choice improper."""
+    try:
+        return _improve(stage, Q, greedy, tol, max_iter)
+    except sm.NotTransientError:
+        return _improve(stage, Q, _witness(Q, np.isfinite(stage)), tol, max_iter)
+
+
 def sweep_value_iteration(model, tol=1e-10, max_iter=100_000):
-    """``value_iteration`` as it was: the kernel to ``tol``, then ``_finish``."""
+    """``value_iteration`` as it was: the kernel to ``tol``, then ``finish``."""
     stage, PH = model.stage_costs, model.taboo_block
     _, greedy, sweeps = _sweep(stage, PH, None, tol, max_iter)
-    v, choice = _finish(stage, PH, greedy, tol, max_iter)
+    v, choice = finish(stage, PH, greedy, tol, max_iter)
     return v, _greedy_policy(model, choice), sweeps
 
 
