@@ -253,18 +253,16 @@ def cmd_solve(args, report: dict, started: float) -> int:
     elif mode == "lp":
         problem = constrained.build_lp(model, args.p)
         solution = constrained.solve_lp(problem)
-        level = float(solution.multipliers[0]) if solution.multipliers.size else 0.0
-        _, greedy = constrained.dual_inner(model, solution.multipliers, args.p)
         results.update(
             value=_labeled(model, solution.value),
             l=_labeled(model, solution.l),
             multipliers=_labeled(model, solution.multipliers),
             objective=solution.objective,
             simplex_iterations=solution.iterations,
-            policy=_policy_doc(model, greedy),
+            multiplier_level=float(solution.multipliers[0]),
+            policy=_policy_doc(model, constrained.dual_ascent(model, args.p).policy),
             p=args.p,
         )
-        results["multiplier_level"] = level
     elif mode == "dual":
         oracle_total = None
         if args.oracle:
@@ -319,10 +317,8 @@ def cmd_simulate(args, report: dict, started: float) -> int:
     if not 0 <= args.seed < 2**64:
         raise ParameterError(f"--seed must lie in [0, 2^64), got {args.seed}")
     model, policy = _load_pair(args)
-    start = _text_index(model.states).get(args.start, -1)
+    start = _text_index(model.states).get(args.start)
     if start is None:
-        raise ParameterError(f"--start names more than one state: {args.start!r}")
-    if start < 0:
         raise ParameterError(f"--start names no state: {args.start!r}")
     mc = mc_estimates(
         model, policy, model.states[start], args.n, args.seed, max_steps=args.max_steps

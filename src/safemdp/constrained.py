@@ -3,8 +3,8 @@
 Four routes to the same problem, minimizing expected cost subject to a
 bound on the probability of absorption in a forbidden state:
 
-* the Lagrangian dual over one multiplier level, maximized by bisection
-  on the sign of its slope,
+* the Lagrangian dual over one multiplier level, maximized by walking
+  the breakpoints where its optimal policy changes,
 * a linear program over pure-policy constraint rows,
 * exact enumeration of the admissible pure policies and the brute-force
   optimum over them, the reference oracle of the other routes,
@@ -16,7 +16,7 @@ target-exit mass; ``relative_admissible`` holds the vertices of those
 per-state polytopes as one weight array, built without a Python loop.
 
 On multipliers: ``dual_inner`` evaluates the dual function exactly at
-any nonnegative per-state multiplier vector, but the bisection in
+any nonnegative per-state multiplier vector, but the walk in
 ``dual_ascent`` and the LP in ``build_lp`` restrict multipliers to a
 common level across states (a vector t*1), along which the summed dual
 is concave and piecewise linear.  Along any per-state direction that
@@ -30,13 +30,14 @@ the rest of the package tests against.
 Shared machinery: every solver here reads the stage costs, taboo block
 and exit masses from the model view on :class:`~safemdp.model.MdpModel`;
 the dual inner problem runs the policy iteration of :mod:`safemdp.bellman`
-over the actions, ``constrained_vi_pure`` its sweep kernel over the
-admissible actions, and ``relative_vi`` value iteration's sweeps and
-certificate (``bellman._settle``) over the vertices; every exact policy
-evaluation goes through the evaluation core of :mod:`safemdp.evaluate`, whose
-pure-policy kernel ``_pure_blocks`` ``_admissible_blocks`` filters; its
-streaming ``_admissible_scan`` serves ``brute_force_constrained`` and
-``constrained_vi_pure``.
+over the actions, ``dual_ascent`` starts from it and prices every
+candidate with its candidate-major rows, ``constrained_vi_pure`` its
+sweep kernel over the admissible actions, and ``relative_vi`` value
+iteration's sweeps and certificate (``bellman._settle``) over the
+vertices; every exact policy evaluation goes through the evaluation core
+of :mod:`safemdp.evaluate`, whose pure-policy kernel ``_pure_blocks``
+``_admissible_blocks`` filters; its streaming ``_admissible_scan`` serves
+``brute_force_constrained`` and ``constrained_vi_pure``.
 """
 
 from __future__ import annotations
@@ -46,15 +47,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bellman import _greedy_policy, _improve, _settle, _sweep, safest_policy
-from .evaluate import _exact, _pure_blocks, _witness
-from .exceptions import InfeasibleError
+from .bellman import _bellman, _candidate_major, _greedy_policy, _improve, _settle, _sweep
+from .bellman import safest_policy
+from .evaluate import _pure_blocks, _solve, _witness
+from .exceptions import InfeasibleError, MaxIterationsError
 from .model import MdpModel, Policy
 from .simplex import solve_min
 
 ADMISSIBLE_TOL = 1e-10
 RELATIVE_TOL = 1e-12
-_INNER_ROUNDS = 100_000  # policy-iteration rounds per dual level
+_INNER_ROUNDS = 100_000  # policy-iteration rounds, and solves of the dual's walk
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class ConstrainedSolveReport:
     the sweep limit for ``constrained_vi_pure`` and None for the other
     solvers; ``info`` carries method-specific diagnostics.  Only
     ``dual_ascent`` reports ``feasible`` False: its value is then the
-    unconstrained optimum (``dual_inner`` at zero multipliers), its
+    unconstrained optimum (``_improve`` at zero multipliers), its
     policy the safest policy, and ``info`` holds the minimal safety.
     """
 
@@ -156,94 +158,88 @@ def dual_ascent(
     p: float,
     inner_tol: float = 1e-10,
 ) -> ConstrainedSolveReport:
-    """Maximize the dual function over multiplier levels t >= 0.
+    """Maximize the summed dual over multiplier levels t >= 0 at its kink.
 
-    Summed over taboo states, D(t) = sum_i min_pi [V(i) + t (S(i) - p)],
-    over proper policies, is concave and piecewise linear in t, with
-    slope sum(S - p) for the policy ``dual_inner`` returns at t.  Each
-    level runs that policy iteration (``inner_tol`` its threshold) from
-    the previous level's policy, the first from the safest policy.  The
-    search evaluates t = 0; if the slope there is positive it doubles a
-    bracket [lo, hi] from [0, 1] until the slope at hi is not (at most 60
-    times), then halves it on the sign of the slope at the midpoint until
-    hi - lo <= 1e-11 (1 + hi).  A slope counts as non-positive when
-    sum(S - p) <= |H| ADMISSIBLE_TOL, the tolerance of the feasibility
-    test, so a p within that tolerance below the minimal safety does not
-    send the bracket off to the doubling cap.
+    D(t) = sum_i min_pi [V(i) + t (S(i) - p)] over proper policies is
+    concave and piecewise linear: the policy optimal for the stage cost
+    rho + t K changes only at breakpoints.  The walk starts at t = 0 from
+    ``_improve``'s policy, begun from the safest policy's choice; each
+    step solves its policy for V and S at once, and a candidate costs
+    a + t b over the state's own choice, a = rho + QV - V and
+    b = K + QS - S.  A candidate counts when b times the state's expected
+    visits (summed over the starts) is below -inner_tol.  The next level
+    is the least -a/b of those, at least t, and each state moves to the
+    counting candidate with the least b whose -a/b is within the factor
+    1 + inner_tol of it (README, Numerical notes); where none counts, to
+    the safest policy, the t = inf piece.  Past _INNER_ROUNDS solves,
+    steps at an unchanged level included, raises MaxIterationsError.
 
-    ``value`` and ``multipliers`` come from the evaluated level with the
-    largest summed dual value; ``policy`` is the evaluated greedy policy
-    with the least summed exact value among those within p (up to
-    ADMISSIBLE_TOL) at every state, or the safest policy if there is
-    none; ``gap`` is None.  Infeasibility (some coordinate of the
-    minimal safety above p) is detected up front and reported, not
-    raised: ``value`` is then the unconstrained optimum (``dual_inner``
-    at zero multipliers) and ``policy`` the safest policy.
+    The kink is the first policy with sum(S) <= |H| (p + ADMISSIBLE_TOL),
+    entered where its summed line V + t S crosses the last policy's;
+    ``value`` is its V + t (S - p), the dual's maximum, and
+    ``multipliers`` t*1.  ``policy`` is the first policy walked within
+    p + ADMISSIBLE_TOL at every state, walking on past a kink at t > 0
+    to find it, and after a kink at t = 0 outside p the safest policy.
+    ``info`` holds the ``level``, the policies solved
+    (``outer_iterations``), the levels stepped (``breakpoints``), the
+    ``exit`` ("unconstrained" at t = 0, else "kink") and whether the
+    kink's policy is within p (``inner_policy_feasible``).  Infeasibility
+    (some coordinate of the minimal safety above p) is reported, not
+    raised: ``value`` is then the unconstrained optimum, ``_improve``'s
+    at t = 0, and ``policy`` the safest policy.
     """
     _check_level(p)
-    h = model.n_taboo
-    ones = np.ones(h)
+    h, states = model.n_taboo, np.arange(model.n_taboo)
     s_star, safe_pol = safest_policy(model)
+    safe = safe_pol.assignment()[:h]
+    v0, choice = _improve(model.stage_costs, model.taboo_block, safe, inner_tol, _INNER_ROUNDS)
     if (s_star > p + ADMISSIBLE_TOL).any():
-        v0, _ = dual_inner(model, np.zeros(h), p, tol=inner_tol)
-        return ConstrainedSolveReport(
-            value=v0,
-            policy=safe_pol,
-            multipliers=np.zeros(h),
-            method="dual-ascent",
-            feasible=False,
-            gap=None,
-            info={"min_safety": s_star, "p": p},
-        )
+        info = {"min_safety": s_star, "p": p}
+        return ConstrainedSolveReport(v0, safe_pol, np.zeros(h), "dual-ascent", False, None, info)
 
-    best = {"sum": -np.inf, "t": 0.0, "value": None, "feasible": False}
-    chosen = {"sum": np.inf, "policy": safe_pol}
-    choice = safe_pol.assignment()[:h]
-    evaluations = 0
+    rows, cost = _candidate_major(model.stage_costs, model.taboo_block)
+    risk = model.forbidden_exit.T.ravel()
+    rhs = np.stack([cost, risk], axis=1)
+    bound = h * (p + ADMISSIBLE_TOL)
+    t, kink, steps = 0.0, None, []
+    for solves in range(1, _INNER_ROUNDS + 1):
+        at = choice * h + states
+        v, s = _solve(rows[at], rhs[at]).T
+        within = bool((s <= p + ADMISSIBLE_TOL).all())
+        if t == np.inf or (kink is None and t > 0.0 and s.sum() <= bound):
+            # entered where the summed lines of this policy and the last cross
+            t = steps[-1] = max(last[2], float((v - last[0]).sum() / (last[1] - s).sum()))
+        if kink is None and s.sum() <= bound:
+            kink = t, v + t * (s - p), within
+        if kink is not None and (within or t == 0.0):
+            break
+        a, b = _bellman(rows, cost, v), _bellman(rows, risk, s)
+        a, b = a - a[choice, states], b - b[choice, states]
+        visits = np.linalg.solve(np.eye(h) - rows[at].T, np.ones(h))
+        drop = visits * b < -inner_tol
+        last = v, s, t
+        if drop.any():
+            cross = np.full(b.shape, np.inf)
+            cross[drop] = -a[drop] / b[drop]
+            t = max(t, float(cross.min()))
+            tied = cross <= t * (1.0 + inner_tol)
+            choice = np.where(tied.any(axis=0), np.where(tied, b, np.inf).argmin(axis=0), choice)
+        else:  # the t = inf piece: the safest policy
+            choice, t = safe, np.inf
+        steps.append(t)
+    else:
+        raise MaxIterationsError(f"the walk did not end within {_INNER_ROUNDS} solves", last=v)
 
-    def rising(t: float) -> bool:
-        """Evaluate level t; True when the dual's slope there is positive."""
-        nonlocal choice, evaluations
-        stage = model.stage_costs + _multiplier_offsets(model, t * ones, p)
-        dual, choice = _improve(stage, model.taboo_block, choice, inner_tol, _INNER_ROUNDS)
-        pol = _greedy_policy(model, choice)
-        evaluations += 1
-        v, s, _ = _exact(model, pol)
-        total, feasible = float(dual.sum()), bool((s <= p + ADMISSIBLE_TOL).all())
-        if total > best["sum"]:
-            best.update(sum=total, t=t, value=dual, feasible=feasible)
-        if feasible and v.sum() < chosen["sum"]:
-            chosen.update(sum=float(v.sum()), policy=pol)
-        return float((s - p).sum()) > h * ADMISSIBLE_TOL
-
-    lo = hi = 0.0
-    if rising(0.0):
-        # Probe hi while doubling (``grow`` doublings left), then midpoints.
-        hi, grow = 1.0, 60
-        while hi - lo > 1e-11 * (1.0 + hi):
-            t = hi if grow else 0.5 * (lo + hi)
-            if not rising(t):
-                hi, grow = t, 0
-            elif grow:
-                lo, hi, grow = t, 2.0 * t, grow - 1
-            else:
-                lo = t
-
-    return ConstrainedSolveReport(
-        value=best["value"],
-        policy=chosen["policy"],
-        multipliers=best["t"] * ones,
-        method="dual-ascent",
-        feasible=True,
-        gap=None,
-        info={
-            "level": best["t"],
-            "outer_iterations": evaluations,
-            "bracket": (lo, hi),
-            "exit": "bracket" if hi > 0.0 else "unconstrained",
-            "inner_policy_feasible": best["feasible"],
-        },
-    )
+    level, value, feasible = kink
+    policy = _greedy_policy(model, choice) if within else safe_pol
+    info = {
+        "level": level,
+        "outer_iterations": solves,
+        "breakpoints": steps,
+        "exit": "kink" if level > 0.0 else "unconstrained",
+        "inner_policy_feasible": feasible,
+    }
+    return ConstrainedSolveReport(value, policy, level * np.ones(h), "dual-ascent", True, None, info)
 
 
 @dataclass(frozen=True)

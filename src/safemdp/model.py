@@ -254,6 +254,11 @@ def validate_model(model: MdpModel) -> list[str]:
         v.append("taboo set is empty (H must be non-empty)")
     if not part.target:
         v.append("target set is empty (E must be non-empty)")
+    for kind, labels in (("state", model.states), ("action", model.actions)):
+        for key, i in _text_index(labels).items():
+            if i is None:
+                one, two = [label for label in labels if _key_text(label) == key][:2]
+                v.append(f"{kind} labels {one!r} and {two!r} share the report key {key!r}")
 
     n, m = model.n_states, model.n_actions
     if model.transitions.shape != (n, m, n):

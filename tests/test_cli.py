@@ -13,6 +13,7 @@ import safemdp as sm
 from corpus import relabeled
 from safemdp import evaluate
 from safemdp.cli import _indented, main
+from safemdp.constrained import ADMISSIBLE_TOL
 
 
 def run(capsys, *argv):
@@ -328,6 +329,18 @@ def test_solve_lp(capsys, model_path):
     assert results["policy"]["a"] == {"u1": 1.0}
 
 
+def test_solve_lp_policy_keeps_every_state_within_p(capsys, tmp_path, solver_corpus):
+    """``solve --mode lp`` reports the dual's policy, never one that breaks p."""
+    for k, (model, p) in enumerate(solver_corpus):
+        mp = tmp_path / f"model{k}.json"
+        mp.write_text(sm.serialize_model(model))
+        code, report = run_json(capsys, "solve", str(mp), "--mode", "lp", "--p", repr(p))
+        assert code == 0
+        rows = [{"state": s, "dist": d} for s, d in report["results"]["policy"].items()]
+        policy = sm.load_policy(json.dumps({"policy": rows}), model)
+        assert (sm.safety(model, policy) <= p + ADMISSIBLE_TOL).all(), k
+
+
 def test_solve_lp_infeasible_exits_5(capsys, model_path):
     code, report = run_json(capsys, "solve", model_path, "--mode", "lp", "--p", "0.3")
     assert code == 5
@@ -345,7 +358,7 @@ def test_solve_dual_with_oracle(capsys, model_path):
     assert results["oracle"]["admissible_count"] == 4
     assert abs(results["gap"]) <= 1e-6
     assert results["info"]["exit"] == "unconstrained"
-    assert len(results["info"]["bracket"]) == 2
+    assert results["info"]["breakpoints"] == []
 
 
 def test_solve_dual_infeasible_reports_floor(capsys, model_path):
@@ -550,11 +563,31 @@ def test_simulate_start_label_that_is_also_a_position(capsys, tmp_path, ex1_mode
 
 def test_simulate_start_naming_two_states_exits_2(capsys, tmp_path, ex1_model,
                                                   ex1_policy):
+    """Two states keyed "10" make the model invalid before ``--start`` is read."""
     model = relabeled(ex1_model, (10, "10", 30, 40, 50), ex1_model.actions)
     mp, pp = write_pair(tmp_path, model, ex1_policy)
     code, report = run_json(capsys, "simulate", mp, pp, "--start", "10", "--n", "10")
     assert code == 2
-    assert report["error"]["message"] == "--start names more than one state: '10'"
+    message = "state labels 10 and '10' share the report key '10'"
+    assert report["error"] == {"kind": "Invalid", "message": message}
+
+
+def test_labels_sharing_a_report_key_exit_2(capsys, tmp_path, ex1_model, ex1_policy):
+    """The labels 1 and "1" would both be reported under the key "1"."""
+    model = relabeled(ex1_model, (1, "1", "c", "d", "e"), ex1_model.actions)
+    mp, pp = write_pair(tmp_path, model, ex1_policy)
+    message = "state labels 1 and '1' share the report key '1'"
+    code, report = run_json(capsys, "validate", mp)
+    assert code == 2
+    assert report["results"] == {"valid": False, "violations": [message]}
+    for argv in (
+        ["eval", mp, pp],
+        ["solve", mp, "--mode", "dual", "--p", "0.5"],
+        ["simulate", mp, pp, "--start", "c", "--n", "10"],
+    ):
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["error"] == {"kind": "Invalid", "message": message}
 
 
 def test_solve_policy_keys_feed_eval(capsys, tmp_path, ex1_model, ex1_policy):

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safemdp as sm
-from safemdp.bellman import _sweep
-from safemdp.constrained import ADMISSIBLE_TOL, RELATIVE_TOL
-from safemdp.evaluate import _exact
+from safemdp import constrained
+from safemdp.bellman import _greedy_policy, _improve, _sweep
+from safemdp.constrained import ADMISSIBLE_TOL, RELATIVE_TOL, _multiplier_offsets
+from safemdp.evaluate import _exact, _trapped
+from corpus import _fill
 from test_policy_iteration import finish
 
 GOLDEN = np.array([1.0, 3.6, 4.0])
@@ -236,6 +238,50 @@ def test_lp_raw_variables_can_exceed_members():
 
 
 # ----------------------------------------------------------------- dual ascent
+def bisection_dual_ascent(model, p, inner_tol=1e-10):
+    """``dual_ascent`` as it was: bisection on the sign of the dual's slope.
+
+    Doubles a bracket from [0, 1] while the slope sum(S - p) of the
+    level's policy is above |H| ADMISSIBLE_TOL (at most 60 times), then
+    halves it to 1e-11 (1 + hi).  Keeps the level with the largest
+    summed dual and the cheapest evaluated policy within p everywhere.
+    """
+    h = model.n_taboo
+    ones = np.ones(h)
+    _, safe_pol = sm.safest_policy(model)
+    best = {"sum": -np.inf, "t": 0.0, "value": None}
+    chosen = {"sum": np.inf, "policy": safe_pol}
+    choice = safe_pol.assignment()[:h]
+    evaluations = 0
+
+    def rising(t):
+        nonlocal choice, evaluations
+        stage = model.stage_costs + _multiplier_offsets(model, t * ones, p)
+        dual, choice = _improve(stage, model.taboo_block, choice, inner_tol, 100_000)
+        pol = _greedy_policy(model, choice)
+        evaluations += 1
+        v, s, _ = _exact(model, pol)
+        if dual.sum() > best["sum"]:
+            best.update(sum=float(dual.sum()), t=t, value=dual)
+        if (s <= p + ADMISSIBLE_TOL).all() and v.sum() < chosen["sum"]:
+            chosen.update(sum=float(v.sum()), policy=pol)
+        return float((s - p).sum()) > h * ADMISSIBLE_TOL
+
+    lo = hi = 0.0
+    if rising(0.0):
+        hi, grow = 1.0, 60
+        while hi - lo > 1e-11 * (1.0 + hi):
+            t = hi if grow else 0.5 * (lo + hi)
+            if not rising(t):
+                hi, grow = t, 0
+            elif grow:
+                lo, hi, grow = t, 2.0 * t, grow - 1
+            else:
+                lo = t
+    return sm.ConstrainedSolveReport(
+        best["value"], chosen["policy"], best["t"] * ones, "dual-ascent", True, None,
+        {"level": best["t"], "outer_iterations": evaluations},
+    )
 
 
 def test_dual_ascent_golden(ex1_model):
@@ -261,21 +307,113 @@ def test_dual_ascent_agrees_with_lp(solver_corpus):
         sol = sm.solve_lp(sm.build_lp(model, p))
         rep = sm.dual_ascent(model, p)
         assert rep.feasible
-        assert abs(float(rep.value.sum()) - sol.objective) <= 1e-8
+        assert abs(float(rep.value.sum()) - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective))
 
 
-def test_dual_ascent_bisection_is_short(solver_corpus):
+def feasible_cases(oracle_cases):
+    """The oracle cases where some proper policy keeps every state within p."""
+    for model, p in oracle_cases:
+        if not _trapped(model.taboo_block).any():
+            if (sm.safest_policy(model)[0] <= p + ADMISSIBLE_TOL).all():
+                yield model, p
+
+
+def test_dual_ascent_matches_bisection(oracle_cases):
+    """The walk's dual value is the bisection's, up to the bisection's
+    bracket and never below it, and its policy is no costlier."""
+    for model, p in feasible_cases(oracle_cases):
+        walk, ref = sm.dual_ascent(model, p), bisection_dual_ascent(model, p)
+        got, want = float(walk.value.sum()), float(ref.value.sum())
+        scale = max(1.0, abs(want))
+        assert abs(got - want) <= 1e-9 * scale and got >= want - 1e-12 * scale
+        cost = [float(sm.value(model, rep.policy).sum()) for rep in (walk, ref)]
+        assert cost[0] <= cost[1] + 1e-9 * scale
+        if walk.info["level"] == 0.0:  # both keep the optimum at t = 0, or the safest
+            assert np.array_equal(walk.policy.matrix, ref.policy.matrix)
+        for rep in (walk, ref):
+            assert (sm.safety(model, rep.policy) <= p + ADMISSIBLE_TOL).all()
+
+
+def test_dual_ascent_matches_highs(oracle_cases):
+    optimize = pytest.importorskip("scipy.optimize")
+    for model, p in feasible_cases(oracle_cases):
+        lp = sm.build_lp(model, p)
+        res = optimize.linprog(-lp.objective, A_ub=lp.rows, b_ub=lp.rhs, method="highs")
+        assert res.status == 0
+        got = float(sm.dual_ascent(model, p).value.sum())
+        assert abs(got + res.fun) <= 1e-9 * max(1.0, abs(res.fun))
+
+
+def test_dual_ascent_binding_takes_few_solves(solver_corpus):
+    binding = 0
     for model, p in solver_corpus:
         rep = sm.dual_ascent(model, p)
-        assert rep.info["outer_iterations"] <= 60
+        assert rep.info["outer_iterations"] <= 8
+        assert rep.info["outer_iterations"] == len(rep.info["breakpoints"]) + 1
+        binding += rep.info["exit"] == "kink"
+    assert binding == 3
+
+
+def duplicated(model):
+    """``model`` with every action listed twice, the copies after the originals."""
+    return sm.MdpModel(
+        states=model.states,
+        actions=model.actions + tuple(f"{u}'" for u in model.actions),
+        partition=model.partition,
+        transitions=np.tile(model.transitions, (1, 2, 1)),
+        rewards=np.tile(model.rewards, (2, 1)),
+    )
+
+
+def test_dual_ascent_walks_duplicated_actions_once(solver_corpus):
+    """Copies tie on a and b everywhere; the walk takes the first of each
+    tie, so it steps through the same levels to the same policy."""
+    for model, p in solver_corpus:
+        rep, twin = sm.dual_ascent(model, p), sm.dual_ascent(duplicated(model), p)
+        assert twin.info == rep.info
+        assert np.array_equal(twin.value, rep.value)
+        assert np.array_equal(twin.policy.assignment(), rep.policy.assignment())
+
+
+def nudged_copies(model):
+    """``duplicated(model)`` with each copy's first two transition masses
+    at a taboo state moved one ulp apart: a copy's a and b then differ
+    from its original's by rounding only."""
+    twin = duplicated(model)
+    trans = twin.transitions.copy()
+    for i, u in itertools.product(range(model.n_taboo), range(model.n_actions, trans.shape[1])):
+        row = trans[i, u]
+        j, k = np.flatnonzero(row)[:2]
+        step = np.spacing(row[j])
+        row[j] += step
+        row[k] -= step
+    return sm.MdpModel(twin.states, twin.actions, twin.partition, trans, twin.rewards)
+
+
+def test_dual_ascent_ignores_candidates_that_differ_by_rounding():
+    """A copy one ulp from its original lowers the safety by rounding
+    only, far inside inner_tol once scaled by the visits, so it never
+    counts: the walk takes the same solves to the same value.  With
+    every b < 0 counting, 3 of these 7-state models take extra solves."""
+    rng = np.random.default_rng(3)
+    binding = 0
+    for _ in range(16):
+        model = _fill(rng, 7, 1, 2, 3, 0.1)
+        s_star, _ = sm.safest_policy(model)
+        s_opt = sm.safety(model, sm.value_iteration(model).policy)
+        p = 0.5 * float(s_star.max() + s_opt.max())
+        rep, twin = sm.dual_ascent(model, p), sm.dual_ascent(nudged_copies(model), p)
+        assert twin.info["outer_iterations"] == rep.info["outer_iterations"]
+        assert abs(float(twin.value.sum() - rep.value.sum())) <= 1e-12 * float(rep.value.sum())
+        binding += rep.info["exit"] == "kink"
+    assert binding == 6
 
 
 def test_dual_ascent_at_the_tolerance_edge():
     """p within ADMISSIBLE_TOL below the minimal safety counts as feasible.
 
     The safe action's slope sum(S - p) = 5e-11 is positive but inside the
-    tolerance, so the bracket must close at the mixing level instead of
-    doubling towards the cap.
+    tolerance, so the walk's kink is the safe action, at the mixing level.
     """
     model = risky_safe_model()
     p = 0.1 - 5e-11
@@ -300,6 +438,135 @@ def test_dual_ascent_oracle_gap(ex1_model):
     rep = sm.dual_ascent(ex1_model, 0.5)
     assert rep.gap is None
     assert abs(float(oracle.value.sum()) - float(rep.value.sum())) <= 1e-6
+
+
+def one_state_model(actions):
+    """Taboo state h0, forbidden u0, target e0; ``actions`` maps each
+    action to its cost at h0 and its masses to stay and to reach u0."""
+    doc = {
+        "states": ["h0", "u0", "e0"],
+        "actions": list(actions),
+        "partition": {"taboo": ["h0"], "forbidden": ["u0"], "target": ["e0"]},
+        "transitions": [
+            {"from": "h0", "action": a, "to": to, "p": x}
+            for a, (_, stay, lose) in actions.items()
+            for to, x in (("h0", stay), ("u0", lose), ("e0", 1.0 - stay - lose))
+            if x
+        ]
+        + [{"from": s, "action": a, "to": s, "p": 1.0} for a in actions for s in ("u0", "e0")],
+        "rewards": [{"state": "h0", "action": a, "rho": c} for a, (c, _, _) in actions.items()],
+    }
+    return sm.load_model(json.dumps(doc))
+
+
+def three_lines_model():
+    """One taboo state whose actions' lines V + t S meet at t = 10.
+
+    ``free`` costs 0 with safety 0.5, ``fee`` 1 with 0.4 and ``toll`` 2
+    with 0.3, each leaving at once.
+    """
+    return one_state_model({"free": (0.0, 0.0, 0.5), "fee": (1.0, 0.0, 0.4), "toll": (2.0, 0.0, 0.3)})
+
+
+def test_dual_ascent_takes_the_safest_tied_candidate():
+    """At t = 10 both other actions tie with ``free``; the walk moves
+    straight to ``toll``, the one with the least b, in one step."""
+    model = three_lines_model()
+    rep = sm.dual_ascent(model, 0.3)
+    assert rep.info["breakpoints"] == [pytest.approx(10.0, rel=1e-12)]
+    assert rep.info["outer_iterations"] == 2
+    assert model.actions[rep.policy.assignment()[0]] == "toll"
+    assert rep.value[0] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_dual_ascent_without_forbidden_states():
+    """S is 0 for every policy, so the dual peaks at t = 0 on the first solve."""
+    rep = sm.dual_ascent(no_forbidden_model(), 0.5)
+    assert rep.feasible and rep.value.tolist() == [1.0]
+    assert rep.info["level"] == 0.0 and rep.info["breakpoints"] == []
+    assert rep.info["outer_iterations"] == 1 and rep.info["exit"] == "unconstrained"
+
+
+def lazy_gamble(mid=False):
+    """A gambler's ruin of one stake whose rounds end with probability 1e-6.
+
+    ``bold`` (cost 1) loses half the ended rounds, ``timid`` (cost 2) 5e-5
+    fewer and ``mid`` (cost 1.4), when asked for, 2.5e-5 fewer.  Against
+    bold, timid's b is -5e-11 and mid's -2.5e-11, both inside inner_tol,
+    while a million visits make their safety 5e-5 and 2.5e-5 lower.
+    """
+    stay = 1.0 - 1e-6
+    actions = {"bold": (1.0, stay, 5e-7), "timid": (2.0, stay, 5e-7 - 5e-11)}
+    if mid:
+        actions["mid"] = (1.4, stay, 5e-7 - 2.5e-11)
+    return actions
+
+
+def one_state_dual(actions, p):
+    """The dual's maximum on ``one_state_model(actions)`` in rationals: the
+    least line V + t (S - p) at the best level where two lines cross."""
+    lines = [(Fraction(c) / (1 - Fraction(stay)), Fraction(lose) / (1 - Fraction(stay)))
+             for c, stay, lose in actions.values()]
+    levels = [Fraction(0)] + [(v2 - v1) / (s1 - s2) for (v1, s1), (v2, s2)
+                              in itertools.permutations(lines, 2) if s1 > s2]
+    return max(min(v + t * (s - Fraction(p)) for v, s in lines) for t in levels if t >= 0)
+
+
+def test_dual_ascent_ends_on_the_safest_policy():
+    """With p at the minimal safety, one step enters timid, the safest
+    policy, where the two lines cross."""
+    model = one_state_model(lazy_gamble())
+    s_star, safe = sm.safest_policy(model)
+    p = float(s_star[0])
+    rep = sm.dual_ascent(model, p)
+    assert rep.feasible and rep.info["exit"] == "kink"
+    assert np.array_equal(rep.policy.matrix, safe.matrix)
+    v_safe = sm.value(model, safe)
+    assert np.abs(rep.value - v_safe).max() <= 1e-9 * v_safe.max()
+    assert rep.info["level"] == pytest.approx(2e10, rel=1e-9)
+    assert rep.info["outer_iterations"] == 2
+    assert sm.safety(model, rep.policy).sum() <= model.n_taboo * (p + ADMISSIBLE_TOL)
+
+
+@pytest.mark.parametrize("p, action", [(0.499975, "mid"), (0.49999, "mid"), (0.4999625, "timid")])
+def test_dual_ascent_counts_candidates_by_their_visits(p, action):
+    """mid's one-step b of -2.5e-11 is inside inner_tol, but it crosses
+    bold first, at t = 1.6e10: the walk reaches the dual's exact maximum
+    and the cheapest policy within p, never costlier than the bisection's."""
+    actions = lazy_gamble(mid=True)
+    model = one_state_model(actions)
+    rep, ref = sm.dual_ascent(model, p), bisection_dual_ascent(model, p)
+    want = one_state_dual(actions, p)
+    assert abs(Fraction(float(rep.value[0])) - want) <= 1e-9 * want
+    assert model.actions[rep.policy.assignment()[0]] == action
+    cost = [float(sm.value(model, r.policy)[0]) for r in (rep, ref)]
+    assert cost[0] <= cost[1] * (1.0 + 1e-9)
+    assert rep.info["breakpoints"][0] == pytest.approx(1.6e10, rel=1e-6)
+
+
+def test_dual_ascent_enters_the_safest_policy_where_no_candidate_counts():
+    """``safe`` lowers the safety by 2e-10, but its b is -2e-11 and bold's
+    two visits make the first-order drop 4e-11, inside inner_tol: the
+    walk enters the safest policy, the t = inf piece, where the summed
+    lines cross."""
+    model = one_state_model({"bold": (1.0, 0.5, 0.05 + 1e-10), "safe": (2.0, 0.9, 0.01)})
+    s_star, safe = sm.safest_policy(model)
+    rep = sm.dual_ascent(model, float(s_star[0]))
+    assert rep.feasible and rep.info["exit"] == "kink"
+    assert np.array_equal(rep.policy.matrix, safe.matrix)
+    assert rep.info["outer_iterations"] == 2
+    assert rep.info["level"] == pytest.approx(9e10, rel=1e-6)
+    assert rep.info["breakpoints"] == [rep.info["level"]]
+    assert rep.value[0] == pytest.approx(20.0, rel=1e-9)
+
+
+def test_dual_ascent_solve_cap_raises(solver_corpus, monkeypatch):
+    """Instance 6 takes five solves; the walk stops at the cap."""
+    model, p = solver_corpus[6]
+    assert sm.dual_ascent(model, p).info["outer_iterations"] == 5
+    monkeypatch.setattr(constrained, "_INNER_ROUNDS", 4)
+    with pytest.raises(sm.MaxIterationsError, match="within 4 solves"):
+        sm.dual_ascent(model, p)
 
 
 # ----------------------------------------------------------------- enumeration
