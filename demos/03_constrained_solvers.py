@@ -3,9 +3,10 @@
 The safety constraint asks every start state to reach the forbidden set
 with probability at most p. The package solves that three ways: by
 enumerating admissible pure policies, by a linear program over the
-value candidates, and by bisection on the slope of the Lagrangian dual.
-At p = 0.5 all three agree on the worked example; at p = 0.3 the
-instance is infeasible and each route reports that in its own way.
+value candidates, and by walking the breakpoints of the Lagrangian dual
+over one multiplier level. At p = 0.5 all three agree on the worked
+example; at p = 0.3 the instance is infeasible and each route reports
+that in its own way.
 """
 
 import json
@@ -68,7 +69,7 @@ def main():
     print(problem.dump())
     lp = sm.solve_lp(problem)
     print(f"  optimum l = {np.round(lp.l, 6)}, multiplier level t = "
-          f"{lp.multipliers[0]:.6g}, objective {lp.objective:.6g}")
+          f"{lp.level:.6g}, objective {lp.objective:.6g}")
 
     dual = sm.dual_ascent(model, p)
     print("\ndual ascent on the multiplier level:")

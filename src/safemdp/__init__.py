@@ -24,7 +24,6 @@ from .constrained import (
     build_lp,
     constrained_vi_pure,
     dual_ascent,
-    dual_inner,
     enumerate_admissible,
     p_to_q,
     relative_admissible,

@@ -14,8 +14,8 @@ until the change between sweeps is small, for value iteration,
 ``constrained_vi_pure``, ``relative_vi`` and the iterative evaluators.
 ``_improve``, Howard's policy iteration from a proper policy, solves
 each choice exactly, one ``_round`` at a time; it serves
-``safest_policy`` and ``dual_inner``.  ``_settle`` ends the sweeps of
-``value_iteration`` and ``relative_vi`` one way: at the first
+``safest_policy`` and ``dual_ascent`` at t = 0.  ``_settle`` ends the
+sweeps of ``value_iteration`` and ``relative_vi`` one way: at the first
 checkpoint (sweep CERTIFY_FROM, then doubling up to CERTIFY_GAP apart)
 where the greedy choice is proper and one ``_round`` from it switches
 no state, the modified-policy-iteration certificate (Puterman 1994,

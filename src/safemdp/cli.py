@@ -250,45 +250,37 @@ def cmd_solve(args, report: dict, started: float) -> int:
             q=float(q),
             info=rep.info,
         )
-    elif mode == "lp":
-        problem = constrained.build_lp(model, args.p)
-        solution = constrained.solve_lp(problem)
-        results.update(
-            value=_labeled(model, solution.value),
-            l=_labeled(model, solution.l),
-            multipliers=_labeled(model, solution.multipliers),
-            objective=solution.objective,
-            simplex_iterations=solution.iterations,
-            multiplier_level=float(solution.multipliers[0]),
-            policy=_policy_doc(model, constrained.dual_ascent(model, args.p).policy),
-            p=args.p,
-        )
-    elif mode == "dual":
-        oracle_total = None
-        if args.oracle:
-            oracle = constrained.brute_force_constrained(model, args.p)
-            if oracle.feasible:
-                oracle_total = float(oracle.value.sum())
+    else:  # lp and dual: one dual run, one infeasibility report
+        rep = constrained.dual_ascent(model, args.p, inner_tol=args.tol)
+        results["p"] = args.p
+        if not rep.feasible:
+            results.update(feasible=False, min_safety=_labeled(model, rep.info["min_safety"]))
+            report["results"] = results
+            raise InfeasibleError(f"no policy keeps safety within {args.p} everywhere")
+        results["policy"] = _policy_doc(model, rep.policy)
+        if mode == "lp":
+            solution = constrained.solve_lp(constrained.build_lp(model, args.p))
+            level, value = solution.level, solution.value
+            results.update(
+                l=_labeled(model, solution.l),
+                objective=solution.objective,
+                simplex_iterations=solution.iterations,
+                multiplier_level=level,
+            )
+        else:
+            level, value, gap = rep.info["level"], rep.value, None
+            oracle = constrained.brute_force_constrained(model, args.p) if args.oracle else None
+            if oracle is not None and oracle.feasible:
                 results["oracle"] = {
                     "value": _labeled(model, oracle.value),
                     "policy": _policy_doc(model, oracle.policy),
                     "admissible_count": oracle.admissible_count,
                 }
-        rep = constrained.dual_ascent(model, args.p, inner_tol=args.tol)
-        if not rep.feasible:
-            results.update(
-                feasible=False, min_safety=_labeled(model, rep.info["min_safety"]), p=args.p
-            )
-            report["results"] = results
-            raise InfeasibleError(f"no policy keeps safety within {args.p} everywhere")
+                gap = float(oracle.value.sum() - value.sum())
+            results.update(feasible=True, gap=gap, info=rep.info)
         results.update(
-            value=_labeled(model, rep.value),
-            policy=_policy_doc(model, rep.policy),
-            multipliers=_labeled(model, rep.multipliers),
-            feasible=True,
-            gap=None if oracle_total is None else oracle_total - float(rep.value.sum()),
-            info=rep.info,
-            p=args.p,
+            value=_labeled(model, value),
+            multipliers=_labeled(model, np.full(model.n_taboo, level)),
         )
 
     report["results"] = results

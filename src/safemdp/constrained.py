@@ -15,27 +15,19 @@ distributions are constrained by the ratio of forbidden-exit to
 target-exit mass; ``relative_admissible`` holds the vertices of those
 per-state polytopes as one weight array, built without a Python loop.
 
-On multipliers: ``dual_inner`` evaluates the dual function exactly at
-any nonnegative per-state multiplier vector, but the walk in
-``dual_ascent`` and the LP in ``build_lp`` restrict multipliers to a
-common level across states (a vector t*1), along which the summed dual
-is concave and piecewise linear.  Along any per-state direction that
-loads a single multiplier coordinate, the penalized value grows without
-bound whenever the occupation weights amplify the penalty faster than
-the p-discharge subtracts it, so the unrestricted search is unbounded
-even on feasible models.  Constant vectors keep the dual value
-equal to the penalized-cost optimum and reproduce the no-gap behaviour
-the rest of the package tests against.
+The dual and the LP price safety with one multiplier level t common to
+every state: over per-state multipliers the search is unbounded even on
+feasible models.
 
 Shared machinery: every solver here reads the stage costs, taboo block
 and exit masses from the model view on :class:`~safemdp.model.MdpModel`;
-the dual inner problem runs the policy iteration of :mod:`safemdp.bellman`
-over the actions, ``dual_ascent`` starts from it and prices every
-candidate with its candidate-major rows, ``constrained_vi_pure`` its
-sweep kernel over the admissible actions, and ``relative_vi`` value
-iteration's sweeps and certificate (``bellman._settle``) over the
-vertices; every exact policy evaluation goes through the evaluation core
-of :mod:`safemdp.evaluate`, whose pure-policy kernel ``_pure_blocks``
+``dual_ascent`` starts from the policy iteration of
+:mod:`safemdp.bellman` over the actions and prices every candidate with
+its candidate-major rows, ``constrained_vi_pure`` runs its sweep kernel
+over the admissible actions, and ``relative_vi`` value iteration's
+sweeps and certificate (``bellman._settle``) over the vertices; every
+exact policy evaluation goes through the evaluation core of
+:mod:`safemdp.evaluate`, whose pure-policy kernel ``_pure_blocks``
 ``_admissible_blocks`` filters; its streaming ``_admissible_scan`` serves
 ``brute_force_constrained`` and ``constrained_vi_pure``.
 """
@@ -49,7 +41,7 @@ import numpy as np
 
 from .bellman import _bellman, _candidate_major, _greedy_policy, _improve, _settle, _sweep
 from .bellman import safest_policy
-from .evaluate import _pure_blocks, _solve, _witness
+from .evaluate import _pure_blocks, _solve
 from .exceptions import InfeasibleError, MaxIterationsError
 from .model import MdpModel, Policy
 from .simplex import solve_min
@@ -63,18 +55,17 @@ _INNER_ROUNDS = 100_000  # policy-iteration rounds, and solves of the dual's wal
 class ConstrainedSolveReport:
     """Common result shape for the constrained solvers.
 
-    ``value`` and ``multipliers`` are vectors over taboo states;
-    ``gap`` is the summed value of the best admissible pure policy less
-    the sweep limit for ``constrained_vi_pure`` and None for the other
-    solvers; ``info`` carries method-specific diagnostics.  Only
-    ``dual_ascent`` reports ``feasible`` False: its value is then the
-    unconstrained optimum (``_improve`` at zero multipliers), its
-    policy the safest policy, and ``info`` holds the minimal safety.
+    ``value`` is a vector over taboo states; ``gap`` is the summed
+    value of the best admissible pure policy less the sweep limit for
+    ``constrained_vi_pure`` and None for the other solvers; ``info``
+    carries method-specific diagnostics.  Only ``dual_ascent`` reports
+    ``feasible`` False: its value is then the unconstrained optimum
+    (``_improve`` at t = 0), its policy the safest policy, and ``info``
+    holds the minimal safety.
     """
 
     value: np.ndarray
     policy: Policy
-    multipliers: np.ndarray
     method: str
     feasible: bool
     gap: float | None
@@ -115,44 +106,6 @@ def _check_level(level, name: str = "p") -> None:
         raise ValueError(f"{name} must be finite, got {level}")
 
 
-def _check_multipliers(model: MdpModel, lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (model.n_taboo,):
-        raise ValueError(
-            f"multiplier vector has shape {lam.shape}, expected ({model.n_taboo},)"
-        )
-    if (lam < 0).any():
-        raise ValueError("multipliers must be nonnegative")
-    return lam
-
-
-def _multiplier_offsets(model: MdpModel, lam: np.ndarray, p: float) -> np.ndarray:
-    k = model.forbidden_exit
-    return k * lam[:, None] - p * (lam[:, None] - model.taboo_block @ lam)
-
-
-def dual_inner(
-    model: MdpModel, lam, p: float, tol: float = 1e-10, max_iter: int = _INNER_ROUNDS
-) -> tuple[np.ndarray, Policy]:
-    """Minimize the penalized value over proper policies for fixed multipliers.
-
-    Runs policy iteration (``bellman._improve``, ``tol`` its improvement
-    threshold, ``max_iter`` its cap on exact solves) from the witness
-    policy with the per-(state, action) stage cost
-
-        rho(u, i) + K(u, i) lam(i) - p (lam(i) - sum_j p_iuj lam(j)),
-
-    whose optimum over proper policies is the dual function at ``lam``.
-    Returns that exact value and a proper pure policy attaining it.
-    """
-    _check_level(p)
-    lam = _check_multipliers(model, lam)
-    PH = model.taboo_block
-    stage = model.stage_costs + _multiplier_offsets(model, lam, p)
-    v, choice = _improve(stage, PH, _witness(PH), tol, max_iter)
-    return v, _greedy_policy(model, choice)
-
-
 def dual_ascent(
     model: MdpModel,
     p: float,
@@ -176,10 +129,10 @@ def dual_ascent(
 
     The kink is the first policy with sum(S) <= |H| (p + ADMISSIBLE_TOL),
     entered where its summed line V + t S crosses the last policy's;
-    ``value`` is its V + t (S - p), the dual's maximum, and
-    ``multipliers`` t*1.  ``policy`` is the first policy walked within
-    p + ADMISSIBLE_TOL at every state, walking on past a kink at t > 0
-    to find it, and after a kink at t = 0 outside p the safest policy.
+    ``value`` is its V + t (S - p), the dual's maximum.  ``policy`` is
+    the first policy walked within p + ADMISSIBLE_TOL at every state,
+    walking on past a kink at t > 0 to find it, and after a kink at
+    t = 0 outside p the safest policy.
     ``info`` holds the ``level``, the policies solved
     (``outer_iterations``), the levels stepped (``breakpoints``), the
     ``exit`` ("unconstrained" at t = 0, else "kink") and whether the
@@ -195,7 +148,7 @@ def dual_ascent(
     v0, choice = _improve(model.stage_costs, model.taboo_block, safe, inner_tol, _INNER_ROUNDS)
     if (s_star > p + ADMISSIBLE_TOL).any():
         info = {"min_safety": s_star, "p": p}
-        return ConstrainedSolveReport(v0, safe_pol, np.zeros(h), "dual-ascent", False, None, info)
+        return ConstrainedSolveReport(v0, safe_pol, "dual-ascent", False, None, info)
 
     rows, cost = _candidate_major(model.stage_costs, model.taboo_block)
     risk = model.forbidden_exit.T.ravel()
@@ -239,7 +192,7 @@ def dual_ascent(
         "exit": "kink" if level > 0.0 else "unconstrained",
         "inner_policy_feasible": feasible,
     }
-    return ConstrainedSolveReport(value, policy, level * np.ones(h), "dual-ascent", True, None, info)
+    return ConstrainedSolveReport(value, policy, "dual-ascent", True, None, info)
 
 
 @dataclass(frozen=True)
@@ -286,10 +239,10 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Optimal l, the multiplier vector, and the penalized value l - p*t."""
+    """Optimal l, the multiplier level t, and the penalized value l - p*t."""
 
     l: np.ndarray
-    multipliers: np.ndarray
+    level: float
     value: np.ndarray
     objective: float
     iterations: int
@@ -341,8 +294,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the assembled program with the in-package simplex.
 
     An unbounded program means no multiplier level can discharge the
-    penalty, which is exactly the infeasible-p regime; the
-    LpUnboundedError from the solver propagates to the caller.
+    penalty: the summed minimal safety exceeds |H| p, so p is infeasible;
+    the LpUnboundedError from the solver propagates to the caller.  A
+    bounded program does not make p feasible at every state, which
+    ``dual_ascent`` decides.
     """
     res = solve_min(-problem.objective, problem.rows, problem.rhs)
     h = problem.n_taboo
@@ -350,7 +305,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     t = float(res.x[h]) if problem.has_multiplier else 0.0
     return LpSolution(
         l=l,
-        multipliers=t * np.ones(h),
+        level=t,
         value=l - problem.p * t,
         objective=float(-res.objective),
         iterations=res.iterations,
@@ -455,7 +410,6 @@ def constrained_vi_pure(
     return ConstrainedSolveReport(
         value=v,
         policy=_greedy_policy(model, assignment),
-        multipliers=np.zeros(h),
         method="constrained-vi",
         feasible=True,
         gap=float(best_value.sum() - v.sum()),
@@ -559,7 +513,7 @@ def relative_vi(
         "vertices_per_state": vs.valid.sum(axis=1).tolist(),
         "chosen_vertex": chosen.tolist(),
     }
-    return ConstrainedSolveReport(v, Policy(matrix), np.zeros(h), "relative-vi", True, None, info)
+    return ConstrainedSolveReport(v, Policy(matrix), "relative-vi", True, None, info)
 
 
 def p_to_q(p):

@@ -344,7 +344,51 @@ def test_solve_lp_policy_keeps_every_state_within_p(capsys, tmp_path, solver_cor
 def test_solve_lp_infeasible_exits_5(capsys, model_path):
     code, report = run_json(capsys, "solve", model_path, "--mode", "lp", "--p", "0.3")
     assert code == 5
-    assert report["error"]["kind"] == "Infeasible"
+    assert report["error"] == {
+        "kind": "Infeasible", "message": "no policy keeps safety within 0.3 everywhere"
+    }
+    assert report["results"]["feasible"] is False
+    assert report["results"]["min_safety"] == {"a": 0.4, "b": 0.4, "c": 0.4}
+
+
+def test_solve_lp_infeasible_at_one_state_exits_5(capsys, tmp_path):
+    """p = 0.35 lies above the mean minimal safety (0.1 at a, 0.5 at b) but
+    below b's, so the LP is bounded while no policy keeps b within p."""
+    exits = {("a", "u1"): 0.1, ("a", "u2"): 0.1, ("b", "u1"): 0.5, ("b", "u2"): 0.6}
+    transitions = [
+        {"from": s, "action": u, "to": to, "p": x}
+        for (s, u), d in exits.items()
+        for to, x in (("d", d), ("e", 1.0 - d))
+    ] + [{"from": s, "action": u, "to": s, "p": 1.0} for s in "de" for u in ("u1", "u2")]
+    doc = {
+        "states": ["a", "b", "d", "e"],
+        "actions": ["u1", "u2"],
+        "partition": {"taboo": ["a", "b"], "forbidden": ["d"], "target": ["e"]},
+        "transitions": transitions,
+        "rewards": [{"state": "b", "action": "u1", "rho": 1}],
+    }
+    path = tmp_path / "one_state.json"
+    path.write_text(json.dumps(doc))
+    for mode in ("lp", "dual"):
+        code, report = run_json(capsys, "solve", str(path), "--mode", mode, "--p", "0.35")
+        assert code == 5, mode
+        assert report["error"]["kind"] == "Infeasible"
+        assert report["results"]["min_safety"] == {"a": 0.1, "b": 0.5}
+        assert "policy" not in report["results"]
+
+
+def test_solve_lp_and_dual_print_one_policy(capsys, tmp_path, model_path, solver_corpus):
+    """``lp`` reports the policy ``dual`` does, at the same ``--tol``."""
+    model, p = solver_corpus[3]
+    corpus_path = tmp_path / "corpus3.json"
+    corpus_path.write_text(sm.serialize_model(model))
+    for path, argv in ((corpus_path, ["--p", repr(p), "--tol", "0.1"]),
+                       (model_path, ["--p", "0.5"])):
+        policies = [
+            run_json(capsys, "solve", str(path), "--mode", mode, *argv)[1]["results"]["policy"]
+            for mode in ("lp", "dual")
+        ]
+        assert policies[0] == policies[1], path
 
 
 def test_solve_dual_with_oracle(capsys, model_path):

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import safemdp as sm
 from safemdp import constrained
 from safemdp.bellman import _greedy_policy, _improve, _sweep
-from safemdp.constrained import ADMISSIBLE_TOL, RELATIVE_TOL, _multiplier_offsets
+from safemdp.constrained import ADMISSIBLE_TOL, RELATIVE_TOL
 from safemdp.evaluate import _exact, _trapped
 from corpus import _fill
-from test_policy_iteration import finish
+from test_policy_iteration import finish, improve_penalized
 
 GOLDEN = np.array([1.0, 3.6, 4.0])
 
@@ -28,24 +28,13 @@ def members_entrywise_min(adm):
 
 
 def test_dual_inner_zero_is_unconstrained(ex1_model):
-    q, pol = sm.dual_inner(ex1_model, np.zeros(3), p=0.5)
+    q, pol = improve_penalized(ex1_model, 0.0)
     assert np.allclose(q, GOLDEN, atol=1e-9)
     assert tuple(pol.assignment()[:3]) == (0, 1, 0)
 
 
-def test_dual_inner_rejects_negative_multiplier(ex1_model):
-    with pytest.raises(ValueError, match="nonnegative"):
-        sm.dual_inner(ex1_model, np.array([-1.0, 0, 0]), p=0.5)
-
-
-def test_dual_inner_penalty_inverts_choice(ex1_model):
-    """A heavy multiplier on state a rewards the safer action there."""
-    q, pol = sm.dual_inner(ex1_model, np.array([10.0, 0.0, 0.0]), p=0.5)
-    assert np.allclose(q, [0.0, 7.6, 8.0], atol=1e-9)
-    assert pol.assignment()[0] == 0
-
-
 def test_dual_inner_single_policy_matches_lagrangian():
+    """At level t the dual's inner optimum is V + t (S - p): rho + t K's less p t."""
     doc = {
         "states": ["h0", "u0", "e0"],
         "actions": ["a0"],
@@ -61,10 +50,10 @@ def test_dual_inner_single_policy_matches_lagrangian():
     }
     model = sm.load_model(json.dumps(doc))
     pol = sm.pure_policy(model, {0: 0})
-    lam = np.array([2.0])
-    q, _ = sm.dual_inner(model, lam, p=0.6)
-    L = sm.value(model, pol) + lam * (sm.safety(model, pol) - 0.6)
-    assert np.abs(q - L).max() <= 1e-9
+    t, p = 2.0, 0.6
+    q, _ = improve_penalized(model, t)
+    L = sm.value(model, pol) + t * (sm.safety(model, pol) - p)
+    assert np.abs(q - p * t - L).max() <= 1e-9
 
 
 # ------------------------------------------------------------------------ lp
@@ -108,7 +97,7 @@ def test_build_lp_drops_multiplier_without_forbidden():
     assert not problem.has_multiplier
     sol = sm.solve_lp(problem)
     assert sol.l[0] == pytest.approx(1.0, abs=1e-9)
-    assert sol.multipliers[0] == 0.0
+    assert sol.level == 0.0
 
 
 def reference_build_lp(model, p):
@@ -174,7 +163,7 @@ def test_build_lp_matches_reference(ex1_model, solver_corpus, oracle_cases):
 def test_solve_lp_golden(ex1_model):
     sol = sm.solve_lp(sm.build_lp(ex1_model, p=0.5))
     assert np.abs(sol.l - GOLDEN).max() <= 1e-9
-    assert sol.multipliers[0] == pytest.approx(0.0, abs=1e-9)
+    assert sol.level == pytest.approx(0.0, abs=1e-9)
     assert sol.objective == pytest.approx(8.6, abs=1e-9)
     assert np.abs(sol.value - GOLDEN).max() <= 1e-9
 
@@ -230,7 +219,7 @@ def test_lp_raw_variables_can_exceed_members():
     model = risky_safe_model()
     sol = sm.solve_lp(sm.build_lp(model, p=0.2))
     best_pure = 10.0
-    assert sol.multipliers[0] == pytest.approx(25.0, abs=1e-6)
+    assert sol.level == pytest.approx(25.0, abs=1e-6)
     assert sol.l[0] == pytest.approx(12.5, abs=1e-6)
     assert sol.l[0] > best_pure
     assert sol.value[0] == pytest.approx(7.5, abs=1e-6)
@@ -247,7 +236,6 @@ def bisection_dual_ascent(model, p, inner_tol=1e-10):
     summed dual and the cheapest evaluated policy within p everywhere.
     """
     h = model.n_taboo
-    ones = np.ones(h)
     _, safe_pol = sm.safest_policy(model)
     best = {"sum": -np.inf, "t": 0.0, "value": None}
     chosen = {"sum": np.inf, "policy": safe_pol}
@@ -256,7 +244,10 @@ def bisection_dual_ascent(model, p, inner_tol=1e-10):
 
     def rising(t):
         nonlocal choice, evaluations
-        stage = model.stage_costs + _multiplier_offsets(model, t * ones, p)
+        # rho + t K - p t (1 - sum_j p_iuj): for a proper policy, V + t (S - p)
+        stage = model.stage_costs + model.forbidden_exit * t - p * (
+            t - model.taboo_block @ np.full(h, t)
+        )
         dual, choice = _improve(stage, model.taboo_block, choice, inner_tol, 100_000)
         pol = _greedy_policy(model, choice)
         evaluations += 1
@@ -279,7 +270,7 @@ def bisection_dual_ascent(model, p, inner_tol=1e-10):
             else:
                 lo = t
     return sm.ConstrainedSolveReport(
-        best["value"], chosen["policy"], best["t"] * ones, "dual-ascent", True, None,
+        best["value"], chosen["policy"], "dual-ascent", True, None,
         {"level": best["t"], "outer_iterations": evaluations},
     )
 
@@ -288,7 +279,7 @@ def test_dual_ascent_golden(ex1_model):
     rep = sm.dual_ascent(ex1_model, p=0.5)
     assert rep.feasible
     assert np.abs(rep.value - GOLDEN).max() <= 1e-6
-    assert np.allclose(rep.multipliers, 0.0, atol=1e-9)
+    assert rep.info["level"] == pytest.approx(0.0, abs=1e-9)
     assert rep.method == "dual-ascent"
     s = sm.safety(ex1_model, rep.policy)
     assert (s <= 0.5 + 1e-10).all()
@@ -425,11 +416,11 @@ def test_dual_ascent_at_the_tolerance_edge():
 
 
 def test_dual_ascent_complementary_slackness(solver_corpus):
-    """Active multipliers require the reported policy to sit on the bound."""
+    """An active multiplier level requires the reported policy to sit on the bound."""
     for model, p in solver_corpus:
         rep = sm.dual_ascent(model, p)
         s = sm.safety(model, rep.policy)
-        assert float((rep.multipliers * (s - p)).max()) <= 1e-6
+        assert float((rep.info["level"] * (s - p)).max()) <= 1e-6
         assert float(sm.value(model, rep.policy).sum()) >= float(rep.value.sum()) - 1e-9
 
 
@@ -742,7 +733,6 @@ def reference_constrained_vi_pure(model, p, tol=1e-10, max_iter=100_000, cap=10*
     return sm.ConstrainedSolveReport(
         value=v,
         policy=sm.pure_policy(model, dict(enumerate(assignment))),
-        multipliers=np.zeros(h),
         method="constrained-vi",
         feasible=True,
         gap=float(best_value.sum() - v.sum()),
@@ -1025,10 +1015,6 @@ def test_p_to_q_values():
         sm.p_to_q(1.0)
 
 
-def dual_inner_at_ones(model, p):
-    return sm.dual_inner(model, np.ones(model.n_taboo), p)
-
-
 @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
     "entry",
@@ -1040,7 +1026,6 @@ def dual_inner_at_ones(model, p):
         sm.brute_force_constrained,
         sm.relative_admissible,
         sm.relative_vi,
-        dual_inner_at_ones,
     ],
     ids=lambda f: f.__name__,
 )

@@ -1,7 +1,8 @@
 """Module layering of the package: imports sit at module level and form no
 cycle, one loop sweeps for every fixed-point solver, one lockstep loop
-draws every Monte Carlo batch, one table holds the sampling rule, and
-the relative-safety route runs on arrays."""
+draws every Monte Carlo batch, one table holds the sampling rule, the
+command line runs the dual once for both Lagrangian modes, and the
+relative-safety route runs on arrays."""
 import ast
 from pathlib import Path
 
@@ -90,6 +91,13 @@ def test_one_philox_pass():
     """Monte Carlo steps in lockstep in one loop: the package calls
     ``_philox_blocks`` from exactly one place."""
     calls = _call_sites("_philox_blocks")
+    assert len(calls) == 1, calls
+
+
+def test_one_dual_run_in_cli():
+    """``solve --mode lp`` and ``--mode dual`` share one dual run and one
+    infeasibility report: ``cli`` calls ``dual_ascent`` from exactly one place."""
+    calls = [site for site in _call_sites("dual_ascent") if site.startswith("cli:")]
     assert len(calls) == 1, calls
 
 

@@ -1,4 +1,6 @@
-"""Policy iteration from a proper witness behind ``safest_policy`` and ``dual_inner``.
+"""Policy iteration from a proper witness behind ``safest_policy``, and
+``_improve`` on the stage cost rho + t K, the dual's inner problem at a
+multiplier level t.
 
 The solvers must return proper policies whose exact values are the
 reported vectors, match the sweeps they replaced wherever those ended
@@ -14,7 +16,6 @@ import pytest
 import safemdp as sm
 from corpus import corridor_model, sparse_model
 from safemdp.bellman import CERTIFY_FROM, CERTIFY_GAP, _greedy_policy, _improve, _sweep
-from safemdp.constrained import _multiplier_offsets
 from safemdp.evaluate import _exact, _solve, _trapped, _witness
 
 
@@ -24,11 +25,22 @@ def sweep_safest_policy(model, tol=1e-12, max_iter=100_000):
     return v, _greedy_policy(model, greedy)
 
 
-def sweep_dual_inner(model, lam, p, tol=1e-10, max_iter=100_000):
-    """``dual_inner`` as it was: value iteration on the penalized stage cost."""
-    stage = model.stage_costs + _multiplier_offsets(model, np.asarray(lam, float), p)
+def sweep_penalized(model, t, tol=1e-10, max_iter=100_000):
+    """The dual's inner problem at level t as it was: value iteration on rho + t K."""
+    stage = model.stage_costs + t * model.forbidden_exit
     v, greedy, _ = _sweep(stage, model.taboo_block, None, tol, max_iter)
     return v, _greedy_policy(model, greedy)
+
+
+def improve_penalized(model, t, tol=1e-10, max_iter=100_000):
+    """Policy iteration on rho + t K from the witness: V + t S of its proper policy.
+
+    That is the dual's inner optimum at level t plus the constant p t.
+    """
+    PH = model.taboo_block
+    stage = model.stage_costs + t * model.forbidden_exit
+    v, choice = _improve(stage, PH, _witness(PH), tol, max_iter)
+    return v, _greedy_policy(model, choice)
 
 
 def is_proper(model, policy):
@@ -36,10 +48,10 @@ def is_proper(model, policy):
     return not _trapped(model.taboo_block[rows, policy.assignment()[rows]]).any()
 
 
-def penalized(model, policy, t, p):
-    """Exact V + t (S - p) of one policy, the dual objective at level t."""
+def penalized(model, policy, t):
+    """Exact V + t S of one policy, its value on the stage cost rho + t K."""
     v, s, _ = _exact(model, policy)
-    return v + t * (s - p)
+    return v + t * s
 
 
 def assert_matches_sweep(got, want, model):
@@ -59,7 +71,7 @@ def assert_matches_sweep(got, want, model):
 
 def test_matches_sweep_reference(ex1_model, solver_corpus, oracle_cases):
     improper = 0
-    for model, p in [(ex1_model, 0.5)] + solver_corpus + oracle_cases:
+    for model, _ in [(ex1_model, 0.5)] + solver_corpus + oracle_cases:
         try:
             want = sweep_safest_policy(model)
         except sm.NotTransientError as err:
@@ -70,9 +82,8 @@ def test_matches_sweep_reference(ex1_model, solver_corpus, oracle_cases):
         assert_matches_sweep(sm.safest_policy(model), want, model)
         improper += not is_proper(model, want[1])
         for t in (0.0, 1.0):
-            lam = np.full(model.n_taboo, t)
-            want = sweep_dual_inner(model, lam, p)
-            assert_matches_sweep(sm.dual_inner(model, lam, p), want, model)
+            want = sweep_penalized(model, t)
+            assert_matches_sweep(improve_penalized(model, t), want, model)
             improper += not is_proper(model, want[1])
     assert improper >= 10
 
@@ -95,9 +106,9 @@ def test_sparse_draws_get_proper_exact_answers():
         proper = sm.enumerate_admissible(model, 1.0)
         assert np.abs(proper.safety.min(axis=0) - s).max() <= 1e-9
         for t in (0.0, 1.0, 10.0):
-            v, pol = sm.dual_inner(model, np.full(model.n_taboo, t), 0.5)
+            v, pol = improve_penalized(model, t)
             assert is_proper(model, pol)
-            assert np.abs(penalized(model, pol, t, 0.5) - v).max() <= 1e-9
+            assert np.abs(penalized(model, pol, t) - v).max() <= 1e-9
         report = sm.dual_ascent(model, 0.5)
         assert report.feasible == sm.brute_force_constrained(model, 0.5).feasible
         assert is_proper(model, report.policy)
@@ -258,9 +269,9 @@ def test_corridor_values_are_exact():
     got = s, pol = sm.safest_policy(model)
     assert np.abs(sm.safety(model, pol) - s).max() <= 1e-12
     assert_matches_sweep(got, sweep_safest_policy(model), model)
-    got = v, pol = sm.dual_inner(model, np.zeros(100), 0.5)
+    got = v, pol = improve_penalized(model, 0.0)
     assert np.abs(sm.value(model, pol) - v).max() <= 1e-12 * np.abs(v).max()
-    assert_matches_sweep(got, sweep_dual_inner(model, np.zeros(100), 0.5), model)
+    assert_matches_sweep(got, sweep_penalized(model, 0.0), model)
 
 
 def test_sub_threshold_gain_keeps_values_exact():
@@ -282,7 +293,7 @@ def test_sub_threshold_gain_keeps_values_exact():
 def test_round_cap_raises(ex1_model):
     """The witness on ex1 is not the unconstrained optimum, so one round is short."""
     with pytest.raises(sm.MaxIterationsError) as err:
-        sm.dual_inner(ex1_model, np.zeros(3), 0.5, max_iter=1)
+        improve_penalized(ex1_model, 0.0, max_iter=1)
     assert err.value.last is not None
 
 
@@ -290,7 +301,7 @@ def test_round_cap_raises(ex1_model):
 def test_bad_improvement_threshold_rejected(ex1_model, tol):
     for solve in (
         lambda: sm.safest_policy(ex1_model, tol=tol),
-        lambda: sm.dual_inner(ex1_model, np.zeros(3), 0.5, tol=tol),
+        lambda: improve_penalized(ex1_model, 0.0, tol=tol),
     ):
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             solve()
