@@ -21,9 +21,14 @@ where the greedy choice is proper and one ``_round`` from it switches
 no state, the modified-policy-iteration certificate (Puterman 1994,
 6.5-6.6), or else at the change rule, followed by ``_improve`` from the
 greedy choice (or from the witness where that choice never leaves H).
-Either way the value is the exact value of the proper policy returned,
-and exceeds the best proper policy's by at most ``tol * max(1, |v|)``
-per expected visit under that policy (README, Numerical notes).
+Where the choice is proper but the round switches a state, the sweeps
+go on from that round's values (Puterman & Shin 1978): the exact value
+of a proper policy is at least the best proper policy's, and from any
+such start value iteration converges to it, zero-cost cycles or not
+(Bertsekas & Yu 2016).  Either way the value is the exact value of the
+proper policy returned, and exceeds the best proper policy's by at most
+``tol * max(1, |v|)`` per expected visit under that policy (README,
+Numerical notes).
 Stage costs, taboo block and exit masses come from the model view on
 :class:`~safemdp.model.MdpModel`.
 
@@ -42,14 +47,18 @@ import numpy as np
 
 from .evaluate import _induce, _require_transient, _solve, _witness
 from .exceptions import MaxIterationsError, NotTransientError
-from .model import MdpModel, Policy
+from .model import MdpModel, Policy, _check_count
 
 # Value iteration tries its certificate after CERTIFY_FROM sweeps, then
 # at every doubling of the count until checkpoints are CERTIFY_GAP sweeps
 # apart, then every CERTIFY_GAP sweeps: 16, 32, ..., 256, 512, 768, ...
-# Doubling alone overshoots by up to the sweeps already run; on the bench
-# corridors this cap took a sixth off value iteration's time, and a
-# start of 8 lost on corridor and dense what it won on enum.
+# Doubling alone overshoots by up to the sweeps already run.  Since a
+# failed certificate restarts the sweeps (``_settle``), the bench
+# corridors certify by sweep 256, before the cap first departs from
+# doubling (768 against 1,024), so the cap no longer changes their
+# sweeps; it still bounds the overshoot where the certificate keeps
+# failing.  With the restart a start of 8 halves the sweeps on all three
+# bench workloads; its end-to-end effect is not yet measured.
 CERTIFY_FROM, CERTIFY_GAP = 16, 256
 
 
@@ -63,7 +72,9 @@ class BellmanResult:
     rounding.  ``iterations`` counts the sweeps run, up to the change
     rule or the certificate, whichever stopped them first, and
     ``history`` holds those iterates (including the start) when
-    requested.
+    requested.  Where a failed certificate restarted the sweeps from the
+    exact values of a proper policy, ``history`` jumps there after the
+    checkpoint's entry, so it need not be monotone across a restart.
     """
 
     value: np.ndarray
@@ -123,12 +134,17 @@ def _sweep(
     minimizing candidate per state (ties go to the first) and the sweep
     count; past ``max_iter`` sweeps raises MaxIterationsError carrying
     the last iterate.  ``history`` receives a copy of every iterate.
-    ``v0`` None means zeros; a NaN or negative ``tol`` or a non-finite
-    ``v0``, which no sweep can settle, raises ValueError first.
-    ``certify``, when given, is called with the candidate-major rows and
-    stage costs of ``_candidate_major`` and the minimizing candidates
-    at the checkpoints of CERTIFY_FROM and CERTIFY_GAP that the change
-    rule did not stop before; a true answer stops the sweeps there.
+    ``v0`` None means zeros.  Before the first sweep, ValueError is
+    raised for a NaN or negative ``tol``, a ``max_iter`` that is not a
+    positive integer, and a ``v0`` that is not finite or not of shape
+    (h,).  ``certify``, when given, is called with the candidate-major
+    rows and stage costs of ``_candidate_major``, the minimizing
+    candidates and the iterate at the checkpoints of CERTIFY_FROM and
+    CERTIFY_GAP that the change rule did not stop before.  It answers
+    None to stop the sweeps there, or the values to go on from (the
+    iterate itself to go on unchanged), which are copied into the
+    iterate in place; ``history`` keeps the iterate from before the
+    copy.
 
     Each sweep is one product of the candidate-major rows into a reused
     buffer, a minimum over candidates into the spare iterate and the
@@ -137,7 +153,11 @@ def _sweep(
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    v = np.zeros(Q.shape[0]) if v0 is None else np.array(v0, dtype=float)
+    max_iter = _check_count(max_iter, "max_iter", 1)
+    h = Q.shape[0]
+    v = np.zeros(h) if v0 is None else np.array(v0, dtype=float)
+    if v.shape != (h,):
+        raise ValueError(f"starting values must have shape ({h},), got {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("starting values must be finite")
     _require_transient(Q, np.isfinite(stage))
@@ -156,8 +176,10 @@ def _sweep(
             return v, grid.argmin(axis=0), sweep
         if sweep == check:
             greedy, check = grid.argmin(axis=0), check + min(check, CERTIFY_GAP)
-            if certify(rows, flat, greedy):
+            start = certify(rows, flat, greedy, v)
+            if start is None:
                 return v, greedy, sweep
+            v[:] = start
     raise MaxIterationsError(
         f"no convergence within {max_iter} sweeps (last change {diff:.3g})", last=v
     )
@@ -202,10 +224,13 @@ def _improve(
 
     Runs ``_round`` until no state switches, which keeps every choice
     proper (README, Numerical notes), and returns that round's values
-    and choice; past ``max_iter`` rounds raises MaxIterationsError.
+    and choice; past ``max_iter`` rounds raises MaxIterationsError.  A
+    NaN or negative ``tol`` and a ``max_iter`` that is not a positive
+    integer raise ValueError first.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
+    max_iter = _check_count(max_iter, "max_iter", 1)
     rows, flat = _candidate_major(stage, Q)
     v = None
     for _ in range(max_iter):
@@ -230,6 +255,11 @@ def _settle(
     greedy choice passes the certificate of modified policy iteration
     (Puterman 1994, 6.5-6.6): it is proper and one ``_round`` from it
     switches no state; that round's values and choice are returned.
+    Where the choice is proper but the round switches a state, the
+    sweeps go on from the round's values, the exact value of that
+    proper policy: no lower than the best proper value, so the sweeps
+    still converge to it (Bertsekas & Yu 2016).  An improper choice
+    leaves the iterate as it is.
     Where the change rule stops the sweeps first, ``_improve`` runs from
     their greedy choice, or from the witness over the finite candidates
     where the first exact solve finds that choice improper; a switch
@@ -240,15 +270,18 @@ def _settle(
     """
     exact = None
 
-    def certify(rows: np.ndarray, flat: np.ndarray, greedy: np.ndarray) -> bool:
+    def certify(
+        rows: np.ndarray, flat: np.ndarray, greedy: np.ndarray, v: np.ndarray
+    ) -> np.ndarray | None:
         nonlocal exact
         try:
-            v, choice, stable = _round(rows, flat, greedy, tol)
+            values, choice, stable = _round(rows, flat, greedy, tol)
         except NotTransientError:  # the greedy choice never leaves H
-            return False
+            return v
         if stable:
-            exact = v, choice
-        return stable
+            exact = values, choice
+            return None
+        return values
 
     _, greedy, sweeps = _sweep(stage, Q, v0, tol, max_iter, history, certify)
     if exact is None:
@@ -268,10 +301,12 @@ def value_iteration(
 ) -> BellmanResult:
     """Value iteration for the minimal expected cost until absorption.
 
-    Starts from ``v0`` (zeros by default; must be nonnegative) and runs
-    ``_settle``: the sweeps stop at the certificate or where the
-    sup-norm change drops to ``tol``, and end at the exact value of a
-    proper policy.  ``history`` and ``iterations`` are the sweeps run.
+    Starts from ``v0`` (zeros by default; must be nonnegative, of shape
+    (h,)) and runs ``_settle``: the sweeps stop at the certificate or
+    where the sup-norm change drops to ``tol``, go on from the exact
+    value of the greedy policy where its certificate fails, and end at
+    the exact value of a proper policy.  ``history`` and ``iterations``
+    are the sweeps run; ``history`` is not monotone across a restart.
     At the exact value of the policy the last round solved, no state's
     best candidate beats it by more than eps = ``tol * max(1, |v|)``, so
     that value exceeds the best proper policy's by at most G eps, G the

@@ -53,6 +53,7 @@ and on a label too deep for ``repr`` to quote in an error message.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property, wraps
 
@@ -79,6 +80,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _check_count(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int; ValueError unless it is an integer, not a bool, of at least ``least``.
+
+    Every count, seed and iteration cap goes through it, so all of them
+    reject the same inputs: bools, floats (3.0 and NaN too), strings and
+    None.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (least is not None and value < least)):
+        kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[least]
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ short of a draw gives its last column.  Both loops search the same
 
 from __future__ import annotations
 
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import PathExplosionError
-from .model import MdpModel, Policy
+from .model import MdpModel, Policy, _check_count
 
 UNIFORM_BLOCK = 16
 MAX_DEPTH = 64
@@ -339,19 +338,6 @@ class _Lanes:
                 if h <= node < n:
                     break
         return path[::2], [row - n for row in path[1::2]]
-
-
-def _check_count(value, name: str, least: int | None = None) -> int:
-    """``value`` as an int; ValueError unless it is an integer, not a bool, of at least ``least``.
-
-    Every count and seed argument goes through it, so all of them reject
-    the same inputs: bools, floats (3.0 and NaN too), strings and None.
-    """
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or (least is not None and value < least)):
-        kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[least]
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-    return int(value)
 
 
 def simulate(

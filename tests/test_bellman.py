@@ -1,5 +1,6 @@
 """Unconstrained Bellman solver: operator, value iteration, safest policy."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,43 @@ def test_sweep_rejects_non_finite_start(ex1_model, ex1_policy, solver, keyword, 
     x0 = np.array([start, 0.0, 0.0])
     with pytest.raises(ValueError, match="starting values must be finite"):
         FIXED_POINT_SOLVERS[solver](ex1_model, ex1_policy, **{keyword: x0}, max_iter=1)
+
+
+@pytest.mark.parametrize(
+    "start", [np.zeros(2), 0.0, np.zeros((3, 1))], ids=["short", "scalar", "column"]
+)
+@pytest.mark.parametrize(
+    "solver, keyword",
+    [("value_iteration", "v0"), ("value_iterative", "v0"), ("safety_iterative", "s0")],
+)
+def test_sweep_rejects_misshapen_start(ex1_model, ex1_policy, solver, keyword, start):
+    """A start that is not one value per taboo state is refused by name
+    before the first sweep, not by numpy inside it."""
+    shape = re.escape(f"starting values must have shape (3,), got {np.shape(start)}")
+    with pytest.raises(ValueError, match=shape):
+        FIXED_POINT_SOLVERS[solver](ex1_model, ex1_policy, **{keyword: start})
+
+
+CAPPED_SOLVERS = {
+    **FIXED_POINT_SOLVERS,
+    "safest_policy": lambda m, pol, **kw: sm.safest_policy(m, **kw),
+}
+
+
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("solver", list(CAPPED_SOLVERS))
+def test_iteration_cap_must_be_a_positive_integer(ex1_model, ex1_policy, solver, max_iter):
+    """Sweep and round caps follow the rule of every count argument: a
+    positive integer, not a bool."""
+    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+        CAPPED_SOLVERS[solver](ex1_model, ex1_policy, max_iter=max_iter)
+
+
+def test_iteration_cap_accepts_numpy_integers(ex1_model):
+    res = sm.value_iteration(ex1_model, max_iter=np.int64(4))
+    assert res.iterations == 4
+    with pytest.raises(sm.MaxIterationsError, match="within 1 sweeps"):
+        sm.value_iteration(ex1_model, max_iter=np.int8(1))
 
 
 def test_value_iteration_budget(ex1_model):

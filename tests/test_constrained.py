@@ -14,7 +14,7 @@ from safemdp import constrained
 from safemdp.bellman import _greedy_policy, _improve, _sweep
 from safemdp.constrained import ADMISSIBLE_TOL, RELATIVE_TOL
 from safemdp.evaluate import _exact, _trapped
-from corpus import _fill
+from corpus import _fill, corridor_model
 from test_policy_iteration import finish, improve_penalized
 
 GOLDEN = np.array([1.0, 3.6, 4.0])
@@ -909,6 +909,39 @@ def test_relative_vi_matches_reference(ex1_model, solver_corpus, oracle_cases):
     assert feasible >= 700 and fewer >= feasible // 2
     print(f"relative_vi: {differ} of {feasible} values differ in the last bits, "
           f"{fewer} stop at the certificate")
+
+
+def relative_corridor_model():
+    """The hazard-free 100-state corridor of ``corridor_model`` whose h0 steps
+    left into the target under ``fair`` and into u0 under ``push``.  At q > 0
+    h0 has two vertices, ``fair`` and a mixture of it with ``push``; every
+    other state admits both actions."""
+    base = corridor_model(np.random.default_rng(5), 100, 0.0)
+    h = base.n_taboo
+    trans = np.array(base.transitions)
+    trans[0, 0, [h, h + 1]] = trans[0, 0, [h + 1, h]]
+    return sm.MdpModel(
+        states=base.states,
+        actions=base.actions,
+        partition=base.partition,
+        transitions=trans,
+        rewards=base.rewards,
+    )
+
+
+def test_relative_vi_restarts_on_corridor():
+    """On a slow-mixing corridor the sweeps go on from each failed
+    certificate's exact values and certify at sweep 128, where the change
+    rule stops at 7,713; the answer is the reference's bit for bit."""
+    model = relative_corridor_model()
+    v, matrix, sweeps, chosen, counts = reference_relative_vi(model, 1.0)
+    rep = sm.relative_vi(model, 1.0)
+    assert counts[0] == 2
+    assert rep.value.tobytes() == v.tobytes()
+    assert rep.policy.matrix.tobytes() == matrix.tobytes()
+    assert rep.info["chosen_vertex"] == chosen
+    assert rep.info["sweeps"] < sweeps / 2
+    assert rep.info["sweeps"] == 128
 
 
 MASSES = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 1e-9, 1e-12, 1e-13]) | st.floats(0.0, 1.0)

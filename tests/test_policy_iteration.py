@@ -15,7 +15,16 @@ import pytest
 
 import safemdp as sm
 from corpus import corridor_model, sparse_model
-from safemdp.bellman import CERTIFY_FROM, CERTIFY_GAP, _greedy_policy, _improve, _sweep
+from safemdp.bellman import (
+    CERTIFY_FROM,
+    CERTIFY_GAP,
+    _bellman,
+    _candidate_major,
+    _greedy_policy,
+    _improve,
+    _round,
+    _sweep,
+)
 from safemdp.evaluate import _exact, _solve, _trapped, _witness
 
 
@@ -252,15 +261,43 @@ def test_certificate_declines_improper_greedy_choice():
 
 def test_certificate_stops_corridor_sweeps():
     """On a slow-mixing corridor the certificate passes at a checkpoint,
-    long before the change rule, with the same answer."""
-    for hazard in (0.0, 0.002):
+    long before the change rule, with the same answer.  The sweeps go on
+    from the exact values of each failed certificate's policy, so they
+    certify at sweep 128 without hazard and at 64 with it."""
+    for hazard, certified in ((0.0, 128), (0.002, 64)):
         model = corridor_model(np.random.default_rng(5), 100, hazard)
         new, plain = assert_value_iteration_exact(model)
         assert new < plain / 2
         checkpoints = [CERTIFY_FROM]
         while checkpoints[-1] < new:
             checkpoints.append(checkpoints[-1] + min(checkpoints[-1], CERTIFY_GAP))
-        assert new == checkpoints[-1] and new > CERTIFY_GAP
+        assert new == checkpoints[-1] == certified
+
+
+@pytest.mark.parametrize("hazard", [0.0, 0.002])
+def test_failed_certificate_restarts_sweeps(hazard):
+    """At sweep CERTIFY_FROM on a corridor the greedy choice is proper but
+    its round switches states, so the next sweep starts from that policy's
+    exact values.  Those bound the optimum from above: from there on the
+    iterates never rise (up to a few ulps of rounding) and never fall
+    below the returned value less the threshold ``tol * max(1, |v|)``."""
+    tol = 1e-10
+    model = corridor_model(np.random.default_rng(5), 100, hazard)
+    res = sm.value_iteration(model, tol=tol, keep_history=True)
+    hist = np.array(res.history)
+    assert len(res.history) == res.iterations + 1
+    rows, flat = _candidate_major(model.stage_costs, model.taboo_block)
+    greedy = _bellman(rows, flat, hist[CERTIFY_FROM - 1]).argmin(axis=0)
+    values, _, stable = _round(rows, flat, greedy, tol)
+    assert not stable
+    restarted = hist[CERTIFY_FROM + 1]
+    assert np.array_equal(restarted, _bellman(rows, flat, values).min(axis=0))
+    assert (restarted > hist[CERTIFY_FROM]).any()
+    after = hist[CERTIFY_FROM + 1 :]
+    scale = np.maximum(1.0, np.abs(res.value))
+    assert (np.diff(after, axis=0) <= 1e-15 * scale).all()
+    assert (after >= res.value - tol * scale).all()
+    assert_value_iteration_exact(model)
 
 
 def test_corridor_values_are_exact():
