@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +51,7 @@ SOLVE_MODES = ("unconstrained", "safest", "p-safe", "relative", "lp", "dual")
 
 
 def _round_floats(obj):
+    """The report's scalars rounded; a ``_Floats`` array is rounded as it is written."""
     if isinstance(obj, float):
         # NaN has no JSON token (RFC 8259); it is reported as null.
         return None if math.isnan(obj) else float(f"{obj:.12g}")
@@ -74,16 +76,22 @@ def _read(path: str) -> str:
 # Reports key a label by the text JSON writes for it as an object key
 # (``_key_text``), the text a policy document's ``dist`` keys and
 # ``--start`` are matched against: the state labelled true is "true".
-def _labeled(model: MdpModel, vec) -> dict:
-    return dict(zip(map(_key_text, model.states), np.asarray(vec, float).tolist()))
+@dataclass(frozen=True)
+class _Floats:
+    """An object of floats keyed by the first states' key texts, kept as one array.
+
+    A vector maps each key to a number; a square matrix maps each key to
+    its row, an object keyed the same way.  ``_indented`` writes it as the
+    encoder writes those dicts, every number in one format call.
+    """
+
+    keys: list[str]
+    values: np.ndarray
 
 
-def _labeled_matrix(model: MdpModel, mat) -> dict:
-    labels = list(map(_key_text, model.states))
-    return {
-        labels[i]: dict(zip(labels, row))
-        for i, row in enumerate(np.asarray(mat, float).tolist())
-    }
+def _labeled(model: MdpModel, vec) -> _Floats:
+    values = np.asarray(vec, float)
+    return _Floats(list(map(_key_text, model.states[: len(values)])), values)
 
 
 def _policy_doc(model: MdpModel, policy: Policy) -> dict:
@@ -99,7 +107,9 @@ def _emit(report: dict, started: float) -> None:
     print(_indented(_round_floats(report)))
 
 
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, _Floats)
+# The tokens "%.12g" writes for non-finite values, as the report writes them.
+_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _indented(obj, pad: str = "\n") -> str:
@@ -108,9 +118,12 @@ def _indented(obj, pad: str = "\n") -> str:
     ``indent`` selects the pure-Python encoder.  Here the C encoder writes
     every dict or list that holds no container, with the next line's
     indent in its item separator, and only the levels above are joined
-    by hand.
+    by hand.  A ``_Floats`` is written as the dicts it stands for with
+    its numbers rounded to 12 significant digits (``_floats_text``).
     """
     inner = pad + "  "
+    if isinstance(obj, _Floats):
+        return _floats_text(obj, pad)
     if isinstance(obj, dict):
         items = sorted(obj.items())
         if any(isinstance(v, _CONTAINERS) for _, v in items):
@@ -125,6 +138,56 @@ def _indented(obj, pad: str = "\n") -> str:
         return json.dumps(obj)
     text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
     return text[0] + inner + text[1:-1] + pad + text[-1] if obj else text
+
+
+def _floats_text(obj: _Floats, pad: str) -> str:
+    """``_indented`` of the dicts ``obj`` stands for, its floats rounded as in ``_round_floats``.
+
+    The keys are sorted once, and every number of the array is formatted
+    by one ``_report_tokens`` call.
+    """
+    order = sorted(range(len(obj.keys)), key=obj.keys.__getitem__)
+    names = [json.dumps(obj.keys[i]) + ": " for i in order]
+    if obj.values.ndim == 1:
+        return _object(names, _report_tokens(obj.values[order]), pad)
+    n = len(order)
+    tokens = _report_tokens(obj.values[np.ix_(order, order)])
+    rows = [_object(names, tokens[k * n:(k + 1) * n], pad + "  ") for k in range(n)]
+    return _object(names, rows, pad)
+
+
+def _object(names: list[str], texts: list[str], pad: str) -> str:
+    """The object of ``names`` (each a key token and ": ") and value ``texts``, indented."""
+    if not names:
+        return "{}"
+    inner = pad + "  "
+    return "{" + inner + ("," + inner).join(map(str.__add__, names, texts)) + pad + "}"
+
+
+def _report_tokens(values: np.ndarray) -> list[str]:
+    """``json.dumps(float(f"{x:.12g}"))`` for each value, with NaN as null.
+
+    One ``"%.12g"`` format call writes every number.  For a normal float
+    its digits are already the shortest ones of the rounded value, as
+    ``repr`` writes them: two decimals of at most 15 digits never round
+    to the same float.  Only these tokens are written again, by ``repr``
+    or as the encoder's non-finite tokens:
+
+    - no ``"."``: integral values (``repr`` adds ``.0``), a one-digit
+      mantissa (``1e-05``, ``1e+12``), ``nan`` and ``inf``;
+    - ``"e+1"``: exponents 12 to 15, which ``repr`` writes in full;
+    - ``"e-3"``: subnormals, whose 12 digits can be more than the
+      shortest (``4.94065645841e-324`` is ``5e-324``).
+
+    Most arrays have none, which a scan of the whole text shows.
+    """
+    flat = values.ravel().tolist()
+    text = "%.12g " * len(flat) % tuple(flat)
+    tokens = text.split()
+    if text.count(".") == len(tokens) and "e+1" not in text and "e-3" not in text:
+        return tokens
+    return [t if "." in t and "e+1" not in t and "e-3" not in t
+            else _NONFINITE.get(t) or repr(float(t)) for t in tokens]
 
 
 def _error_report(report: dict, started: float, kind: str, message: str, code: int) -> int:
@@ -177,27 +240,29 @@ def cmd_eval(args, report: dict, started: float) -> int:
         "value": _labeled(model, v),
         "safety": _labeled(model, s),
         "reach": _labeled(model, t),
-        "green": _labeled_matrix(model, cq.green),
+        "green": _labeled(model, cq.green),
         "spectral_radius": float(cq.spectral_radius),
         "evolution_residual": float(residual),
         "residual_initial": "uniform over taboo states",
     }
     if args.csv:
-        _emit_eval_csv(model, report["results"])
+        _emit_eval_csv(report["results"])
         return EXIT_OK
     _emit(report, started)
     return EXIT_OK
 
 
-def _emit_eval_csv(model: MdpModel, results: dict) -> None:
+def _emit_eval_csv(results: dict) -> None:
+    """The eval numbers in state order, each block written by one ``"%.12g"`` format call."""
     lines = ["quantity,state,value"]
     for name in ("value", "safety", "reach"):
-        for state, x in results[name].items():
-            lines.append(f"{name},{state},{x:.12g}")
-    lines.append("green,from,to,value")
-    for src, row in results["green"].items():
-        for dst, x in row.items():
-            lines.append(f"green,{src},{dst},{x:.12g}")
+        keys = [k.replace("%", "%%") for k in results[name].keys]
+        lines.append("\n".join(f"{name},{k},%.12g" for k in keys)
+                     % tuple(results[name].values.tolist()))
+    keys = [k.replace("%", "%%") for k in results["green"].keys]
+    cells = [f"{k},%.12g" for k in keys]
+    rows = "\n".join(f"green,{k}," + f"\ngreen,{k},".join(cells) for k in keys)
+    lines += ["green,from,to,value", rows % tuple(results["green"].values.ravel().tolist())]
     print("\n".join(lines))
 
 

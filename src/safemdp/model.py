@@ -25,6 +25,10 @@ Labels are JSON strings or numbers; probabilities, costs and policy masses
 are JSON numbers.  ``load_model`` touches each entry once and reports the
 first defect in document order; ``serialize_model`` writes the
 ``json.dumps(indent=2)`` layout byte for byte without building the dicts.
+It writes the numbers of each array in one call: ``json.dumps`` of the
+value list, or where orjson is installed and every value is finite,
+``orjson.dumps`` with the few tokens it lays out differently written
+again by ``repr`` (``_tokens``).
 
 Two parse paths share one build step (``_build``).  ``json.loads`` is the
 reference.  Where the optional ``orjson`` package is installed,
@@ -597,23 +601,24 @@ def serialize_model(model: MdpModel) -> str:
     """Serialize a model to the JSON document format; inverse of load_model.
 
     The text is ``json.dumps(doc, indent=2)`` of the document dict byte for
-    byte; the entries come from ``np.nonzero`` in C order, one f-string each.
+    byte; the entries come from ``np.flatnonzero`` in C order, their
+    numbers from one ``_tokens`` call per array.
     """
     s, a = [json.dumps(x) for x in model.states], [json.dumps(x) for x in model.actions]
     head = json.dumps(
         {"states": model.states, "actions": model.actions, "partition": asdict(model.partition)},
         indent=2,
     )
-    ii, uu, jj = (x.tolist() for x in np.nonzero(model.transitions))
+    ii, uu, jj, pp = _entries(model.transitions)
     transitions = [
         f'    {{\n      "from": {s[i]},\n      "action": {a[u]},\n      "to": {s[j]},\n'
         f'      "p": {p}\n    }}'
-        for i, u, j, p in zip(ii, uu, jj, _tokens(model.transitions[ii, uu, jj]))
+        for i, u, j, p in zip(ii, uu, jj, pp)
     ]
-    uu, ii = (x.tolist() for x in np.nonzero(model.rewards))
+    uu, ii, rr = _entries(model.rewards)
     rewards = [
         f'    {{\n      "state": {s[i]},\n      "action": {a[u]},\n      "rho": {r}\n    }}'
-        for u, i, r in zip(uu, ii, _tokens(model.rewards[uu, ii]))
+        for u, i, r in zip(uu, ii, rr)
     ]
     return (
         f'{head[:-2]},\n  "transitions": {_entry_list(transitions)},\n'
@@ -621,9 +626,31 @@ def serialize_model(model: MdpModel) -> str:
     )
 
 
+def _entries(values: np.ndarray) -> list[list]:
+    """The index lists of the nonzero entries in C order, then their number tokens."""
+    flat = np.flatnonzero(values)
+    index = [x.tolist() for x in np.unravel_index(flat, values.shape)]
+    return [*index, _tokens(values.ravel()[flat])]
+
+
 def _tokens(values: np.ndarray) -> list[str]:
-    """The JSON encoder's text for each number, NaN and infinities included."""
-    return json.dumps(values.tolist())[1:-1].split(", ")
+    """The JSON encoder's text for each number, NaN and infinities included.
+
+    ``json.dumps`` writes the tokens where orjson is missing or a value is
+    not finite (orjson writes those as null).  Otherwise ``orjson.dumps``
+    writes them: its digits are the shortest that read back, as ``repr``'s
+    are, and its layout is ``repr``'s for magnitudes in [1e-4, 1e16).
+    Outside that it writes an exponent without sign or padding (1e-7,
+    1e16) or a long fraction (0.000094 for 9.4e-05), so only those
+    tokens are written again by ``repr``.
+    """
+    if orjson is None or not np.isfinite(values).all():
+        return json.dumps(values.tolist())[1:-1].split(", ")
+    tokens = orjson.dumps(values.tolist())[1:-1].decode().split(",")
+    size = np.abs(values)
+    for k in np.flatnonzero((size < 1e-4) | (size >= 1e16)).tolist():
+        tokens[k] = repr(float(tokens[k]))
+    return tokens
 
 
 def _entry_list(items: list[str]) -> str:

@@ -8,10 +8,18 @@ policy transient by construction, which the corpus tests rely on.
 most three columns, so closed classes and non-transient policies come up.
 """
 import json
+import math
 
 import numpy as np
 
 import safemdp as sm
+
+# Floats at the layout switches of ``repr``, ``"%.12g"`` and orjson: signed
+# zero, the least subnormal, both sides of 1e-4 and of 1e16, a value that
+# rounds to 1e12 at 12 digits, the largest float and the non-finite ones.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-5, 9.999999999999999e-05, 1e-4, 999999999999.5, 1e12,
+               1e15, 9999999999999998.0, 1e16, 1.7976931348623157e308, math.inf, -math.inf,
+               math.nan)
 
 
 def _assemble(states, actions, h, nu, trans, rewards):

@@ -1,18 +1,20 @@
 """Command-line workflows: reports, exit codes, determinism."""
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import safemdp as sm
-from corpus import relabeled
+from corpus import EDGE_FLOATS, relabeled
 from safemdp import evaluate
-from safemdp.cli import _indented, main
+from safemdp.cli import _indented, _report_tokens, main
 from safemdp.constrained import ADMISSIBLE_TOL
 
 
@@ -195,6 +197,98 @@ def test_eval_csv(capsys, model_path, policy_path):
     assert lines[0] == "quantity,state,value"
     assert "value,b,3.6" in lines
     assert any(line.startswith("green,b,c,0.2") for line in lines)
+
+
+def reference_round(obj):
+    """The report's rounding: every float to 12 significant digits, NaN as null."""
+    if isinstance(obj, float):
+        return None if math.isnan(obj) else float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: reference_round(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_round(v) for v in obj]
+    return obj
+
+
+@pytest.fixture
+def large_eval(tmp_path):
+    """Model and policy paths for 30 taboo states whose key texts sort unlike the states.
+
+    "h10" sorts before "h2", the numbers 10 and 2 key as "10" before "2",
+    "caf\u00e9" sorts after "zz" though its escape sorts before, and "50% off"
+    holds a format directive.  State h0 exits to the target at cost 1 and h1
+    at cost 3e12, so the report holds integral values and values from 1e12
+    up; the forbidden state takes at most 1e-6 per step, so safety is small.
+    """
+    rng = np.random.default_rng(12)
+    taboo = (*(f"h{i}" for i in range(24)), 2, 10, "caf\u00e9", "zz", "50% off", 'q"uote')
+    h, n = len(taboo), len(taboo) + 2
+    trans = rng.random((n, 2, n)) ** 3
+    trans[:, :, h] = 1e-6 * rng.random((n, 2))
+    trans[:2, 0] = 0.0
+    trans[:2, 0, -1] = 1.0
+    trans[h:] = np.eye(n)[h:, None, :]
+    trans /= trans.sum(axis=2, keepdims=True)
+    rewards = np.zeros((2, n))
+    rewards[:, :h] = rng.uniform(0.0, 5.0, size=(2, h))
+    rewards[0, :2] = 1.0, 3e12
+    model = sm.MdpModel(states=(*taboo, "u0", "e0"), actions=("a0", "a1"),
+                        partition=sm.StatePartition(taboo, ("u0",), ("e0",)),
+                        transitions=trans, rewards=rewards)
+    policy = sm.pure_policy(model, {s: "a0" for s in taboo})
+    model_path, policy_path = tmp_path / "model.json", tmp_path / "policy.json"
+    model_path.write_text(sm.serialize_model(model))
+    policy_path.write_text(sm.serialize_policy(model, policy))
+    return str(model_path), str(policy_path), model, policy
+
+
+def eval_tables(model, policy):
+    """The eval report's four tables as dicts of unrounded floats in state order."""
+    cq = evaluate.chain_quantities(model, policy)
+    keys = [next(iter(json.loads(json.dumps({s: 0})))) for s in model.states[:model.n_taboo]]
+
+    def table(x):
+        return dict(zip(keys, x.tolist()))
+
+    return {
+        "value": table(cq.green @ cq.inputs.stage_cost),
+        "safety": table(cq.green @ cq.inputs.to_forbidden),
+        "reach": table(cq.green @ cq.inputs.to_target),
+        "green": {k: table(row) for k, row in zip(keys, cq.green)},
+    }
+
+
+def test_large_eval_report_matches_reference(capsys, large_eval):
+    model_path, policy_path, model, policy = large_eval
+    code, out = run(capsys, "eval", model_path, policy_path)
+    assert code == 0
+    report = json.loads(out)
+    report["results"].update(eval_tables(model, policy))
+    assert out == json.dumps(reference_round(report), sort_keys=True, indent=2) + "\n"
+    assert '"h0": 1.0,' in out and '"h1": 3000000000000.0,' in out
+
+
+def test_large_eval_csv_matches_reference(capsys, large_eval):
+    model_path, policy_path, model, policy = large_eval
+    code, out = run(capsys, "eval", model_path, policy_path, "--csv")
+    assert code == 0
+    tables = eval_tables(model, policy)
+    lines = ["quantity,state,value"]
+    for name in ("value", "safety", "reach"):
+        lines += [f"{name},{state},{x:.12g}" for state, x in tables[name].items()]
+    lines.append("green,from,to,value")
+    lines += [f"green,{src},{dst},{x:.12g}"
+              for src, row in tables["green"].items() for dst, x in row.items()]
+    assert out == "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(values=st.lists(st.floats() | st.sampled_from(EDGE_FLOATS), min_size=1, max_size=8))
+@example(values=list(EDGE_FLOATS))
+def test_report_tokens_are_the_encoders(values):
+    """A report's number tokens are the encoder's for the rounded floats."""
+    want = ["null" if math.isnan(x) else json.dumps(float(f"{x:.12g}")) for x in values]
+    assert _report_tokens(np.array(values)) == want
 
 
 def test_eval_nan_policy_mass_exits_2(capsys, tmp_path, model_path, policy_path):

@@ -262,12 +262,18 @@ def edge_models(ex1):
     costs[0, 0], costs[1, 1], costs[1, 2] = np.nan, np.inf, -np.inf
     probs = ex1.transitions.copy()
     probs[0, 0, 0], probs[2, 0, 3], probs[1, 1, 4] = -np.inf, 5e-324, 1e300
+    tiny, huge = ex1.transitions.copy(), ex1.rewards.copy()
+    tiny[0, 0, :3], tiny[1, 1, :3] = (9.4e-05, 1e-7, 5e-324), 1e-5
+    tiny[2, 0, :3] = 1e-4, -9.4e-05, -2e16
+    huge[0, :3] = 1e12, 1e15, 9999999999999998.0
+    huge[1, :3] = 1e16, 1.2345678901234568e17, 1.7976931348623157e308
     labels = ('q"uote', "back\\slash", "new\nline", "caf\u00e9 \u2603 \U0001f600", "t\tab\x00")
     rename = dict(zip(ex1.states, labels))
     part = ex1.partition
     return {
         "nonfinite costs": variant(rewards=costs),
         "nonfinite probabilities": variant(transitions=probs),
+        "wide magnitudes": variant(transitions=tiny, rewards=huge),
         "no rewards": variant(rewards=np.zeros_like(ex1.rewards)),
         "no transitions": variant(transitions=np.zeros_like(ex1.transitions)),
         "escaped labels": variant(

@@ -1,25 +1,30 @@
-"""``load_model`` gives the same model or error from both parse paths.
+"""``load_model`` and ``serialize_model`` give the same outcome on both paths.
 
 With orjson installed, ``load_model`` parses with it and falls back to
 ``json.loads`` (the module docstring of ``safemdp.model`` has the rules).
-Each test here loads a text once with ``safemdp.model.orjson`` set to the
-module and once with it set to None, and compares the outcomes: the same
-labels with the same types and bit-identical arrays, or the same exception
-type and message.  The orjson side is skipped where orjson is missing.
+Each load test here loads a text once with ``safemdp.model.orjson`` set to
+the module and once with it set to None, and compares the outcomes: the
+same labels with the same types and bit-identical arrays, or the same
+exception type and message.  ``serialize_model`` writes its numbers with
+orjson where it can; on both paths its text must be the encoder's.  The
+orjson side is skipped where orjson is missing.
 """
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import safemdp as sm
 import safemdp.model as model_module
-from test_model import edge_models
+from corpus import EDGE_FLOATS
+from test_model import edge_models, reference_serialize_model
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=400)
 EDGE_INTS = (2**63, 2**64, 10**30, -(2**63) - 1, -(2**63), 2**64 - 1, 2**64 + 2048,
@@ -44,16 +49,19 @@ def outcome(text):
     return "model", labels, arrays
 
 
-def both_paths(text, orjson_module):
-    """The outcome of ``text`` with orjson, and with ``json.loads`` alone."""
+def on_path(orjson_module, fn, *args):
+    """``fn(*args)`` with ``safemdp.model.orjson`` set to ``orjson_module``."""
     saved = model_module.orjson
     try:
         model_module.orjson = orjson_module
-        fast = outcome(text)
-        model_module.orjson = None
-        return fast, outcome(text)
+        return fn(*args)
     finally:
         model_module.orjson = saved
+
+
+def both_paths(text, orjson_module):
+    """The outcome of ``text`` with orjson, and with ``json.loads`` alone."""
+    return on_path(orjson_module, outcome, text), on_path(None, outcome, text)
 
 
 def assert_same(text, orjson_module):
@@ -61,11 +69,14 @@ def assert_same(text, orjson_module):
     assert fast == reference
 
 
-def corpus_texts(ex1_model, solver_corpus, chain_corpus):
+def corpus_models(ex1_model, solver_corpus, chain_corpus):
     models = [ex1_model, *edge_models(ex1_model).values()]
     models += [model for model, _ in solver_corpus]
-    models += [model for model, _, _ in chain_corpus]
-    texts = [sm.serialize_model(model) for model in models]
+    return models + [model for model, _, _ in chain_corpus]
+
+
+def corpus_texts(ex1_model, solver_corpus, chain_corpus):
+    texts = [sm.serialize_model(m) for m in corpus_models(ex1_model, solver_corpus, chain_corpus)]
     return texts + [json.dumps(json.loads(t)) for t in texts]
 
 
@@ -267,3 +278,22 @@ def documents(draw):
 @given(text=documents())
 def test_generated_documents_match(orjson_module, text):
     assert_same(text, orjson_module)
+
+
+@SETTINGS
+@given(values=st.lists(st.floats() | st.sampled_from(EDGE_FLOATS), min_size=1, max_size=8))
+@example(values=[x for x in EDGE_FLOATS if math.isfinite(x)])
+@example(values=list(EDGE_FLOATS))
+def test_number_tokens_are_the_encoders(orjson_module, values):
+    """The document's number tokens are ``json.dumps``' on both paths."""
+    want = [json.dumps(x) for x in values]
+    for module in (orjson_module, None):
+        assert on_path(module, model_module._tokens, np.array(values)) == want
+
+
+def test_serialize_matches_reference_on_both_paths(orjson_module, ex1_model, solver_corpus,
+                                                   chain_corpus):
+    for model in corpus_models(ex1_model, solver_corpus, chain_corpus):
+        want = reference_serialize_model(model)
+        for module in (orjson_module, None):
+            assert on_path(module, sm.serialize_model, model) == want
