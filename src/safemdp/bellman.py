@@ -47,7 +47,7 @@ import numpy as np
 
 from .evaluate import _induce, _require_transient, _solve, _witness
 from .exceptions import MaxIterationsError, NotTransientError
-from .model import MdpModel, Policy, _check_count
+from .model import MdpModel, Policy, _check_count, _taboo_policy
 
 # Value iteration tries its certificate after CERTIFY_FROM sweeps, then
 # at every doubling of the count until checkpoints are CERTIFY_GAP sweeps
@@ -85,10 +85,8 @@ class BellmanResult:
 
 
 def _greedy_policy(model: MdpModel, greedy: np.ndarray) -> Policy:
-    matrix = np.zeros((model.n_states, model.n_actions))
-    matrix[np.arange(model.n_taboo), greedy] = 1.0
-    matrix[model.n_taboo :, 0] = 1.0
-    return Policy(matrix=matrix)
+    """The pure policy taking action ``greedy[i]`` at taboo state i."""
+    return _taboo_policy(model, np.eye(model.n_actions)[greedy])
 
 
 def _candidate_major(stage: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

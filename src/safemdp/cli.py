@@ -254,12 +254,14 @@ def cmd_eval(args, report: dict, started: float) -> int:
 
 def _emit_eval_csv(results: dict) -> None:
     """The eval numbers in state order, each block written by one ``"%.12g"`` format call."""
+    # A key holding , " CR or LF is quoted as csv.writer quotes it; % is escaped.
+    keys = ['"' + k.replace('"', '""') + '"' if any(c in k for c in ',"\r\n') else k
+            for k in results["value"].keys]
+    keys = [k.replace("%", "%%") for k in keys]
     lines = ["quantity,state,value"]
     for name in ("value", "safety", "reach"):
-        keys = [k.replace("%", "%%") for k in results[name].keys]
         lines.append("\n".join(f"{name},{k},%.12g" for k in keys)
                      % tuple(results[name].values.tolist()))
-    keys = [k.replace("%", "%%") for k in results["green"].keys]
     cells = [f"{k},%.12g" for k in keys]
     rows = "\n".join(f"green,{k}," + f"\ngreen,{k},".join(cells) for k in keys)
     lines += ["green,from,to,value", rows % tuple(results["green"].values.ravel().tolist())]

@@ -43,7 +43,7 @@ from .bellman import _bellman, _candidate_major, _greedy_policy, _improve, _sett
 from .bellman import safest_policy
 from .evaluate import _pure_blocks, _solve
 from .exceptions import InfeasibleError, MaxIterationsError
-from .model import MdpModel, Policy
+from .model import MdpModel, Policy, _taboo_policy
 from .simplex import solve_min
 
 ADMISSIBLE_TOL = 1e-10
@@ -504,16 +504,14 @@ def relative_vi(
     stage = np.where(vs.valid, np.einsum("ikm,im->ik", vs.weights, model.stage_costs), np.inf)
     Q = vs.weights @ model.taboo_block
     v, chosen, sweep = _settle(stage, Q, np.zeros(h), tol, max_iter)
-    matrix = np.zeros((model.n_states, model.n_actions))
-    matrix[:h] = vs.weights[np.arange(h), chosen]
-    matrix[h:, 0] = 1.0
+    policy = _taboo_policy(model, vs.weights[np.arange(h), chosen])
     info = {
         "sweeps": sweep,
         "q": q,
         "vertices_per_state": vs.valid.sum(axis=1).tolist(),
         "chosen_vertex": chosen.tolist(),
     }
-    return ConstrainedSolveReport(v, Policy(matrix), "relative-vi", True, None, info)
+    return ConstrainedSolveReport(v, policy, "relative-vi", True, None, info)
 
 
 def p_to_q(p):

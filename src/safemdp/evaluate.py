@@ -176,7 +176,7 @@ def check_transient(Q: np.ndarray) -> TransienceReport:
 def _induce(model: MdpModel, policy: Policy):
     """The core's input builder: induced matrix, its blocks and cost inputs.
 
-    Raises PolicyError when the policy shape does not match the model and
+    Raises PolicyError when the policy fails ``model._check_policy`` and
     ValueError when an induced row does not sum to one.
     """
     P = induced_matrix(model, policy)

@@ -49,6 +49,9 @@ each error is the reference's.  orjson is trusted where:
   float label or -2**63.  Such a float in ``p`` or ``rho`` is
   ``float(int)`` on both paths, as both round correctly.
 
+Every function that takes a policy checks it by ``_check_policy``, and
+only this module builds policies; no other module calls ``Policy``.
+
 ``load_model`` and ``load_policy`` raise ModelFormatError, not
 RecursionError, on a text nested past the interpreter's recursion limit
 and on a label too deep for ``repr`` to quote in an error message.
@@ -227,8 +230,8 @@ class MdpModel:
 class Policy:
     """Row-stochastic decision rule, one distribution over actions per state.
 
-    Rows for forbidden and target states carry no decision; by convention they
-    are filled with action index 0.
+    Wrapping checks nothing; ``make_policy`` and each function taking a policy
+    check it.  The package's own policies put forbidden and target rows on action 0.
     """
 
     matrix: np.ndarray
@@ -657,20 +660,36 @@ def _entry_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
-def make_policy(model: MdpModel, matrix: np.ndarray) -> Policy:
-    """Wrap a full (n_states, n_actions) matrix as a policy, checking each row."""
+def _check_policy(model: MdpModel, matrix) -> np.ndarray:
+    """``matrix`` as floats; PolicyError unless it is a policy matrix for ``model``.
+
+    Shape (n_states, n_actions), each row nonnegative and summing to one
+    within SIMPLEX_TOL; the error names the first bad row in state order.
+    """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (model.n_states, model.n_actions):
-        raise PolicyError(
-            f"policy matrix has shape {matrix.shape}, expected "
-            f"{(model.n_states, model.n_actions)}"
-        )
-    for i, row in enumerate(matrix):
-        if (row < -SIMPLEX_TOL).any() or not abs(row.sum() - 1.0) <= SIMPLEX_TOL:
-            raise PolicyError(
-                f"policy row for state {model.states[i]!r} is not a distribution"
-            )
-    return Policy(matrix=matrix)
+    expected = (model.n_states, model.n_actions)
+    if matrix.shape != expected:
+        raise PolicyError(f"policy matrix has shape {matrix.shape}, expected {expected}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = matrix.sum(axis=1)
+    bad = (matrix < -SIMPLEX_TOL).any(axis=1) | ~(np.abs(sums - 1.0) <= SIMPLEX_TOL)
+    if bad.any():
+        state = model.states[bad.argmax()]
+        raise PolicyError(f"policy row for state {state!r} is not a distribution")
+    return matrix
+
+
+def _taboo_policy(model: MdpModel, rows: np.ndarray) -> Policy:
+    """``rows`` for the first states (the taboo ones at least), every later state on action 0."""
+    matrix = np.zeros((model.n_states, model.n_actions))
+    matrix[len(rows) :, 0] = 1.0
+    matrix[: len(rows)] = rows
+    return Policy(matrix)
+
+
+def make_policy(model: MdpModel, matrix: np.ndarray) -> Policy:
+    """Wrap a full (n_states, n_actions) matrix as a policy after ``_check_policy``."""
+    return Policy(_check_policy(model, matrix))
 
 
 def pure_policy(model: MdpModel, assignment) -> Policy:
@@ -688,17 +707,12 @@ def pure_policy(model: MdpModel, assignment) -> Policy:
     PolicyError
         If a taboo state has no assigned action.
     """
-    chosen = {}
-    for state, action in assignment.items():
-        chosen[model.state_index(state)] = model.action_index(action)
-    matrix = np.zeros((model.n_states, model.n_actions))
-    for i in range(model.n_states):
-        if i < model.n_taboo and i not in chosen:
-            raise PolicyError(
-                f"assignment is missing taboo state {model.states[i]!r}"
-            )
-        matrix[i, chosen.get(i, 0)] = 1.0
-    return Policy(matrix=matrix)
+    chosen = {model.state_index(s): model.action_index(u) for s, u in assignment.items()}
+    missing = [s for i, s in enumerate(model.states[: model.n_taboo]) if i not in chosen]
+    if missing:
+        raise PolicyError(f"assignment is missing taboo state {missing[0]!r}")
+    choice = [chosen.get(i, 0) for i in range(model.n_states)]
+    return _taboo_policy(model, np.eye(model.n_actions)[choice])
 
 
 @_shallow
@@ -737,26 +751,20 @@ def load_policy(text: str, model: MdpModel) -> Policy:
             if type(mass) is not float:
                 _check_number(mass, f"policy row for {label!r} mass of {act!r}")
             matrix[i, action_at[act]] = mass
-    for i in range(model.n_states):
-        if i not in seen:
-            if i < model.n_taboo:
-                raise ModelFormatError(
-                    f"policy is missing taboo state {model.states[i]!r}"
-                )
-            matrix[i, 0] = 1.0
+    missing = [i for i in range(model.n_states) if i not in seen]
+    if missing and missing[0] < model.n_taboo:
+        raise ModelFormatError(f"policy is missing taboo state {model.states[missing[0]]!r}")
+    matrix[missing, 0] = 1.0
     return make_policy(model, matrix)
 
 
 def serialize_policy(model: MdpModel, policy: Policy) -> str:
     """Serialize a policy to the JSON document format (taboo rows only are required)."""
-    rows = []
-    for i, s in enumerate(model.states):
-        dist = {
-            model.actions[u]: policy.matrix[i, u]
-            for u in range(model.n_actions)
-            if policy.matrix[i, u] != 0.0
-        }
-        rows.append({"state": s, "dist": dist})
+    matrix = _check_policy(model, policy.matrix).tolist()
+    rows = [
+        {"state": s, "dist": {u: x for u, x in zip(model.actions, row) if x != 0.0}}
+        for s, row in zip(model.states, matrix)
+    ]
     return json.dumps({"policy": rows}, indent=2)
 
 
@@ -766,9 +774,5 @@ def induced_matrix(model: MdpModel, policy: Policy) -> np.ndarray:
     The map is affine in the policy: mixing two policies row-wise mixes the
     induced matrices with the same weights.
     """
-    if policy.matrix.shape != (model.n_states, model.n_actions):
-        raise PolicyError(
-            f"policy matrix has shape {policy.matrix.shape}, expected "
-            f"{(model.n_states, model.n_actions)}"
-        )
+    _check_policy(model, policy.matrix)
     return np.einsum("iu,iuj->ij", policy.matrix, model.transitions)

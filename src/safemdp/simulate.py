@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import PathExplosionError
-from .model import MdpModel, Policy, _check_count
+from .model import MdpModel, Policy, _check_count, _check_policy
 
 UNIFORM_BLOCK = 16
 MAX_DEPTH = 64
@@ -221,11 +221,6 @@ def _first_above(cum: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray
     return at
 
 
-def _check_shape(model: MdpModel, policy: Policy) -> None:
-    if policy.matrix.shape != (model.n_states, model.n_actions):
-        raise ValueError("policy shape does not match the model")
-
-
 class _Lanes:
     """Sampling tables for stepping trajectories together or one by one.
 
@@ -239,7 +234,7 @@ class _Lanes:
     """
 
     def __init__(self, model: MdpModel, policy: Policy):
-        _check_shape(model, policy)
+        _check_policy(model, policy.matrix)
         h, m, n = model.n_taboo, model.n_actions, model.n_states
         self.h = h
         (act_cum, act_col), (succ_cum, succ) = [
@@ -497,7 +492,7 @@ def exhaustive_paths(
     node_budget = _check_count(node_budget, "node_budget", 0)
     i0 = model.state_index(start)
     h, nu = model.n_taboo, model.n_forbidden
-    _check_shape(model, policy)
+    _check_policy(model, policy.matrix)
     if i0 >= h:
         s_lo = 1.0 if i0 < h + nu else 0.0
         return PathBounds(s_lo, s_lo, 0.0, 0.0, 0)

@@ -144,3 +144,22 @@ def test_evolution_residual_shape_check(ex1_model, ex1_policy):
     P = sm.induced_matrix(ex1_model, ex1_policy)
     with pytest.raises(ValueError):
         sm.evolution_residual(np.ones(5) / 5, np.zeros(3), np.zeros(3), P)
+
+
+@pytest.mark.parametrize(
+    "mu,rows,message",
+    [
+        (np.ones(5) / 5, 4, "chain matrix must be square"),
+        (np.ones(4) / 4, 5, "initial distribution has length 4, expected 5"),
+    ],
+    ids=["non-square", "initial length"],
+)
+def test_evolution_residual_rejects_shapes(ex1_model, ex1_policy, mu, rows, message):
+    P = sm.induced_matrix(ex1_model, ex1_policy)[:rows]
+    with pytest.raises(ValueError, match=message):
+        sm.evolution_residual(mu, np.zeros(3), np.zeros(2), P)
+
+
+def test_check_transient_rejects_non_square():
+    with pytest.raises(ValueError, match="taboo block must be square"):
+        sm.check_transient(np.zeros((2, 3)))

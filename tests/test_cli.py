@@ -1,4 +1,6 @@
 """Command-line workflows: reports, exit codes, determinism."""
+import csv
+import io
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import safemdp as sm
 from corpus import EDGE_FLOATS, relabeled
-from safemdp import evaluate
+from safemdp import evaluate, simplex
 from safemdp.cli import _indented, _report_tokens, main
 from safemdp.constrained import ADMISSIBLE_TOL
 
@@ -273,13 +275,31 @@ def test_large_eval_csv_matches_reference(capsys, large_eval):
     code, out = run(capsys, "eval", model_path, policy_path, "--csv")
     assert code == 0
     tables = eval_tables(model, policy)
-    lines = ["quantity,state,value"]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["quantity", "state", "value"])
     for name in ("value", "safety", "reach"):
-        lines += [f"{name},{state},{x:.12g}" for state, x in tables[name].items()]
-    lines.append("green,from,to,value")
-    lines += [f"green,{src},{dst},{x:.12g}"
-              for src, row in tables["green"].items() for dst, x in row.items()]
-    assert out == "\n".join(lines) + "\n"
+        writer.writerows([name, state, f"{x:.12g}"] for state, x in tables[name].items())
+    writer.writerow(["green", "from", "to", "value"])
+    writer.writerows(["green", src, dst, f"{x:.12g}"]
+                     for src, row in tables["green"].items() for dst, x in row.items())
+    assert out == text.getvalue()
+
+
+@pytest.mark.parametrize("label", ["x,y", 'say "hi"', "two\nlines", "cr\rlf", '%,"%s"'])
+def test_eval_csv_quotes_labels(capsys, tmp_path, ex1_model, label):
+    """A label holding a comma, a quote, CR or LF reads back as one field."""
+    model = relabeled(ex1_model, (label, *ex1_model.states[1:]), ex1_model.actions)
+    policy = sm.pure_policy(model, {label: "u1", "b": "u2", "c": "u1"})
+    model_path, policy_path = tmp_path / "model.json", tmp_path / "policy.json"
+    model_path.write_text(sm.serialize_model(model))
+    policy_path.write_text(sm.serialize_policy(model, policy))
+    code, out = run(capsys, "eval", str(model_path), str(policy_path), "--csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [3] * 10 + [4] * 10
+    assert [row[1] for row in rows[1:4]] == [label, "b", "c"]
+    assert [row[1:3] for row in rows[11:14]] == [[label, label], [label, "b"], [label, "c"]]
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
@@ -532,6 +552,22 @@ def test_solve_rejects_bad_numeric_parameters(capsys, model_path, flag_args):
     assert code == 2
     assert report["error"]["kind"] == "Parameter"
     assert flag in report["error"]["message"]
+
+
+def test_solve_relative_requires_q_or_p(capsys, model_path):
+    code, report = run_json(capsys, "solve", model_path, "--mode", "relative")
+    assert code == 2
+    assert report["error"] == {
+        "kind": "Parameter", "message": "--mode relative requires --q (or --p to convert)"
+    }
+
+
+def test_solve_other_package_error_exits_1(capsys, monkeypatch, model_path):
+    """An error with no exit code of its own exits 1 under its class name."""
+    monkeypatch.setattr(simplex, "ITER_CAP", 0)
+    code, report = run_json(capsys, "solve", model_path, "--mode", "lp", "--p", "0.5")
+    assert code == 1
+    assert report["error"] == {"kind": "LpNumericalError", "message": "pivot cap exceeded"}
 
 
 def test_solve_cap_exceeded_exits_6(capsys, tmp_path):

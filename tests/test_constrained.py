@@ -1065,3 +1065,9 @@ def test_p_to_q_values():
 def test_non_finite_level_rejected(ex1_model, entry, level):
     with pytest.raises(ValueError, match="must be finite"):
         entry(ex1_model, level)
+
+
+@pytest.mark.parametrize("entry", [sm.relative_admissible, sm.relative_vi], ids=lambda f: f.__name__)
+def test_negative_relative_level_rejected(ex1_model, entry):
+    with pytest.raises(ValueError, match="q must be nonnegative"):
+        entry(ex1_model, -0.5)

@@ -1,8 +1,8 @@
 """Module layering of the package: imports sit at module level and form no
 cycle, one loop sweeps for every fixed-point solver, one lockstep loop
-draws every Monte Carlo batch, one table holds the sampling rule, the
-command line runs the dual once for both Lagrangian modes, and the
-relative-safety route runs on arrays."""
+draws every Monte Carlo batch, one table holds the sampling rule, only
+``model`` builds and checks policies, the command line runs the dual once
+for both Lagrangian modes, and the relative-safety route runs on arrays."""
 import ast
 from pathlib import Path
 
@@ -92,6 +92,22 @@ def test_one_philox_pass():
     ``_philox_blocks`` from exactly one place."""
     calls = _call_sites("_philox_blocks")
     assert len(calls) == 1, calls
+
+
+def test_policies_are_built_in_model():
+    """One policy rule: only ``model`` calls ``Policy(...)``, and no other
+    module raises PolicyError or reads a policy matrix's shape to check it."""
+    sites = [site for site in _call_sites("Policy") if not site.startswith("model:")]
+    sites += [
+        f"{module}:{node.lineno}"
+        for module in MODULES
+        if module != "model"
+        for node in ast.walk(_tree(module))
+        if (isinstance(node, ast.Raise) and "PolicyError" in ast.unparse(node))
+        or (isinstance(node, ast.Attribute) and node.attr == "shape"
+            and getattr(node.value, "attr", None) == "matrix")
+    ]
+    assert not sites, sites
 
 
 def test_one_dual_run_in_cli():

@@ -1,5 +1,7 @@
 """Model document parsing, validation, and policy construction."""
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +151,10 @@ def _bool_for_label(entry, key, label):
         (_bool_for_label("transitions", "from", 0), "transition names unknown state False"),
         (_bool_for_label("transitions", "action", 1), "transition names unknown action True"),
         (_bool_for_label("rewards", "state", 1), "reward names unknown state True"),
+        (lambda d: d["transitions"].insert(1, 5), "transition entries must be objects"),
+        (lambda d: d["transitions"][0].pop("p"), "transition entry missing key 'p'"),
+        (lambda d: d["rewards"].insert(1, [1.0]), "reward entries must be objects"),
+        (lambda d: d["rewards"][0].pop("state"), "reward entry missing key 'state'"),
     ],
 )
 def test_format_errors(ex1_model, mangle, message):
@@ -208,6 +214,25 @@ def test_validation_lists_every_violation_in_order(ex1_model):
         "transition row (b, u2) has entries outside [0, 1]",
         "reward nonzero on target state 'e' (action u2)",
     ]
+
+
+@pytest.mark.parametrize(
+    "change,violation",
+    [
+        (lambda m: {"partition": sm.StatePartition(
+            ("a", "b", "c", "zz"), m.partition.forbidden, m.partition.target)},
+         "partition names undeclared states: 'zz'"),
+        (lambda m: {"transitions": m.transitions[:, :1]},
+         r"transition tensor has shape \(5, 1, 5\), expected \(5, 2, 5\)"),
+        (lambda m: {"rewards": m.rewards[:, :4]},
+         r"reward table has shape \(2, 4\), expected \(2, 5\)"),
+    ],
+    ids=["undeclared state", "transition shape", "reward shape"],
+)
+def test_validate_model_built_directly(ex1_model, change, violation):
+    """Defects a document cannot carry, in a model built without ``load_model``."""
+    model = dataclasses.replace(ex1_model, **change(ex1_model))
+    assert any(re.fullmatch(violation, v) for v in sm.validate_model(model))
 
 
 def test_numeric_labels_load(ex1_model):
@@ -404,6 +429,58 @@ def test_make_policy_rejects_nan_mass(ex1_model, row):
         sm.make_policy(ex1_model, matrix)
 
 
+START = np.array([0.4, 0.3, 0.3, 0.0, 0.0])
+POLICY_TAKERS = {
+    "value": sm.value,
+    "safety": sm.safety,
+    "reach": sm.reach,
+    "chain_quantities": sm.chain_quantities,
+    "cost_inputs": sm.cost_inputs,
+    "occupation": lambda m, pol: sm.occupation(m, pol, START),
+    "hitting": lambda m, pol: sm.hitting(m, pol, START),
+    "induced_matrix": sm.induced_matrix,
+    "value_iterative": sm.value_iterative,
+    "safety_iterative": sm.safety_iterative,
+    "mc_estimates": lambda m, pol: sm.mc_estimates(m, pol, "a", 50, 0),
+    "simulate": lambda m, pol: sm.simulate(m, pol, "a", 0),
+    "exhaustive_paths": lambda m, pol: sm.exhaustive_paths(m, pol, "a", 4),
+    "serialize_policy": sm.serialize_policy,
+}
+
+
+def _bad_matrix(kind):
+    matrix = np.tile([1.0, 0.0], (5, 1))
+    if kind == "half":
+        matrix[0] = [0.5, 0.0]
+    elif kind == "nan":
+        matrix[1] = [np.nan, 1.0]
+    else:
+        matrix = matrix[:4]
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "kind,message",
+    [
+        ("half", "policy row for state 'a' is not a distribution"),
+        ("nan", "policy row for state 'b' is not a distribution"),
+        ("shape", r"policy matrix has shape \(4, 2\), expected \(5, 2\)"),
+    ],
+    ids=["half row", "nan row", "shape"],
+)
+@pytest.mark.parametrize("taker", list(POLICY_TAKERS))
+def test_every_policy_taker_checks_one_rule(ex1_model, taker, kind, message):
+    """Every function that takes a policy rejects a raw ``Policy`` as ``make_policy`` does.
+
+    The Monte Carlo sampler used to give the missing mass of a short row
+    to the last action and the path tree to drop it; a NaN row gave NaN.
+    """
+    with pytest.raises(sm.PolicyError, match=message):
+        sm.make_policy(ex1_model, _bad_matrix(kind))
+    with pytest.raises(sm.PolicyError, match=message):
+        POLICY_TAKERS[taker](ex1_model, sm.Policy(_bad_matrix(kind)))
+
+
 def test_policy_round_trip(ex1_model, ex1_policy):
     text = sm.serialize_policy(ex1_model, ex1_policy)
     again = sm.load_policy(text, ex1_model)
@@ -436,12 +513,24 @@ def test_load_policy_rejects_key_text_of_two_actions(ex1_model):
         ({"state": {"a": 1}, "dist": {"u1": 1.0}}, r"unknown state \{'a': 1\}"),
         ({"state": "a", "dist": [1.0]}, "must map actions to mass"),
         ({"state": "a", "dist": {"u1": 10**400}}, "mass of 'u1' is out of float range"),
+        ({"dist": {"u1": 1.0}}, "policy entries need 'state' and 'dist' keys"),
+        ({"state": "a"}, "policy entries need 'state' and 'dist' keys"),
+        ("a", "policy entries need 'state' and 'dist' keys"),
+        ({"state": "b", "dist": {"u1": 1.0}}, "duplicate policy row for state 'b'"),
+        ({"state": "a", "dist": {"zz": 1.0}}, "policy names unknown action 'zz'"),
+        ({"state": "d", "dist": {"u1": 1.0}}, "policy is missing taboo state 'a'"),
     ],
 )
 def test_load_policy_format_errors(ex1_model, row, message):
     rows = [row, {"state": "b", "dist": {"u2": 1}}, {"state": "c", "dist": {"u1": 1}}]
     with pytest.raises(sm.ModelFormatError, match=message):
         sm.load_policy(json.dumps({"policy": rows}), ex1_model)
+
+
+@pytest.mark.parametrize("doc", [{}, {"policy": {}}, [], {"rows": []}])
+def test_load_policy_needs_a_policy_list(ex1_model, doc):
+    with pytest.raises(sm.ModelFormatError, match="must contain a 'policy' list"):
+        sm.load_policy(json.dumps(doc), ex1_model)
 
 
 def test_five_thousand_digit_integer_is_a_format_error(ex1_model, data_dir):

@@ -57,6 +57,25 @@ def test_negative_rhs_rejected(c, A, b, error):
         solve_min(np.array(c), np.array(A), np.array(b))
 
 
+def test_inconsistent_dimensions_rejected():
+    with pytest.raises(ValueError, match="inconsistent LP dimensions"):
+        solve_min(np.array([1.0, 2.0]), np.array([[1.0]]), np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "cap,A,message",
+    [
+        (simplex.ITER_CAP, [[1e-10]], "pivot 1e-10 below stability threshold"),
+        (0, [[1.0]], "pivot cap exceeded"),
+    ],
+    ids=["small pivot", "pivot cap"],
+)
+def test_numerical_errors(monkeypatch, cap, A, message):
+    monkeypatch.setattr(simplex, "ITER_CAP", cap)
+    with pytest.raises(sm.LpNumericalError, match=message):
+        solve_min(np.array([-1.0]), np.array(A), np.array([1.0]))
+
+
 def test_unbounded_detected():
     with pytest.raises(sm.LpUnboundedError):
         solve_min(np.array([-1.0]), np.array([[-1.0]]), np.array([1.0]))
