@@ -88,7 +88,8 @@ def decompose(P: np.ndarray, partition: StatePartition) -> BlockDecomposition:
     n = h + u + e
     if P.shape != (n, n):
         raise ValueError(f"matrix has shape {P.shape}, partition implies {(n, n)}")
-    sums = P.sum(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN sum
+        sums = P.sum(axis=1)
     bad = np.nonzero(~(np.abs(sums - 1.0) <= 1e-10))[0]  # NaN sums too
     if bad.size:
         i = int(bad[0])

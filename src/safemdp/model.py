@@ -83,8 +83,13 @@ ORJSON_MAX_BRACKETS = 1 << 15
 _INT64_MIN = -(1 << 63)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _frozen(a: np.ndarray, copy: bool = False) -> np.ndarray:
+    """``a`` as a read-only float array.
+
+    With ``copy`` the array is a copy even when ``a`` is already a float
+    array, so a caller's own array stays writeable.
+    """
+    a = np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
     a.flags.writeable = False
     return a
 
@@ -146,8 +151,8 @@ class MdpModel:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "actions", tuple(self.actions))
-        object.__setattr__(self, "transitions", _frozen(self.transitions))
-        object.__setattr__(self, "rewards", _frozen(self.rewards))
+        object.__setattr__(self, "transitions", _frozen(self.transitions, copy=True))
+        object.__setattr__(self, "rewards", _frozen(self.rewards, copy=True))
 
     @property
     def n_states(self) -> int:
@@ -237,7 +242,7 @@ class Policy:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        object.__setattr__(self, "matrix", _frozen(self.matrix, copy=True))
 
     @property
     def pure(self) -> bool:

@@ -47,6 +47,15 @@ def test_decompose_rejects_nan_row(ex1_model, ex1_policy):
         sm.decompose(P, ex1_model.partition)
 
 
+def test_decompose_rejects_opposite_infinities(ex1_model, ex1_policy):
+    """inf - inf sums to NaN without a RuntimeWarning, which tier-1's
+    ``error::RuntimeWarning`` filter would raise in the ValueError's place."""
+    P = sm.induced_matrix(ex1_model, ex1_policy).copy()
+    P[0, :2] = [np.inf, -np.inf]
+    with pytest.raises(ValueError, match="row 0 sums to nan, matrix is not stochastic"):
+        sm.decompose(P, ex1_model.partition)
+
+
 def test_transient_on_nilpotent_block(ex1_model, ex1_policy):
     P = sm.induced_matrix(ex1_model, ex1_policy)
     Q = sm.decompose(P, ex1_model.partition).q

@@ -369,6 +369,29 @@ def test_model_view_is_read_only(ex1_model, view):
     assert getattr(ex1_model, view) is arr
 
 
+def _build(ex1_model, constructor):
+    """The caller's arrays and what ``constructor`` holds of them."""
+    if constructor == "MdpModel":
+        mine = [np.array(ex1_model.transitions), np.array(ex1_model.rewards)]
+        built = dataclasses.replace(ex1_model, transitions=mine[0], rewards=mine[1])
+        return mine, [built.transitions, built.rewards]
+    mine = [np.tile([1.0, 0.0], (5, 1))]
+    build = sm.Policy if constructor == "Policy" else lambda a: sm.make_policy(ex1_model, a)
+    return mine, [build(mine[0]).matrix]
+
+
+@pytest.mark.parametrize("constructor", ["make_policy", "Policy", "MdpModel"])
+def test_constructor_copies_the_callers_array(ex1_model, constructor):
+    """The object freezes its own copy; the caller's array stays writeable and unchanged."""
+    mine, held = _build(ex1_model, constructor)
+    for a, h in zip(mine, held):
+        before = a.copy()
+        assert a.flags.writeable and not h.flags.writeable
+        assert np.array_equal(a, before) and np.array_equal(h, before)
+        a[0] = 0.5
+        assert np.array_equal(h, before)
+
+
 def test_not_json():
     with pytest.raises(sm.ModelFormatError, match="not valid JSON"):
         sm.load_model("{nope")

@@ -1,4 +1,6 @@
-"""Dense one-phase simplex on hand-checkable programs and against the two-phase original."""
+"""Dense one-phase simplex on hand-checkable programs and against its earlier forms."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ import safemdp as sm
 from corpus import _fill, corridor_model
 from safemdp import simplex
 from safemdp.simplex import SimplexResult, solve_min
+from test_constrained import lazy_gamble, one_state_model
 
 
 def test_bounded_two_variable():
@@ -284,11 +287,12 @@ def lp_args(model, p):
     return -problem.objective, problem.rows, problem.rhs
 
 
+# Bounds p on ex1: the LP is unbounded at the first four, solved at the rest.
+EX1_PS = (0.0, 0.1, 0.3, 0.35, 0.4, 0.5, 0.7, 1.0)
+
+
 def test_matches_reference_on_ex1(ex1_model):
-    outcomes = [
-        assert_matches_reference(*lp_args(ex1_model, p))
-        for p in (0.0, 0.1, 0.3, 0.35, 0.4, 0.5, 0.7, 1.0)
-    ]
+    outcomes = [assert_matches_reference(*lp_args(ex1_model, p)) for p in EX1_PS]
     assert (sm.LpUnboundedError, "objective improves along an unbounded ray") in outcomes
     assert sum(len(o) == 4 for o in outcomes) >= 4
 
@@ -401,15 +405,119 @@ def test_buffered_pivot_matches_previous_on_random_programs():
         assert_matches_previous(*random_program(rng, integer=k % 2 == 0))
 
 
-def test_buffered_pivot_matches_previous_at_benchmark_size():
-    """A 100-state, 3-action dense model and a 100-state corridor.
+def benchmark_size_programs():
+    """A 100-state, 3-action dense model and a 100-state corridor at p = 0.5.
 
     Hundreds of pivots on 300x101 and 200x101 programs, where most
     entries of the entering column are nonzero (dense) or zero (corridor).
     """
     rng = np.random.default_rng(31)
     dense = _fill(rng, 100, 1, 2, 3, 0.1)
-    got = assert_matches_previous(*lp_args(dense, 0.5))
-    assert got[1] >= 100
-    got = assert_matches_previous(*lp_args(corridor_model(rng, 100, 0.002), 0.5))
-    assert got[1] >= 100
+    return lp_args(dense, 0.5), lp_args(corridor_model(rng, 100, 0.002), 0.5)
+
+
+def test_buffered_pivot_matches_previous_at_benchmark_size():
+    for args in benchmark_size_programs():
+        assert assert_matches_previous(*args)[1] >= 100
+
+
+# -------------------------------------------------------- full tableau
+
+def full_tableau_solve_min(c, A_ub, b_ub):
+    """``solve_min`` as it was before the tableau dropped its basic columns.
+
+    The buffered pivot on the full tableau [A | I | b]: every variable
+    keeps its column, and Bland's rule takes the first eligible one.
+    The condensed tableau must agree bit for bit.
+    """
+    c, A, b = (np.asarray(x, dtype=float) for x in (c, A_ub, b_ub))
+    m, n = A.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n], T[:m, n : n + m], T[:m, -1], T[m, :n] = A, np.eye(m), b, c
+    basis = np.arange(n, n + m)
+    update = np.empty_like(T)
+    iterations = 0
+    while True:
+        eligible = np.flatnonzero(T[m, :-1] < -simplex.RED_COST_TOL)
+        if not eligible.size:
+            break
+        col = eligible[0]
+        candidates = np.flatnonzero(T[:m, col] > simplex.ZERO_TOL)
+        if not candidates.size:
+            raise sm.LpUnboundedError("objective improves along an unbounded ray")
+        ratios = T[candidates, -1] / T[candidates, col]
+        tied = candidates[ratios <= ratios.min() + 1e-12]
+        row = tied[basis[tied].argmin()]
+        if T[row, col] < simplex.PIVOT_MIN:
+            raise sm.LpNumericalError(f"pivot {T[row, col]:.3g} below stability threshold")
+        T[row] /= T[row, col]
+        factor = T[:, col].copy()
+        factor[row] = 0.0
+        np.multiply.outer(factor, T[row], out=update)
+        T -= update
+        basis[row] = col
+        iterations += 1
+        if iterations > simplex.ITER_CAP:
+            raise sm.LpNumericalError("pivot cap exceeded")
+    x = np.zeros(n + m)
+    x[basis] = T[:m, -1]
+    return SimplexResult(
+        x=x[:n], objective=float(c @ x[:n]), basis=tuple(int(v) for v in basis),
+        iterations=iterations,
+    )
+
+
+def assert_matches_full_tableau(c, A, b):
+    got = outcome(solve_min, c, A, b)
+    assert got == outcome(full_tableau_solve_min, c, A, b)
+    return got
+
+
+def test_condensed_matches_full_tableau_on_corpora(ex1_model, solver_corpus, oracle_cases):
+    for model, p in [(ex1_model, p) for p in EX1_PS] + solver_corpus + oracle_cases:
+        assert_matches_full_tableau(*lp_args(model, p))
+
+
+def test_condensed_matches_full_tableau_on_random_programs():
+    """Each program runs again with its zero right-hand sides as -0.0,
+    which ``b >= 0`` admits."""
+    rng = np.random.default_rng(2026)
+    for k in range(800):
+        c, A, b = random_program(rng, integer=k % 2 == 0)
+        assert_matches_full_tableau(c, A, b)
+        assert_matches_full_tableau(c, A, np.where(b == 0.0, -0.0, b))
+
+
+def test_condensed_matches_full_tableau_at_benchmark_size():
+    for args in benchmark_size_programs():
+        assert assert_matches_full_tableau(*args)[1] >= 100
+
+
+def test_condensed_matches_full_tableau_on_lazy_gambles():
+    """The lazy gambles fail on a tiny pivot, with the same message.
+
+    The LP's pivots of 5e-11 and 2.5e-11 are the safety differences of
+    the gamble's actions, below PIVOT_MIN; that failure is the known
+    one of ``solve --mode lp`` on these models.
+    """
+    plain = one_state_model(lazy_gamble())
+    cases = [(plain, float(sm.safest_policy(plain)[0][0]))]
+    mid = one_state_model(lazy_gamble(mid=True))
+    cases += [(mid, p) for p in (0.499975, 0.49999, 0.4999625)]
+    got = [assert_matches_full_tableau(*lp_args(model, p)) for model, p in cases]
+    assert got == [(sm.LpNumericalError, "pivot 5e-11 below stability threshold")] + [
+        (sm.LpNumericalError, "pivot 2.5e-11 below stability threshold")
+    ] * 3
+
+
+def test_peak_memory_at_benchmark_size():
+    """The 300x101 dense solve holds two (m + 1) x (n + 1) arrays, about
+    0.25 MB each; the full width's two took about 1 MB each."""
+    args, _ = benchmark_size_programs()
+    tracemalloc.start()
+    try:
+        solve_min(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
