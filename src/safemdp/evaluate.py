@@ -2,9 +2,8 @@
 
 A policy pi induces a chain on the canonical states (taboo H, forbidden
 U, target E) of :mod:`safemdp.model`.  ``decompose`` splits its taboo
-rows into the block Q(pi) and the exit blocks, ``_trapped`` decides
-exactly on the support graph whether Q is transient, and the Green
-operator G(pi) = (I - Q)^{-1} then gives over taboo states
+rows into the block Q(pi) and the exit blocks, and the Green operator
+G(pi) = (I - Q)^{-1} of a transient block gives over taboo states
 
 * value   V = G(pi) R,   the expected cost accumulated before absorption,
 * safety  S = G(pi) K,   the probability of being absorbed in a forbidden state,
@@ -15,13 +14,20 @@ forbidden states and L the one-step mass sent to target states (S + T = 1),
 and the occupation and hitting distributions (``_absorption``).
 
 Every exact evaluation in the package goes through one core: ``_induce``
-builds the induced chain and its cost inputs, and ``_solve`` checks the
-taboo block for transience once and solves ``(I - Q) X = B`` by one LU
-factorization, with B = [R, K, L] (``_exact``) or, only when G itself is
-returned, the identity.  ``_pure_blocks``, the kernel of the enumeration
-oracles, does the same for PURE_CHUNK pure policies at once: one batched
-``_trapped``, one batched solve.  The iterative evaluators live next to
-the sweep kernel in :mod:`safemdp.bellman`.
+builds the induced chain and its cost inputs, and ``_solve`` solves
+``(I - Q) X = B`` by one LU factorization, with B = [R, K, L]
+(``_exact``) or, only when G itself is returned, the identity.  Where
+every taboo row leaks out of H the block is transient as it stands.
+Elsewhere the exit-time column tau = G 1, solved with the same LU,
+proves it: ``_transience_residual`` bounds tau - Q' tau > 0 rigorously
+in floating point, for the block Q' in which the rows that do not leak
+carry mass exactly 1.  Only where that proof fails does ``_trapped``
+decide, exactly, on the support graph.  ``_radius`` brackets the
+spectral radius by the Collatz-Wielandt bounds of power iterates of G.
+``_pure_blocks``, the kernel of the enumeration oracles, evaluates
+PURE_CHUNK pure policies at once: one batched ``_trapped``, one batched
+solve.  The iterative evaluators live next to the sweep kernel in
+:mod:`safemdp.bellman`.
 """
 
 from __future__ import annotations
@@ -37,6 +43,17 @@ from .model import ROW_SUM_TOL, MdpModel, Policy, StatePartition, induced_matrix
 NEUMANN_TAIL_TOL = 1e-12
 # Pure policies gathered and solved together by ``_pure_blocks``.
 PURE_CHUNK = 1 << 12
+# Unit roundoff of float64 and its least subnormal, for rounding bounds.
+_UNIT = np.finfo(float).eps / 2
+_SUBNORMAL = float(np.nextafter(0.0, 1.0))
+# ``_radius`` squares G at most this often (the bracket's iterate reaches
+# G^(2^k - 1) tau after k squarings) before it falls back to eigvals.
+RADIUS_SQUARINGS = 12
+# Below this many taboo states ``_radius`` takes eigvals at once, which is
+# as fast or faster there than the 5-6 squarings a 12-digit bracket needs:
+# on dense random blocks, one core, eigvals takes 21, 100, 162 and 3,000 us
+# at 7, 24, 32 and 100 states, the bracket 123, 103, 108 and 301 us.
+RADIUS_EIG_BELOW = 32
 
 
 @dataclass(frozen=True)
@@ -97,13 +114,17 @@ def decompose(P: np.ndarray, partition: StatePartition) -> BlockDecomposition:
     return BlockDecomposition(q=P[:h, :h], hu=P[:h, h : h + u], he=P[:h, h + u :])
 
 
+def _leaks(Q: np.ndarray) -> np.ndarray:
+    """Rows whose taboo mass is below ``1 - ROW_SUM_TOL``, validate_model's row-sum tolerance."""
+    return Q.sum(axis=-1) < 1.0 - ROW_SUM_TOL
+
+
 def _trapped(Q: np.ndarray, valid: np.ndarray | bool = True) -> np.ndarray:
     """Taboo states from which no choice of valid candidates surely leaves H.
 
     ``Q`` is one block (h, h) or k candidate rows per state (..., h, k, h)
     after any batch axes, ``valid`` (..., h, k) masks the candidates, and
-    the result is a mask (..., h).  A row leaks when its taboo mass is
-    below ``1 - ROW_SUM_TOL``, validate_model's row-sum tolerance.  The
+    the result is a mask (..., h).  A row leaks as ``_leaks`` says.  The
     kept states are the Prob1 fixpoint: those that reach a leaking row
     through candidates whose taboo successors all stay kept.  A pass
     leaves an item already at its fixpoint unchanged, and where every
@@ -111,7 +132,7 @@ def _trapped(Q: np.ndarray, valid: np.ndarray | bool = True) -> np.ndarray:
     """
     if Q.ndim == 2:
         Q = Q[:, None, :]
-    leaks = Q.sum(axis=-1) < 1.0 - ROW_SUM_TOL
+    leaks = _leaks(Q)
     kept = np.ones(Q.shape[:-2], bool)
     if (valid & leaks).any(axis=-1).all():
         return ~kept
@@ -139,7 +160,7 @@ def _witness(Q: np.ndarray, valid: np.ndarray | bool = True) -> np.ndarray:
     """
     _require_transient(Q, valid)
     support = Q > 0.0
-    ready = (Q.sum(axis=-1) < 1.0 - ROW_SUM_TOL) & valid
+    ready = _leaks(Q) & valid
     choice, done = np.zeros(Q.shape[0], int), np.zeros(Q.shape[0], bool)
     while not done.all():
         new = ready.any(axis=1) & ~done
@@ -155,23 +176,108 @@ def _require_transient(Q: np.ndarray, valid: np.ndarray | bool = True) -> None:
         raise NotTransientError(trapped)
 
 
-def _radius(Q: np.ndarray) -> float:
-    """Exact spectral radius ``max|eig(Q)|`` of a taboo block (0 when empty)."""
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): the relative error bound of k roundings."""
+    return k * _UNIT / (1.0 - k * _UNIT)
+
+
+def _transience_residual(
+    Q: np.ndarray, tau: np.ndarray, leaks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residual of ``tau`` against ``Q'`` in floating point, and a bound on its error.
+
+    ``Q'`` is ``Q`` with each row that does not leak (``leaks`` False)
+    scaled to mass exactly 1.  Row i's residual is ``m_i tau_i - (Q
+    tau)_i``, with ``m_i`` 1 where the row leaks and its mass otherwise:
+    the residual ``tau_i - (Q' tau)_i`` times the row's mass, so it has
+    the same sign and needs no division.  For ``Q >= 0`` and finite
+    ``tau > 0`` the exact residual lies within the bound of the computed
+    one: gamma_(h+3) times ``m_i tau_i + (Q tau)_i``, the componentwise
+    residual bound ``|A| |x|`` of Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, §3.5, with one more rounding for the
+    mass, plus a term for products below the normal range.
+    """
+    h = Q.shape[0]
+    ahead = Q @ tau
+    held = np.where(leaks, 1.0, Q.sum(axis=1)) * tau
+    return held - ahead, _gamma(h + 3) * (held + ahead) + 4 * (h + 1) * _SUBNORMAL
+
+
+def _proves_transient(Q: np.ndarray, tau: np.ndarray, leaks: np.ndarray) -> bool:
+    """Whether ``tau`` proves that ``_trapped(Q)`` finds no state.
+
+    The proof holds where ``Q >= 0``, ``tau`` is finite and positive and
+    every residual of ``_transience_residual`` exceeds its bound.  Then
+    ``Q' tau < tau``, so by Collatz-Wielandt the spectral radius of
+    ``Q'`` is below 1 and every state reaches a row that leaks.  ``Q'``
+    has the support and the leaking rows of ``Q`` and no other row
+    leaks, so that is the verdict of the graph rule with its threshold.
+    """
+    if not ((tau > 0.0) & (tau < np.inf)).all() or not (Q >= 0.0).all():
+        return False
+    residual, bound = _transience_residual(Q, tau, leaks)
+    return bool((residual > bound).all())
+
+
+def _collatz_wielandt(Q: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """A proven bracket of the spectral radius of ``Q >= 0`` from finite ``x > 0``.
+
+    The Collatz-Wielandt bounds ``min_i (Qx)_i / x_i <= rho(Q) <= max_i
+    (Qx)_i / x_i`` (Berman & Plemmons, *Nonnegative Matrices in the
+    Mathematical Sciences*, 1994, ch. 2), each moved outward by the
+    rounding error of the product and the quotient.
+    """
+    ratio = (Q @ x) / x
+    gamma = _gamma(Q.shape[0] + 3)
+    slack = 4 * (Q.shape[0] + 1) * _SUBNORMAL / x.min()
+    return ratio.min() * (1.0 - gamma) - slack, ratio.max() * (1.0 + gamma) + slack
+
+
+def _radius(Q: np.ndarray, G: np.ndarray) -> float:
+    """Spectral radius of a transient taboo block ``Q`` with Green operator ``G``.
+
+    From x = tau, the row sums of G, each iterate is ``x <- M x`` and
+    then ``M <- M^2``, starting from M = G (each normalized to maximum
+    1), so after k squarings x is ``G^(2^k - 1) tau``.  G has Q's
+    eigenvectors, and the Perron one dominates, so x tends to it.  The
+    answer is the middle of the first ``_collatz_wielandt`` bracket whose
+    ends give the same 12-significant-digit report token.  Blocks below
+    RADIUS_EIG_BELOW states, blocks with a negative entry, a bracket that
+    stops narrowing and RADIUS_SQUARINGS squarings without agreement
+    fall back to ``max|eig(Q)|`` (0 when empty).
+    """
+    x = G.sum(axis=1)
+    if len(x) >= RADIUS_EIG_BELOW and (Q >= 0.0).all():
+        M, width = G / G.max(), np.inf
+        for _ in range(RADIUS_SQUARINGS):
+            if not ((x > 0.0) & (x < np.inf)).all():
+                break
+            lo, hi = _collatz_wielandt(Q, x)
+            if f"{lo:.12g}" == f"{hi:.12g}":
+                return float(0.5 * (lo + hi))
+            if not hi - lo < width:
+                break
+            width, x = hi - lo, M @ (x / x.max())
+            M = M @ M
+            M /= M.max()
     return float(np.abs(np.linalg.eigvals(Q)).max(initial=0.0))
 
 
 def check_transient(Q: np.ndarray) -> TransienceReport:
-    """Decide exactly, on the support graph, whether the taboo block is transient.
+    """Whether the taboo block is transient, and its spectral radius.
 
-    Transient iff every taboo state reaches a row that leaks out of H.  The
-    radius is the exact ``max|eig(Q)|``, which is 1 when not transient.
+    Transient iff every taboo state reaches a row that leaks out of H,
+    decided as ``_solve`` decides it: by the exit-time proof, else on the
+    support graph.  The radius is ``_radius``'s, and 1 when not transient.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("taboo block must be square")
-    if _trapped(Q).any():
+    try:
+        G = _solve(Q)
+    except NotTransientError:
         return TransienceReport(False, 1.0)
-    return TransienceReport(True, _radius(Q))
+    return TransienceReport(True, _radius(Q, G))
 
 
 def _induce(model: MdpModel, policy: Policy):
@@ -191,13 +297,38 @@ def _induce(model: MdpModel, policy: Policy):
     return P, blocks, inputs
 
 
-def _solve(Q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The core's solve: ``(I - Q) X = rhs`` after one transience check.
+def _solve(Q: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """The core's solve: ``(I - Q) X = rhs``, the identity when ``rhs`` is None.
 
-    One LU factorization serves every column of ``rhs``.
+    One LU factorization serves every column of ``rhs``.  Where every
+    row of ``Q`` leaks, that is all.  Elsewhere the exit times tau =
+    (I - Q)^{-1} 1 go to ``_proves_transient``, and only where they
+    prove nothing does ``_trapped`` run: NotTransientError names the
+    states it finds.  tau is the row sums of G for the identity and one
+    more column of a matrix ``rhs``, which leaves the other columns'
+    bits as they were.  A vector ``rhs`` keeps its own solve and tau
+    gets a second one: the BLAS solves a single column with another
+    kernel than several, and its bits would change.
     """
-    _require_transient(Q)
-    return np.linalg.solve(np.eye(Q.shape[0]) - Q, rhs)
+    h = Q.shape[0]
+    A, leaks = np.eye(h) - Q, _leaks(Q)
+    try:
+        if leaks.all():
+            return np.linalg.solve(A, np.eye(h) if rhs is None else rhs)
+        if rhs is None:
+            X = np.linalg.solve(A, np.eye(h))
+            tau = X.sum(axis=1)
+        elif rhs.ndim == 1:
+            X, tau = np.linalg.solve(A, rhs), np.linalg.solve(A, np.ones(h))
+        else:
+            X = np.linalg.solve(A, np.column_stack((rhs, np.ones(h))))
+            X, tau = X[:, :-1], X[:, -1]
+    except np.linalg.LinAlgError:  # I - Q is singular where a state is trapped
+        _require_transient(Q)
+        raise
+    if not _proves_transient(Q, tau, leaks):
+        _require_transient(Q)
+    return X
 
 
 def _exact(model: MdpModel, policy: Policy) -> np.ndarray:
@@ -244,8 +375,7 @@ def green(Q: np.ndarray) -> np.ndarray:
     NotTransientError
         When some taboo state cannot reach an exit; carries those states.
     """
-    Q = np.asarray(Q, dtype=float)
-    return _solve(Q, np.eye(Q.shape[0]))
+    return _solve(np.asarray(Q, dtype=float))
 
 
 def green_neumann(Q: np.ndarray, tail_tol: float = NEUMANN_TAIL_TOL) -> np.ndarray:
@@ -371,14 +501,18 @@ def cost_inputs(model: MdpModel, policy: Policy) -> CostInputs:
 def chain_quantities(model: MdpModel, policy: Policy) -> ChainQuantities:
     """Induced matrix, blocks, Green operator and cost inputs for one policy.
 
+    G comes from ``_solve`` and the spectral radius from ``_radius`` on
+    that G: a Collatz-Wielandt bracket of power iterates of G wherever it
+    settles the 12-digit report token, else ``max|eig(Q)|``.
+
     Raises
     ------
     NotTransientError
         When the taboo block of the induced chain is not transient.
     """
     P, blocks, inputs = _induce(model, policy)
-    G = _solve(blocks.q, np.eye(model.n_taboo))
-    radius = _radius(blocks.q)
+    G = _solve(blocks.q)
+    radius = _radius(blocks.q, G)
     return ChainQuantities(
         matrix=P, blocks=blocks, green=G, spectral_radius=radius, inputs=inputs
     )

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, wraps
 
 import numpy as np
@@ -153,6 +153,21 @@ class MdpModel:
         object.__setattr__(self, "actions", tuple(self.actions))
         object.__setattr__(self, "transitions", _frozen(self.transitions, copy=True))
         object.__setattr__(self, "rewards", _frozen(self.rewards, copy=True))
+
+    @classmethod
+    def _adopt(cls, states: tuple, actions: tuple, partition: StatePartition,
+               transitions: np.ndarray, rewards: np.ndarray) -> MdpModel:
+        """A model that holds ``transitions`` and ``rewards`` themselves, frozen.
+
+        For ``load_model``'s fresh arrays, which nothing else holds: the
+        constructor's copy, kept so that a caller's own array stays
+        writeable, would be one more (n, m, n) tensor per load.
+        """
+        model = cls.__new__(cls)
+        values = (states, actions, partition, _frozen(transitions), _frozen(rewards))
+        for field, value in zip(fields(cls), values):
+            object.__setattr__(model, field.name, value)
+        return model
 
     @property
     def n_states(self) -> int:
@@ -592,12 +607,8 @@ def _build(doc) -> MdpModel:
     rho = np.zeros(m * n)
     rho[cells] = costs
 
-    model = MdpModel(
-        states=tuple(order),
-        actions=tuple(actions),
-        partition=part,
-        transitions=p.reshape(n, m, n),
-        rewards=rho.reshape(m, n),
+    model = MdpModel._adopt(
+        tuple(order), tuple(actions), part, p.reshape(n, m, n), rho.reshape(m, n)
     )
     violations = validate_model(model)
     if violations:

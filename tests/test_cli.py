@@ -1,5 +1,7 @@
 """Command-line workflows: reports, exit codes, determinism."""
+import builtins
 import csv
+import hashlib
 import io
 import json
 import math
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 
 import safemdp as sm
 from corpus import EDGE_FLOATS, relabeled
-from safemdp import evaluate, simplex
-from safemdp.cli import _indented, _report_tokens, main
+from safemdp import cli, evaluate, simplex
+from safemdp.cli import _indented, _report_tokens, build_parser, main
 from safemdp.constrained import ADMISSIBLE_TOL
 
 
@@ -146,6 +148,90 @@ def test_missing_file_is_io_error(capsys):
     code, report = run_json(capsys, "validate", "/nonexistent/model.json")
     assert code == 3
     assert report["error"]["kind"] == "IO"
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, model_path, policy_path):
+    """Two ``main`` calls build one parser and print the same report; a bad
+    argument still exits 2 through the kept parser."""
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        _, first = run_json(capsys, "eval", model_path, policy_path)
+        _, second = run_json(capsys, "eval", model_path, policy_path)
+        assert strip_timings(first) == strip_timings(second)
+        with pytest.raises(SystemExit) as err:
+            main(["eval", model_path, policy_path, "--bogus"])
+        assert err.value.code == 2
+        code, third = run_json(capsys, "eval", model_path, policy_path)
+    finally:
+        cli._parser.cache_clear()
+    assert code == 0 and strip_timings(third) == strip_timings(first)
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "eval", "solve", "simulate"])
+def test_each_input_file_is_read_once(capsys, monkeypatch, model_path, policy_path, command):
+    opened = []
+
+    def counted(path, *args, **kwargs):
+        opened.append(path)
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counted, raising=False)
+    argv = {
+        "validate": ["validate", model_path],
+        "eval": ["eval", model_path, policy_path],
+        "solve": ["solve", model_path, "--mode", "safest"],
+        "simulate": ["simulate", model_path, policy_path, "--start", "b", "--n", "10"],
+    }[command]
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert sorted(opened) == sorted(argv[1 : 2 + (command in ("eval", "simulate"))])
+    for name, digest in report["inputs"].items():
+        data = pathlib.Path(digest["path"]).read_bytes()
+        assert digest["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("defect", ["missing", "not UTF-8"])
+@pytest.mark.parametrize("command, which", [
+    ("validate", "model"), ("eval", "model"), ("eval", "policy"), ("solve", "model"),
+    ("simulate", "model"), ("simulate", "policy"),
+])
+def test_unreadable_input_exit_codes(capsys, tmp_path, model_path, policy_path,
+                                     command, which, defect):
+    """A missing file exits 3 before any digest is reported; bytes that are not
+    UTF-8 exit 2 with every file's digest, as when each was read twice."""
+    paths = {"model": model_path, "policy": policy_path}
+    bad = tmp_path / f"{which}.json"
+    if defect == "not UTF-8":
+        bad.write_bytes(pathlib.Path(paths[which]).read_bytes() + b"\xff")
+    paths[which] = str(bad)
+    argv = {
+        "validate": ["validate", paths["model"]],
+        "eval": ["eval", paths["model"], paths["policy"]],
+        "solve": ["solve", paths["model"], "--mode", "safest"],
+        "simulate": ["simulate", paths["model"], paths["policy"], "--start", "b"],
+    }[command]
+    code, report = run_json(capsys, *argv)
+    if defect == "missing":
+        assert (code, report["error"]["kind"]) == (3, "IO")
+        assert "inputs" not in report
+    else:
+        assert (code, report["error"]["kind"]) == (2, "Invalid")
+        assert "can't decode byte 0xff" in report["error"]["message"]
+        assert report["inputs"][which]["sha256"] == hashlib.sha256(bad.read_bytes()).hexdigest()
+
+
+def test_crlf_document_reads_as_lf(capsys, tmp_path, model_path, policy_path):
+    """Line ends are read as a text file reads them: CRLF and CR become LF."""
+    text = pathlib.Path(model_path).read_text()
+    crlf = tmp_path / "crlf.json"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    _, plain = run_json(capsys, "eval", model_path, policy_path)
+    _, other = run_json(capsys, "eval", str(crlf), policy_path)
+    assert other["results"] == plain["results"]
+    assert cli._text(b'{"a":\r\n1,\r"b": 2}') == '{"a":\n1,\n"b": 2}'
 
 
 def test_eval_golden(capsys, model_path, policy_path):
@@ -346,19 +432,21 @@ def test_eval_evaluates_the_policy_once(capsys, monkeypatch, model_path, policy_
 
 
 def test_eval_checks_transience_once(capsys, monkeypatch, model_path, policy_path):
-    """The radius comes after the one transience check of the solve."""
+    """The radius comes after the one transience check of the solve: every
+    row of ex1's block leaks, so the solve's leak test is the whole check
+    and the graph search never runs."""
     code, before = run_json(capsys, "eval", model_path, policy_path)
-    calls = []
-    trapped = evaluate._trapped
+    calls = {"_leaks": [], "_trapped": []}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(evaluate, name)):
+            calls[_name].append(args)
+            return _fn(*args)
 
-    def counted(*args):
-        calls.append(args)
-        return trapped(*args)
-
-    monkeypatch.setattr("safemdp.evaluate._trapped", counted)
+        monkeypatch.setattr(f"safemdp.evaluate.{name}", counted)
     code, after = run_json(capsys, "eval", model_path, policy_path)
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls["_leaks"]) == 1
+    assert not calls["_trapped"]
     assert strip_timings(after) == strip_timings(before)
 
 

@@ -2,7 +2,9 @@
 cycle, one loop sweeps for every fixed-point solver, one lockstep loop
 draws every Monte Carlo batch, one table holds the sampling rule, only
 ``model`` builds and checks policies, the command line runs the dual once
-for both Lagrangian modes, and the relative-safety route runs on arrays."""
+for both Lagrangian modes, the relative-safety route runs on arrays, and
+the evaluation core searches the support graph and takes eigenvalues
+only where its proofs from the Green operator fail."""
 import ast
 from pathlib import Path
 
@@ -146,3 +148,49 @@ def test_relative_route_has_no_loop():
         if isinstance(node, (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
     ]
     assert not loops, loops
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    return next(
+        node for node in ast.walk(_tree(module))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_one_eigvals_fallback():
+    """``np.linalg.eigvals`` has one call site, ``evaluate._radius``'s
+    fallback, and both radius reports go through ``_radius``."""
+    radius = _function("evaluate", "_radius")
+    inside = [
+        f"evaluate:{node.lineno}" for node in ast.walk(radius)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "eigvals"
+    ]
+    assert _call_sites("eigvals") == inside and len(inside) == 1
+    for caller in ("check_transient", "chain_quantities"):
+        calls = [node for node in ast.walk(_function("evaluate", caller))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_radius"]
+        assert len(calls) == 1, caller
+
+
+def test_solve_searches_the_graph_only_after_a_failed_proof():
+    """``_solve`` reaches ``_trapped``, through ``_require_transient``, only
+    in the branch where ``_proves_transient`` failed or where the LU found
+    ``I - Q`` singular, so no proof could be tried.  ``_witness`` and
+    ``_pure_blocks`` keep their own search, the fast path where every
+    candidate row leaks."""
+    solve = _function("evaluate", "_solve")
+    guarded = set()
+    for node in ast.walk(solve):
+        if isinstance(node, ast.If) and ast.unparse(node.test).startswith("not _proves_transient("):
+            guarded |= {id(n) for stmt in node.body for n in ast.walk(stmt)}
+        if isinstance(node, ast.ExceptHandler) and ast.unparse(node.type).endswith("LinAlgError"):
+            guarded |= {id(n) for stmt in node.body for n in ast.walk(stmt)}
+    searches = [
+        node for node in ast.walk(solve)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("_trapped", "_require_transient")
+    ]
+    assert searches and all(id(node) in guarded for node in searches), ast.unparse(solve)
+    require = _function("evaluate", "_require_transient")
+    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_trapped"
+               for node in ast.walk(require))

@@ -2,12 +2,13 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import safemdp as sm
-from corpus import relabeled
+from corpus import corridor_model, relabeled
 
 
 def doc_from(model):
@@ -390,6 +391,34 @@ def test_constructor_copies_the_callers_array(ex1_model, constructor):
         assert np.array_equal(a, before) and np.array_equal(h, before)
         a[0] = 0.5
         assert np.array_equal(h, before)
+
+
+def _load_peak(text):
+    sm.load_model(text)  # warm any per-process caches first
+    tracemalloc.start()
+    try:
+        model = sm.load_model(text)
+        return tracemalloc.get_traced_memory()[1], model
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_keeps_the_arrays_it_built(monkeypatch):
+    """``load_model`` freezes the arrays it filled instead of copying them:
+    the peak of one load is one transitions tensor below a load whose
+    model copies them as the constructor does."""
+    text = sm.serialize_model(corridor_model(np.random.default_rng(3), 120, 0.001))
+    peak, model = _load_peak(text)
+    tensor = model.transitions.nbytes
+    assert not model.transitions.flags.writeable and not model.rewards.flags.writeable
+
+    def copying(states, actions, partition, transitions, rewards):
+        return sm.MdpModel(states, actions, partition, transitions, rewards)
+
+    monkeypatch.setattr(sm.MdpModel, "_adopt", staticmethod(copying))
+    copied_peak, copied = _load_peak(text)
+    assert np.array_equal(copied.transitions, model.transitions)
+    assert copied_peak - peak >= 0.95 * tensor
 
 
 def test_not_json():
