@@ -14,10 +14,16 @@ Randomness: each trajectory owns a Philox4x64-10 stream keyed by
 are therefore bit-identical across reruns and do not depend on the order
 in which trajectories are walked.  Philox is counter-based (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so
-``mc_estimates`` computes a range of blocks of many streams in one numpy
-pass and steps those trajectories together, in batches of 1, 2, 4, ...
-blocks.  Once fewer than ``MC_BATCH`` are still walking, each finishes
-alone on its own generator, advanced past the blocks already drawn.
+``mc_estimates`` steps many trajectories together, in batches of 1, 2,
+4, ... blocks.  Batches of up to ``MC_BATCH`` blocks are computed for
+every stream in one numpy pass (``_philox_blocks``), at 160-260 ns a
+block.  Later batches, which only trajectories still walking after 31
+blocks (62 steps) reach, come from numpy's own Philox, re-keyed to each
+stream in turn (``_Streams``): a re-key and a call cost about 2 us and a
+block some 80 ns, so a call pays from about 20 blocks on.  Once fewer than
+``MC_BATCH`` are still walking, each finishes alone on that generator,
+re-keyed past the blocks already drawn.  Every source yields the same
+stream bits.
 
 Sampling rule: step t of a trajectory reads draws 2t and 2t + 1 of its
 stream.  The action is the first whose running sum of the state's policy
@@ -30,7 +36,7 @@ short of a draw gives its last column.  Both loops search the same
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -43,9 +49,13 @@ UNIFORM_BLOCK = 16
 MAX_DEPTH = 64
 # Trajectories stepped together.
 MC_CHUNK = 1 << 12
-# The most Philox blocks per trajectory in one lockstep batch, and the number
-# of trajectories still walking below which they finish one by one.
+# The most Philox blocks per trajectory in one batch computed by
+# ``_philox_blocks``, and the number of trajectories still walking below which
+# they finish one by one.
 MC_BATCH = 16
+# The most Philox blocks per trajectory in one batch drawn from numpy's own
+# generator, one ``random_raw`` call per trajectory.
+MC_RAW_BATCH = 64
 
 # Philox4x64-10 multipliers and key increments (Random123, as in numpy).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -84,13 +94,24 @@ class McEstimate(NamedTuple):
 
 @dataclass(frozen=True)
 class McReport:
-    """Monte Carlo estimates of safety, reach and value from one start state."""
+    """Monte Carlo estimates of safety, reach and value from one start state.
+
+    The last four fields record where the work went and take no part in
+    ``==`` or ``repr``: the Philox blocks computed by ``_philox_blocks`` and
+    those drawn from numpy's generator, summed over trajectories, the
+    steps taken in lockstep, a trajectory absorbed within a batch stepping
+    in place to its end, and the steps taken alone.
+    """
 
     s_hat: McEstimate
     t_hat: McEstimate
     v_hat: McEstimate
     truncated: int
     n: int
+    kernel_blocks: int = field(default=0, compare=False, repr=False)
+    numpy_blocks: int = field(default=0, compare=False, repr=False)
+    lockstep_steps: int = field(default=0, compare=False, repr=False)
+    alone_steps: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -114,6 +135,35 @@ def _stream(seed: int, index: int) -> np.random.Generator:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class _Streams:
+    """numpy's Philox for the streams of one seed, moved to any block of any of them.
+
+    ``at`` re-keys one generator through its ``state``, at about 1.5 us
+    against some 11 us to build a generator.  Each ``mc_estimates`` call
+    builds its own, so calls in different threads share none.
+    """
+
+    def __init__(self, seed: int):
+        self.rng = _stream(seed, 0)  # rejects a bad seed
+        self._state = self.rng.bit_generator.state
+        self.seed = int(self._state["state"]["key"][0])
+
+    def at(self, index: int, block: int) -> np.random.Generator:
+        """The generator of ``_stream(seed, index)`` advanced past ``block`` blocks."""
+        state = self._state["state"]
+        state["key"][1], state["counter"][0] = index, block
+        self.rng.bit_generator.state = self._state  # also empties the buffer
+        return self.rng
+
+    def blocks(self, index: np.ndarray, first: int, count: int) -> np.ndarray:
+        """``_philox_blocks(seed, index, first, count)``, one ``random_raw`` call a stream."""
+        words = np.empty((4 * count, len(index)), np.uint64)
+        for r, k in enumerate(index.tolist()):
+            words[:, r] = self.at(k, first).bit_generator.random_raw(4 * count)
+        words >>= _SHIFT11
+        return np.multiply(words, 1.0 / 9007199254740992.0, out=words.view(np.float64))
 
 
 def _mulhi(a_lo, a_hi, b: np.ndarray, out: np.ndarray, t: np.ndarray, u: np.ndarray):
@@ -257,18 +307,27 @@ class _Lanes:
         row = self.act_row[_first_above(self.act_cum, state, x_act)]
         return row, self.succ[_first_above(self.succ_cum, row, x_succ)]
 
-    def run_together(self, start: int, seed: int, index: np.ndarray, max_steps: int):
+    def run_together(self, start: int, streams: _Streams, index: np.ndarray, max_steps: int,
+                     work: dict):
         """Step trajectories ``index`` together while at least ``MC_BATCH`` are walking.
 
-        Trajectory k draws from the stream ``_stream(seed, k)`` and takes
-        step t by the sampling rule on its draws 2t and 2t + 1, as ``walk``
-        does, with the rewards summed from left to right.  Each batch
-        computes the next Philox blocks of the trajectories still walking
-        in one pass and takes two steps per block; one that is absorbed
+        Trajectory k draws from the stream ``_stream(seed, k)`` of the seed
+        of ``streams`` and takes step t by the sampling rule on its draws 2t
+        and 2t + 1, as ``walk`` does, with the rewards summed from left to
+        right.  Each batch draws the next Philox blocks of the trajectories
+        still walking and takes two steps per block; one that is absorbed
         keeps stepping in place until the batch ends.  The first batch is
-        one block and each later one doubles, up to ``MC_BATCH`` blocks, so
-        no trajectory gets more blocks drawn ahead than it has used so far,
-        plus one.
+        one block and each later one doubles, up to ``MC_BATCH`` blocks, then
+        on past it up to ``MC_RAW_BATCH``, so no trajectory gets more blocks
+        drawn ahead than it has used so far, plus one.
+
+        Batches of up to ``MC_BATCH`` blocks come from one ``_philox_blocks``
+        pass over every stream, at 160-260 ns a block.  Later ones, of 32
+        and 64 blocks from step 62 on, come from ``streams.blocks``, one
+        numpy call a stream at about 2 us plus some 80 ns a block, which
+        pays from about 20 blocks on.  Both yield the same bits.  A batch's draws
+        are freed before the next batch's are made.  ``work`` counts the
+        blocks from each source and the steps taken.
 
         Returns every trajectory's current state and total, the positions
         of those still in a taboo state, and the steps all have taken.
@@ -280,15 +339,23 @@ class _Lanes:
         t, count = 0, 1
         while len(live) >= MC_BATCH and t < max_steps:
             steps = min(2 * count, max_steps - t)
-            draws = _philox_blocks(seed, index[live], t // 2, (steps + 1) // 2)
+            blocks = (steps + 1) // 2
+            if count <= MC_BATCH:
+                draws = _philox_blocks(streams.seed, index[live], t // 2, blocks)
+                work["kernel_blocks"] += blocks * len(live)
+            else:
+                draws = streams.blocks(index[live], t // 2, blocks)
+                work["numpy_blocks"] += blocks * len(live)
+            work["lockstep_steps"] += steps * len(live)
             i, acc = state[live], total[live]
             for c in range(steps):
                 row, i = self._step(i, draws[2 * c], draws[2 * c + 1])
                 acc += self.cost[row]
+            del draws  # so the next batch's draws do not sit beside these
             state[live], total[live] = i, acc
             live = live[i < h]
             t += steps
-            count = min(2 * count, MC_BATCH)
+            count = min(2 * count, MC_BATCH if count < MC_BATCH else MC_RAW_BATCH)
         return state, total, live, t
 
     @cached_property
@@ -376,13 +443,17 @@ def mc_estimates(
 
     Trajectory k walks the stream ``_stream(seed, k)`` by the sampling
     rule.  Up to ``MC_CHUNK`` trajectories step together while at least
-    ``MC_BATCH`` of them are still in a taboo state, with the draws
-    computed by numpy for every stream at once, in batches that double
-    from one Philox block to ``MC_BATCH`` blocks (``_Lanes.run_together``).
-    The fewer left, from step 0 on if the chunk is that small, finish one
-    by one (``_Lanes.walk``), each on ``_stream(seed, k)`` advanced past
-    the blocks already drawn.  Both search the same rows, so the result
+    ``MC_BATCH`` of them are still in a taboo state, in batches that double
+    from one Philox block (``_Lanes.run_together``).  Batches of up to
+    ``MC_BATCH`` blocks are computed by numpy for every stream at once;
+    later ones, up to ``MC_RAW_BATCH`` blocks, come from numpy's own Philox,
+    re-keyed to each stream.  The fewer left, from step 0 on if the chunk
+    is that small, finish one by one (``_Lanes.walk``), each on the same
+    generator re-keyed past the blocks already drawn.  Both search the same
+    rows and every source yields the same stream bits, so the result
     equals walking each trajectory with its own generator, bit for bit.
+    The report's uncompared fields count the blocks from each source and
+    the steps taken in lockstep and alone.
 
     Truncated trajectories are excluded from the means but counted.
     Standard errors are sample standard deviations (ddof=1) over root n.
@@ -396,19 +467,20 @@ def mc_estimates(
     lanes = _Lanes(model, policy)
     h, nu = model.n_taboo, model.n_forbidden
 
-    _stream(seed, 0)  # rejects a bad seed even if no trajectory walks alone
+    streams = _Streams(seed)
+    work = dict.fromkeys(("kernel_blocks", "numpy_blocks", "lockstep_steps", "alone_steps"), 0)
     hit_u = np.zeros(n)
     totals = np.zeros(n)
     truncated = np.zeros(n, dtype=bool)
 
     for lo in range(0, n, MC_CHUNK):
         index = np.arange(lo, min(n, lo + MC_CHUNK))
-        state, total, live, t = lanes.run_together(i0, seed, index, max_steps)
+        state, total, live, t = lanes.run_together(i0, streams, index, max_steps, work)
         forbidden = state < h + nu
         for r in live.tolist():
-            rng = _stream(seed, lo + r)
-            rng.bit_generator.advance(t // 2)  # past the blocks drawn in lockstep
+            rng = streams.at(lo + r, t // 2)  # past the blocks drawn in lockstep
             states, rows = lanes.walk(int(state[r]), rng, max_steps - t)
+            work["alone_steps"] += len(rows)
             if states[-1] < h:
                 truncated[lo + r] = True
                 continue
@@ -437,6 +509,7 @@ def mc_estimates(
         v_hat=estimate(totals),
         truncated=int(truncated.sum()),
         n=n,
+        **work,
     )
 
 

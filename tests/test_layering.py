@@ -1,10 +1,11 @@
 """Module layering of the package: imports sit at module level and form no
 cycle, one loop sweeps for every fixed-point solver, one lockstep loop
-draws every Monte Carlo batch, one table holds the sampling rule, only
-``model`` builds and checks policies, the command line runs the dual once
-for both Lagrangian modes, the relative-safety route runs on arrays, and
-the evaluation core searches the support graph and takes eigenvalues
-only where its proofs from the Green operator fail."""
+draws every Monte Carlo batch, one function keys numpy's Philox, one
+table holds the sampling rule, only ``model`` builds and checks policies,
+the command line runs the dual once for both Lagrangian modes, the
+relative-safety route runs on arrays, and the evaluation core searches
+the support graph and takes eigenvalues only where its proofs from the
+Green operator fail."""
 import ast
 from pathlib import Path
 
@@ -94,6 +95,21 @@ def test_one_philox_pass():
     ``_philox_blocks`` from exactly one place."""
     calls = _call_sites("_philox_blocks")
     assert len(calls) == 1, calls
+
+
+def test_one_philox_constructor():
+    """One place keys numpy's Philox: the package builds ``Philox`` in one
+    function, ``simulate._stream``; ``_Streams`` re-keys that generator."""
+    sites = [
+        f"{module}:{func.name}"
+        for module in MODULES
+        for func in ast.walk(_tree(module))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and "Philox" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert sites == ["simulate:_stream"], sites
 
 
 def test_policies_are_built_in_model():

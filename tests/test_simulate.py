@@ -2,8 +2,10 @@
 import importlib
 import itertools
 import json
+import sys
 import tracemalloc
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -130,6 +132,39 @@ def test_philox_block_matches_numpy_streams(seed):
             assert np.array_equal(got[:, col].view(np.uint64), want)
 
 
+def batch_sizes(batches):
+    """Philox blocks in each of the first ``batches`` batches ``run_together`` draws."""
+    batch, raw = simulate_module.MC_BATCH, simulate_module.MC_RAW_BATCH
+    sizes, count = [], 1
+    for _ in range(batches):
+        sizes.append(count)
+        count = min(2 * count, batch if count < batch else raw)
+    return sizes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_numpy_blocks_match_kernel_and_streams(seed):
+    """numpy's Philox, re-keyed by ``_Streams``, yields the kernel's draws and each stream's.
+
+    Blocks 0-300 come as ranges split at every lockstep batch edge, and
+    from ``at`` a few blocks at a time, from both sides of those edges.
+    """
+    index = np.array([0, 1, 2, 3, 1000, 2**32 - 1, 2**32, 2**40 - 1, 2**40])
+    streams = simulate_module._Streams(seed)
+    edges = [0, *(e for e in itertools.accumulate(batch_sizes(12)) if e < 301), 301]
+    split = np.vstack([streams.blocks(index, a, b - a) for a, b in itertools.pairwise(edges)])
+    kernel = simulate_module._philox_blocks(seed, index, 0, 301)
+    assert split.shape == (4 * 301, len(index))
+    assert np.array_equal(split.view(np.uint64), kernel.view(np.uint64))
+    for col, k in enumerate(index.tolist()):
+        key = np.array([seed, k], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(4 * 301)
+        assert np.array_equal(split[:, col].view(np.uint64), want.view(np.uint64))
+        for b in sorted({0, *(e + d for e in edges[1:-1] for d in (-1, 0)), 299}):
+            got = streams.at(k, b).random(8)
+            assert np.array_equal(got.view(np.uint64), want[4 * b : 4 * b + 8].view(np.uint64))
+
+
 def reference_walker(model, policy):
     """The sampling rule over the model's full rows, one trajectory at a time.
 
@@ -200,13 +235,12 @@ def _per_trajectory_mc(model, policy, start, n, seed, max_steps=10**5):
     return report, longest
 
 
-# Lockstep batches of 1, 2, 4, ... up to MC_BATCH Philox blocks take two
-# steps a block, so they end after steps 2, 6, 14, 30 and 62, then every
-# 2 * MC_BATCH steps.  The cases sit on both sides of those edges, and of
-# steps 8 and 40, the edges of an earlier schedule.
-BATCH_EDGES = list(
-    itertools.accumulate(2 * min(1 << b, simulate_module.MC_BATCH) for b in range(5))
-)
+# Lockstep batches of 1, 2, 4, ... up to MC_BATCH Philox blocks, computed
+# by the kernel, then of 32 and 64 blocks from numpy's generator, take two
+# steps a block, so they end after steps 2, 6, 14, 30, 62, 126 and 254,
+# then every 2 * MC_RAW_BATCH steps.  The cases sit on both sides of those
+# edges, and of steps 8 and 40, the edges of an earlier schedule.
+BATCH_EDGES = list(itertools.accumulate(2 * count for count in batch_sizes(7)))
 BATCH_EDGE = BATCH_EDGES[-1]
 MAX_STEPS_CASES = sorted(
     {1, 8, 9, 12, 39, 40, 41, 10**5} | {e + d for e in BATCH_EDGES for d in (-1, 0, 1)}
@@ -316,19 +350,35 @@ def test_mc_estimates_equals_per_trajectory_walk_corpus(max_steps, monkeypatch):
         want, steps = _per_trajectory_mc(model, pol, start, n, seed, max_steps)
         assert repr(got) == repr(want)
         longest = max(longest, steps)
-    # Some trajectory hits the step cap or walks past the first batch.
+    # Some trajectory hits the step cap or walks past every batch edge.
     assert longest >= min(max_steps, BATCH_EDGE + 1)
 
 
+CHUNK_BATCH_RAW = [
+    (37, 1, 64),
+    (37, 2, 64),
+    (37, 3, 64),
+    (4096, 5, 64),
+    (4096, 16, 64),
+    (37, 10**9, 64),
+    (4096, 16, 16),
+    (4096, 16, 32),
+    (37, 4, 10**9),
+]
+
+
 @pytest.mark.parametrize(
-    "chunk, batch", [(37, 1), (37, 2), (37, 3), (4096, 5), (4096, 16), (37, 10**9)]
+    "chunk, batch, raw",
+    CHUNK_BATCH_RAW,
+    ids=[f"{c}-{b}" + ("" if r == 64 else f"-raw{r}") for c, b, r in CHUNK_BATCH_RAW],
 )
-def test_mc_estimates_invariant_under_chunk_and_batch(chunk, batch, monkeypatch):
+def test_mc_estimates_invariant_under_chunk_and_batch(chunk, batch, raw, monkeypatch):
     """Chunk, batch and hand-off sizes change no estimate, only who walks how.
 
-    ``MC_BATCH`` sets both the most blocks per batch and the hand-off: at 1
-    every trajectory stays in lockstep to its end, at 10**9 every one walks
-    alone from step 0.
+    ``MC_BATCH`` sets both the most blocks per kernel batch and the
+    hand-off: at 1 every trajectory stays in lockstep to its end, at 10**9
+    every one walks alone from step 0.  ``MC_RAW_BATCH`` caps the batches
+    from numpy's generator; at ``MC_BATCH`` the kernel draws every batch.
     """
     model, pol, start = corridor_case()
     walks = []
@@ -341,42 +391,121 @@ def test_mc_estimates_invariant_under_chunk_and_batch(chunk, batch, monkeypatch)
     want, _ = _per_trajectory_mc(model, pol, start, 200, 5)
     monkeypatch.setattr(simulate_module, "MC_CHUNK", chunk)
     monkeypatch.setattr(simulate_module, "MC_BATCH", batch)
+    monkeypatch.setattr(simulate_module, "MC_RAW_BATCH", raw)
     monkeypatch.setattr(simulate_module._Lanes, "walk", counted)
-    assert repr(sm.mc_estimates(model, pol, start, 200, 5)) == repr(want)
+    got = sm.mc_estimates(model, pol, start, 200, 5)
+    assert repr(got) == repr(want)
     if batch == 1:
         assert walks == []
     if batch == 10**9:
         assert len(walks) > 150
+    # Streams reach the batches from numpy's generator unless none exceed MC_BATCH.
+    assert (got.numpy_blocks > 0) == (batch < raw and batch < 10**9)
 
 
 @pytest.mark.parametrize("chunk", [40, 4096])
 def test_lockstep_draw_schedule(chunk, monkeypatch):
-    """Each chunk draws 1, 2, 4, ... up to MC_BATCH blocks, back to back.
+    """Each chunk draws 1, 2, 4, ... blocks back to back, from the kernel, then numpy.
 
-    A batch draws at most twice the blocks of the one before, so no lane
-    gets more blocks drawn ahead than it has used, plus one; and only at
-    least ``MC_BATCH`` lanes step in lockstep.
+    Blocks run from 0 with no gap or overlap, across the switch too.  A
+    batch draws at most twice the blocks of the one before, so no lane
+    gets more blocks drawn ahead than it has used, plus one.  The kernel
+    draws the batches of up to ``MC_BATCH`` blocks and numpy's generator
+    every later one, up to ``MC_RAW_BATCH``; only at least ``MC_BATCH``
+    lanes step in lockstep.
     """
     calls = []
     philox_blocks = simulate_module._philox_blocks
+    numpy_blocks = simulate_module._Streams.blocks
 
-    def recorded(seed, index, first, count):
-        calls.append((first, count, len(index)))
+    def kernel(seed, index, first, count):
+        calls.append(("kernel", first, count, len(index)))
         return philox_blocks(seed, index, first, count)
 
+    def numpy(self, index, first, count):
+        calls.append(("numpy", first, count, len(index)))
+        return numpy_blocks(self, index, first, count)
+
     monkeypatch.setattr(simulate_module, "MC_CHUNK", chunk)
-    monkeypatch.setattr(simulate_module, "_philox_blocks", recorded)
+    monkeypatch.setattr(simulate_module, "_philox_blocks", kernel)
+    monkeypatch.setattr(simulate_module._Streams, "blocks", numpy)
     model, pol, start = corridor_case()
     sm.mc_estimates(model, pol, start, 200, 5)
-    batch = simulate_module.MC_BATCH
-    assert [c for c in calls if c[0] == 0] == [(0, 1, min(chunk, 200))] * -(-200 // chunk)
-    for (first, count, lanes), (nxt, nxt_count, nxt_lanes) in itertools.pairwise(calls):
+    batch, raw = simulate_module.MC_BATCH, simulate_module.MC_RAW_BATCH
+    firsts = [c for c in calls if c[1] == 0]
+    assert firsts == [("kernel", 0, 1, min(chunk, 200))] * -(-200 // chunk)
+    for (source, first, count, lanes), (nxt_source, nxt, nxt_count, nxt_lanes) in (
+        itertools.pairwise(calls)
+    ):
         if nxt == 0:
             continue
         assert nxt == first + count
-        assert nxt_count <= min(2 * count, batch)
+        assert nxt_count <= 2 * count
         assert batch <= nxt_lanes <= lanes
-    assert max(count for _, count, _ in calls) == batch
+        assert (source, nxt_source) != ("numpy", "kernel")
+    assert max(count for source, _, count, _ in calls if source == "kernel") == batch
+    # Chunks of 40 fall below MC_BATCH lanes before their first batch of 64 blocks.
+    numpy_max = max(count for source, _, count, _ in calls if source == "numpy")
+    assert numpy_max == {40: 2 * batch, 4096: raw}[chunk]
+    for source, first, count, _ in calls:
+        assert count <= (batch if source == "kernel" else raw)
+        assert (source == "numpy") == (first >= 2 * batch - 1)
+
+
+def test_mc_report_records_where_the_work_went(ex1_model, ex1_policy):
+    """The work counts are pinned on the corridor, and take no part in ``==`` or ``repr``.
+
+    Every lockstep batch takes two steps a block, as none is cut by
+    ``max_steps`` here; short trajectories draw no block from numpy.
+    """
+    model, pol, start = corridor_case()
+    got = sm.mc_estimates(model, pol, start, 200, 5)
+    work = (got.kernel_blocks, got.numpy_blocks, got.lockstep_steps, got.alone_steps)
+    assert work == (5078, 4224, 18604, 17)
+    assert got.lockstep_steps == 2 * (got.kernel_blocks + got.numpy_blocks)
+    want, _ = _per_trajectory_mc(model, pol, start, 200, 5)
+    assert got == want and repr(got) == repr(want)
+    assert "blocks" not in repr(got) and "steps" not in repr(got)
+    short = sm.mc_estimates(ex1_model, ex1_policy, "b", 400, 3)
+    assert short.numpy_blocks == 0 < short.kernel_blocks
+
+
+def test_mc_estimates_in_two_threads_equal_sequential_calls():
+    """Each call re-keys a generator of its own, so calls in threads share none."""
+    model, pol, start = corridor_case()
+
+    def run(seed):
+        return sm.mc_estimates(model, pol, start, 600, seed)
+
+    want = [run(seed) for seed in (5, 6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, between re-key and draw too
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(run, (5, 6), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [vars(r) for r in got] == [vars(r) for r in want]
+    assert got[0].numpy_blocks > 0
+
+
+def test_peak_memory_of_a_corridor_sized_call():
+    """600 trajectories from state 10 of a 100-state corridor, the benchmark's corridor
+    shape, walk about a thousand steps each.  The kernel's 16-block batch holds about
+    3 KB per trajectory and numpy's 64-block batch 2 KB; a batch's draws are
+    freed before the next batch's are made, else the two together took 2.4 MB."""
+    model = birth_death_corridor(h=100, hazard=0.0)
+    matrix = np.zeros((model.n_states, 2))
+    matrix[:, 0] = 1.0
+    pol = sm.make_policy(model, matrix)
+    tracemalloc.start()
+    try:
+        got = sm.mc_estimates(model, pol, "h10", 600, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.numpy_blocks > 0
+    assert peak < 2_000_000, peak
 
 
 @pytest.mark.parametrize("max_steps", MAX_STEPS_CASES)
