@@ -14,7 +14,11 @@ until the change between sweeps is small, for value iteration,
 ``constrained_vi_pure``, ``relative_vi`` and the iterative evaluators.
 ``_improve``, Howard's policy iteration from a proper policy, solves
 each choice exactly, one ``_round`` at a time; it serves
-``safest_policy`` and ``dual_ascent`` at t = 0.  ``_settle`` ends the
+``safest_policy`` and ``dual_ascent`` at t = 0.  Both loops meet the
+support graph only through ``evaluate._witness``, the one Prob1 search
+with its attractor layers: ``_sweep`` calls it before the first sweep
+for its NotTransientError alone, and ``_improve`` starts from its proper
+choice where no other proper choice is at hand.  ``_settle`` ends the
 sweeps of ``value_iteration`` and ``relative_vi`` one way: at the first
 checkpoint (sweep CERTIFY_FROM, then doubling up to CERTIFY_GAP apart)
 where the greedy choice is proper and one ``_round`` from it switches
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import _induce, _require_transient, _solve, _witness
+from .evaluate import _induce, _solve, _witness
 from .exceptions import MaxIterationsError, NotTransientError
 from .model import MdpModel, Policy, _check_count, _taboo_policy
 
@@ -158,7 +162,7 @@ def _sweep(
         raise ValueError(f"starting values must have shape ({h},), got {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("starting values must be finite")
-    _require_transient(Q, np.isfinite(stage))
+    _witness(Q, np.isfinite(stage))
     rows, flat = _candidate_major(stage, Q)
     totals, nxt, delta = np.empty(flat.size), np.empty_like(v), np.empty_like(v)
     diff, check = np.inf, CERTIFY_FROM if certify else 0

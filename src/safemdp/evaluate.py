@@ -21,13 +21,14 @@ every taboo row leaks out of H the block is transient as it stands.
 Elsewhere the exit-time column tau = G 1, solved with the same LU,
 proves it: ``_transience_residual`` bounds tau - Q' tau > 0 rigorously
 in floating point, for the block Q' in which the rows that do not leak
-carry mass exactly 1.  Only where that proof fails does ``_trapped``
-decide, exactly, on the support graph.  ``_radius`` brackets the
-spectral radius by the Collatz-Wielandt bounds of power iterates of G.
-``_pure_blocks``, the kernel of the enumeration oracles, evaluates
-PURE_CHUNK pure policies at once: one batched ``_trapped``, one batched
-solve.  The iterative evaluators live next to the sweep kernel in
-:mod:`safemdp.bellman`.
+carry mass exactly 1.  Only where that proof fails does ``_witness`` run
+``_trapped``, the one search of the support graph (the Prob1 fixpoint),
+and read a proper choice off its attractor layers.  ``_radius``
+brackets the spectral radius by the Collatz-Wielandt bounds of power
+iterates of G.  ``_pure_blocks``, the kernel of the enumeration oracles,
+evaluates PURE_CHUNK pure policies at once: one batched ``_trapped``,
+one batched solve.  The iterative evaluators live next to the sweep
+kernel in :mod:`safemdp.bellman`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import CapExceededError, NotTransientError
-from .model import ROW_SUM_TOL, MdpModel, Policy, StatePartition, induced_matrix
+from .model import ROW_SUM_TOL, MdpModel, Policy, StatePartition, _check_count, induced_matrix
 
 NEUMANN_TAIL_TOL = 1e-12
 # Pure policies gathered and solved together by ``_pure_blocks``.
@@ -119,61 +120,58 @@ def _leaks(Q: np.ndarray) -> np.ndarray:
     return Q.sum(axis=-1) < 1.0 - ROW_SUM_TOL
 
 
-def _trapped(Q: np.ndarray, valid: np.ndarray | bool = True) -> np.ndarray:
-    """Taboo states from which no choice of valid candidates surely leaves H.
+def _trapped(Q: np.ndarray, valid: np.ndarray | bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of taboo states no valid choice surely leads out of H, and layers.
 
     ``Q`` is one block (h, h) or k candidate rows per state (..., h, k, h)
-    after any batch axes, ``valid`` (..., h, k) masks the candidates, and
-    the result is a mask (..., h).  A row leaks as ``_leaks`` says.  The
-    kept states are the Prob1 fixpoint: those that reach a leaking row
-    through candidates whose taboo successors all stay kept.  A pass
-    leaves an item already at its fixpoint unchanged, and where every
-    state has a valid leaking candidate, every state is kept at once.
+    after any batch axes, ``valid`` (..., h, k) masks the candidates; mask
+    and layers are (..., h).  A row leaks as ``_leaks`` says.  The kept
+    states are the Prob1 fixpoint: those that reach a leaking row through
+    candidates whose taboo successors all stay kept.  A kept state's
+    layer is the pass of the last round in which it first reaches a
+    leaking row or a lower layer; trapped states lie above them all.  An
+    item at its fixpoint stays so; where every state has a valid leaking
+    candidate, all are kept in layer 0 at once.
     """
     if Q.ndim == 2:
         Q = Q[:, None, :]
     leaks = _leaks(Q)
     kept = np.ones(Q.shape[:-2], bool)
     if (valid & leaks).any(axis=-1).all():
-        return ~kept
+        return ~kept, np.zeros(kept.shape, int)
     support = Q > 0.0
     while True:
         escapes = (support & ~kept[..., None, None, :]).any(axis=-1)
         allowed = valid & kept[..., None] & ~escapes
         edges = (support & allowed[..., None]).any(axis=-2)
         reach = (allowed & leaks).any(axis=-1)
+        passes = [reach]
         grown = reach | (edges & reach[..., None, :]).any(axis=-1)
         while grown.sum() > reach.sum():
+            passes.append(grown)
             reach, grown = grown, grown | (edges & grown[..., None, :]).any(axis=-1)
         if (reach == kept).all():
-            return ~kept
+            return ~kept, len(passes) - np.sum(passes, axis=0)
         kept = reach
 
 
 def _witness(Q: np.ndarray, valid: np.ndarray | bool = True) -> np.ndarray:
-    """A proper choice of valid candidates, one index per state of ``Q`` (h, k, h).
+    """A proper choice of valid candidates of ``Q`` (h, k, h) or (h, h), one per state.
 
     ``valid`` (h, k) masks the candidates as in ``_trapped``.  Raises
-    NotTransientError when ``_trapped(Q, valid)`` finds states.  Otherwise
-    peels the Prob1 set in attractor layers: each state takes its first
-    valid candidate that leaks out of H or enters a lower layer.
+    NotTransientError naming the states ``_trapped`` finds.  Otherwise
+    each state takes its first valid candidate that leaks out of H or
+    enters a strictly lower layer of ``_trapped``.
     """
-    _require_transient(Q, valid)
-    support = Q > 0.0
-    ready = _leaks(Q) & valid
-    choice, done = np.zeros(Q.shape[0], int), np.zeros(Q.shape[0], bool)
-    while not done.all():
-        new = ready.any(axis=1) & ~done
-        choice[new], done = ready[new].argmax(axis=1), done | new
-        ready |= (support & done).any(axis=-1) & valid
-    return choice
-
-
-def _require_transient(Q: np.ndarray, valid: np.ndarray | bool = True) -> None:
-    """Raise NotTransientError naming the states ``_trapped(Q, valid)`` finds."""
-    trapped = np.flatnonzero(_trapped(Q, valid))
-    if trapped.size:
-        raise NotTransientError(trapped)
+    if Q.ndim == 2:
+        Q = Q[:, None, :]
+    trapped, layer = _trapped(Q, valid)
+    if trapped.any():
+        raise NotTransientError(np.flatnonzero(trapped))
+    ready = valid & _leaks(Q)
+    if layer.any():  # only then can a support reach a lower layer
+        ready |= valid & ((Q > 0.0) & (layer < layer[:, None])[:, None, :]).any(axis=-1)
+    return ready.argmax(axis=1)
 
 
 def _gamma(k: int) -> float:
@@ -263,6 +261,17 @@ def _radius(Q: np.ndarray, G: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(Q)).max(initial=0.0))
 
 
+def _check_block(Q) -> np.ndarray:
+    """A raw taboo block as a float array; ValueError unless it is square,
+    finite, nonnegative and no row sums above 1 (``decompose``'s 1e-10)."""
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError("taboo block must be square")
+    if not (((Q >= 0.0) & (Q < np.inf)).all() and (Q.sum(axis=1) <= 1.0 + 1e-10).all()):
+        raise ValueError("taboo block must be finite, nonnegative and substochastic")
+    return Q
+
+
 def check_transient(Q: np.ndarray) -> TransienceReport:
     """Whether the taboo block is transient, and its spectral radius.
 
@@ -270,9 +279,7 @@ def check_transient(Q: np.ndarray) -> TransienceReport:
     decided as ``_solve`` decides it: by the exit-time proof, else on the
     support graph.  The radius is ``_radius``'s, and 1 when not transient.
     """
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError("taboo block must be square")
+    Q = _check_block(Q)
     try:
         G = _solve(Q)
     except NotTransientError:
@@ -324,10 +331,10 @@ def _solve(Q: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
             X = np.linalg.solve(A, np.column_stack((rhs, np.ones(h))))
             X, tau = X[:, :-1], X[:, -1]
     except np.linalg.LinAlgError:  # I - Q is singular where a state is trapped
-        _require_transient(Q)
+        _witness(Q)
         raise
     if not _proves_transient(Q, tau, leaks):
-        _require_transient(Q)
+        _witness(Q)
     return X
 
 
@@ -344,11 +351,12 @@ def _pure_blocks(model: MdpModel, cap: int):
     Yields per block the assignments (B, h), last taboo state varying
     fastest, the transience verdicts (B,) and X (B, 3, h), C-contiguous,
     with rows V, S and T bit for bit as ``_exact`` returns them (NaN when
-    not transient).  Raises CapExceededError first when m^h > ``cap``.
+    not transient).  Raises ValueError first unless ``_check_count`` takes
+    ``cap``, then CapExceededError when m^h > ``cap``.
     """
     h, m = model.n_taboo, model.n_actions
     total = m**h
-    if total > cap:
+    if total > _check_count(cap, "cap", 0):
         raise CapExceededError(f"{total} pure policies exceed the cap of {cap}")
     rows = np.arange(h)
     inputs = np.stack((model.stage_costs, model.forbidden_exit, model.target_exit), 2)
@@ -356,7 +364,7 @@ def _pure_blocks(model: MdpModel, cap: int):
         flat = np.arange(lo, min(total, lo + PURE_CHUNK))
         picks = np.stack(np.unravel_index(flat, (m,) * h), axis=1)
         Q, rhs = model.taboo_block[rows, picks], inputs[rows, picks]
-        transient = ~_trapped(Q[:, :, None, :]).any(axis=1)
+        transient = ~_trapped(Q[:, :, None, :])[0].any(axis=1)
         X = np.full((len(flat), 3, h), np.nan)
         solved = np.linalg.solve(np.eye(h) - Q[transient], rhs[transient])
         X[transient] = solved.transpose(0, 2, 1)
@@ -372,10 +380,12 @@ def green(Q: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        When ``Q`` fails ``_check_block``.
     NotTransientError
         When some taboo state cannot reach an exit; carries those states.
     """
-    return _solve(np.asarray(Q, dtype=float))
+    return _solve(_check_block(Q))
 
 
 def green_neumann(Q: np.ndarray, tail_tol: float = NEUMANN_TAIL_TOL) -> np.ndarray:
@@ -384,12 +394,12 @@ def green_neumann(Q: np.ndarray, tail_tol: float = NEUMANN_TAIL_TOL) -> np.ndarr
     Sums ``I + Q + Q^2 + ...`` until the sup-norm of the next power drops
     below ``tail_tol``.  Kept deliberately separate from :func:`green` so the
     two routes can be compared in tests.  Raises ValueError unless
-    ``tail_tol`` is positive.
+    ``tail_tol`` is positive and ``Q`` passes ``_check_block``.
     """
     if not tail_tol > 0:
         raise ValueError(f"tail_tol must be positive, got {tail_tol!r}")
-    Q = np.asarray(Q, dtype=float)
-    _require_transient(Q)
+    Q = _check_block(Q)
+    _witness(Q)
     h = Q.shape[0]
     total = np.eye(h)
     term = np.eye(h)
@@ -426,7 +436,7 @@ def occupation(model: MdpModel, policy: Policy, initial: np.ndarray) -> np.ndarr
     """
     initial = _check_initial(model, initial)
     _, blocks, _ = _induce(model, policy)
-    return _absorption(model, blocks, green(blocks.q), initial)[0]
+    return _absorption(model, blocks, _solve(blocks.q), initial)[0]
 
 
 def hitting(model: MdpModel, policy: Policy, initial: np.ndarray) -> np.ndarray:
@@ -441,7 +451,7 @@ def hitting(model: MdpModel, policy: Policy, initial: np.ndarray) -> np.ndarray:
     """
     initial = _check_initial(model, initial)
     _, blocks, _ = _induce(model, policy)
-    return _absorption(model, blocks, green(blocks.q), initial)[1]
+    return _absorption(model, blocks, _solve(blocks.q), initial)[1]
 
 
 def evolution_residual(

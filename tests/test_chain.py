@@ -107,6 +107,31 @@ def test_green_neumann_rejects_tail_tol(tail_tol):
         sm.green_neumann(np.array([[0.5]]), tail_tol=tail_tol)
 
 
+@pytest.mark.parametrize("entry", [sm.check_transient, sm.green, sm.green_neumann])
+@pytest.mark.parametrize("Q", [
+    [[0.5, np.inf], [0.0, 0.5]],  # green gave all NaN, check_transient a LinAlgError
+    [[np.nan]],  # called not transient
+    [[-0.5]],  # called transient with radius 0.5
+    [[1.5]],  # given radius 1.0
+    [[0.5, 0.5 + 1e-9], [0.0, 0.0]],  # above decompose's 1e-10 row-sum tolerance
+], ids=["inf", "nan", "negative", "above-one", "row-sum"])
+def test_raw_block_entry_points_reject_a_bad_block(entry, Q):
+    with pytest.raises(ValueError, match="taboo block must be finite, nonnegative"):
+        entry(Q)
+
+
+@pytest.mark.parametrize("entry", [sm.check_transient, sm.green, sm.green_neumann])
+def test_raw_block_entry_points_take_rows_within_tolerance(entry):
+    """A row less than 1e-10 above 1 passes the block check; it does not
+    leak, so its state is trapped."""
+    Q = [[1.0 + 1e-11]]
+    if entry is sm.check_transient:
+        assert entry(Q) == (False, 1.0)
+    else:
+        with pytest.raises(sm.NotTransientError):
+            entry(Q)
+
+
 def test_occupation_hitting_golden(ex1_model, ex1_policy):
     """Uniform start over taboo states, golden policy."""
     mu = np.array([1 / 3, 1 / 3, 1 / 3, 0, 0])

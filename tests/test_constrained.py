@@ -304,7 +304,7 @@ def test_dual_ascent_agrees_with_lp(solver_corpus):
 def feasible_cases(oracle_cases):
     """The oracle cases where some proper policy keeps every state within p."""
     for model, p in oracle_cases:
-        if not _trapped(model.taboo_block).any():
+        if not _trapped(model.taboo_block)[0].any():
             if (sm.safest_policy(model)[0] <= p + ADMISSIBLE_TOL).all():
                 yield model, p
 
@@ -583,6 +583,11 @@ def test_enumerate_admissible_cap(ex1_model, monkeypatch):
     monkeypatch.setattr("safemdp.evaluate._trapped", refuse)
     with pytest.raises(sm.CapExceededError, match="8 pure policies exceed the cap of 7"):
         sm.enumerate_admissible(ex1_model, p=0.5, cap=7)
+    # A NaN cap would turn the guard off: every comparison with it is False.
+    for cap in (float("nan"), True, 7.5, -1, "8"):
+        for enumerate_ in (sm.enumerate_admissible, sm.constrained_vi_pure):
+            with pytest.raises(ValueError, match="cap must be a nonnegative integer"):
+                enumerate_(ex1_model, p=0.5, cap=cap)
 
 
 def reference_members(model, p, cap=10**6):

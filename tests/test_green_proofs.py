@@ -106,7 +106,7 @@ def test_verdicts_at_the_leak_threshold_match_the_graph_rule(eps, monkeypatch):
     searched = []
     monkeypatch.setattr(evaluate, "_trapped", lambda *a: searched.append(1) or _trapped(*a))
     for Q in threshold_blocks(eps):
-        trapped = tuple(np.flatnonzero(_trapped(Q)))
+        trapped = tuple(np.flatnonzero(_trapped(Q)[0]))
         searched.clear()
         if trapped:
             with pytest.raises(sm.NotTransientError) as err:

@@ -3,9 +3,9 @@ cycle, one loop sweeps for every fixed-point solver, one lockstep loop
 draws every Monte Carlo batch, one function keys numpy's Philox, one
 table holds the sampling rule, only ``model`` builds and checks policies,
 the command line runs the dual once for both Lagrangian modes, the
-relative-safety route runs on arrays, and the evaluation core searches
-the support graph and takes eigenvalues only where its proofs from the
-Green operator fail."""
+relative-safety route runs on arrays, and the evaluation core has one
+support-graph search, which it runs, like eigenvalues, only where its
+proofs from the Green operator fail."""
 import ast
 from pathlib import Path
 
@@ -189,11 +189,11 @@ def test_one_eigvals_fallback():
 
 
 def test_solve_searches_the_graph_only_after_a_failed_proof():
-    """``_solve`` reaches ``_trapped``, through ``_require_transient``, only
-    in the branch where ``_proves_transient`` failed or where the LU found
-    ``I - Q`` singular, so no proof could be tried.  ``_witness`` and
-    ``_pure_blocks`` keep their own search, the fast path where every
-    candidate row leaks."""
+    """``_solve`` reaches ``_trapped``, through ``_witness``, only in the
+    branch where ``_proves_transient`` failed or where the LU found
+    ``I - Q`` singular, so no proof could be tried.  ``_pure_blocks``
+    calls ``_trapped`` itself, batched; both keep its fast path where
+    every candidate row leaks."""
     solve = _function("evaluate", "_solve")
     guarded = set()
     for node in ast.walk(solve):
@@ -204,9 +204,33 @@ def test_solve_searches_the_graph_only_after_a_failed_proof():
     searches = [
         node for node in ast.walk(solve)
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) in ("_trapped", "_require_transient")
+        and getattr(node.func, "id", None) in ("_trapped", "_witness")
     ]
     assert searches and all(id(node) in guarded for node in searches), ast.unparse(solve)
-    require = _function("evaluate", "_require_transient")
-    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_trapped"
-               for node in ast.walk(require))
+
+
+def test_one_support_graph_search():
+    """``_trapped`` is the one search of the support graph: ``_witness`` holds
+    no loop and calls ``_trapped`` once, no module defines
+    ``_require_transient``, and no other function that takes the support
+    (``Q > 0``) of a block or tests its rows for leaks holds a loop."""
+    witness = _function("evaluate", "_witness")
+    assert not [node for node in ast.walk(witness) if isinstance(node, (ast.For, ast.While))]
+    calls = [node for node in ast.walk(witness)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_trapped"]
+    assert len(calls) == 1
+    searches = []
+    for module in MODULES:
+        for func in ast.walk(_tree(module)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            assert func.name != "_require_transient", module
+            graph = any(
+                (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Gt)
+                 and getattr(node.left, "id", None) == "Q")
+                or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_leaks")
+                for node in ast.walk(func)
+            )
+            if graph and any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(func)):
+                searches.append(f"{module}:{func.name}")
+    assert searches == ["evaluate:_trapped"], searches

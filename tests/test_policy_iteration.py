@@ -54,7 +54,7 @@ def improve_penalized(model, t, tol=1e-10, max_iter=100_000):
 
 def is_proper(model, policy):
     rows = np.arange(model.n_taboo)
-    return not _trapped(model.taboo_block[rows, policy.assignment()[rows]]).any()
+    return not _trapped(model.taboo_block[rows, policy.assignment()[rows]])[0].any()
 
 
 def penalized(model, policy, t):
@@ -101,7 +101,7 @@ def sparse_draws():
     """The 273 of 300 sparse draws where some policy leaves H from every state."""
     rng = np.random.default_rng(2026)
     models = [sparse_model(rng) for _ in range(300)]
-    return [m for m in models if not _trapped(m.taboo_block).any()]
+    return [m for m in models if not _trapped(m.taboo_block)[0].any()]
 
 
 def test_sparse_draws_get_proper_exact_answers():

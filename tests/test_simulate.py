@@ -983,6 +983,10 @@ def test_brute_force_cap(ex1_model, monkeypatch):
     monkeypatch.setattr("safemdp.evaluate._trapped", refuse)
     with pytest.raises(sm.CapExceededError, match="8 pure policies exceed the cap of 7"):
         sm.brute_force_constrained(ex1_model, p=0.5, cap=7)
+    # A NaN cap would turn the guard off: every comparison with it is False.
+    for cap in (float("nan"), True, 7.5, -1, "8"):
+        with pytest.raises(ValueError, match="cap must be a nonnegative integer"):
+            sm.brute_force_constrained(ex1_model, p=0.5, cap=cap)
 
 
 def reference_brute_force(model, p, cap=10**6):

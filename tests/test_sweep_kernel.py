@@ -12,7 +12,7 @@ import pytest
 import safemdp as sm
 from corpus import corridor_model
 from safemdp.bellman import _sweep
-from safemdp.evaluate import _induce, _require_transient, _witness
+from safemdp.evaluate import _induce, _witness
 
 
 def previous_sweep(stage, Q, v0, tol, max_iter, history=None):
@@ -22,7 +22,7 @@ def previous_sweep(stage, Q, v0, tol, max_iter, history=None):
     v = np.zeros(Q.shape[0]) if v0 is None else np.asarray(v0, dtype=float).copy()
     if not np.isfinite(v).all():
         raise ValueError("starting values must be finite")
-    _require_transient(Q, np.isfinite(stage))
+    _witness(Q, np.isfinite(stage))
     diff = np.inf
     for sweep in range(1, max_iter + 1):
         totals = stage + Q @ v

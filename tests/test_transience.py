@@ -2,7 +2,8 @@
 
 The batched ``_trapped`` is checked row by row against the single-item
 call and against an enumeration of pure choices, and ``_witness``
-against its promise of a proper choice.
+against its promise of a proper choice and against the attractor loop
+it used to run of its own.
 """
 import itertools
 
@@ -103,10 +104,10 @@ def trapped_by_enumeration(Q, valid):
 @given(candidate_stacks(max_h=6, max_k=1))
 def test_batched_trapped_on_pure_stacks(stack):
     Q = stack[0][:, :, 0]
-    mask = _trapped(Q[:, :, None, :])
+    mask = _trapped(Q[:, :, None, :])[0]
     assert mask.shape == Q.shape[:2]
     for item, row in zip(Q, mask):
-        assert np.array_equal(row, _trapped(item))
+        assert np.array_equal(row, _trapped(item)[0])
         assert np.array_equal(row, ~exit_is_sure(item))
 
 
@@ -114,26 +115,49 @@ def test_batched_trapped_on_pure_stacks(stack):
 @given(candidate_stacks(max_h=4, max_k=3))
 def test_batched_trapped_on_masked_candidate_stacks(stack):
     Q, valid = stack
-    mask = _trapped(Q, valid)
-    assert mask.shape == Q.shape[:2]
-    for item, ok, row in zip(Q, valid, mask):
-        assert np.array_equal(row, _trapped(item, ok))
+    mask, layers = _trapped(Q, valid)
+    assert mask.shape == layers.shape == Q.shape[:2]
+    for item, ok, row, layer in zip(Q, valid, mask, layers):
+        assert np.array_equal(row, _trapped(item, ok)[0])
+        assert np.array_equal(layer[~row], _trapped(item, ok)[1][~row])
         assert np.array_equal(row, trapped_by_enumeration(item, ok))
+
+
+def attractor_witness(Q, valid):
+    """``_witness``'s own loop as it was: peel the Prob1 set layer by layer,
+    each state taking its first valid candidate that leaks or enters a
+    state already peeled."""
+    support, ready = Q > 0.0, (Q.sum(axis=-1) < 1.0 - 1e-12) & valid
+    choice, done = np.zeros(Q.shape[0], int), np.zeros(Q.shape[0], bool)
+    while not done.all():
+        new = ready.any(axis=1) & ~done
+        choice[new], done = ready[new].argmax(axis=1), done | new
+        ready |= (support & done).any(axis=-1) & valid
+    return choice
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(candidate_stacks(max_h=5, max_k=3))
 def test_witness_is_a_proper_choice(stack):
-    """A proper choice of candidates exactly when nothing is trapped."""
-    for Q in stack[0]:
-        trapped = np.flatnonzero(_trapped(Q))
-        if trapped.size:
-            with pytest.raises(sm.NotTransientError) as err:
-                _witness(Q)
-            assert err.value.trapped == tuple(trapped)
-            continue
-        choice = _witness(Q)
-        assert exit_is_sure(Q[np.arange(Q.shape[0]), choice]).all()
+    """A proper choice of valid candidates exactly when nothing is trapped,
+    unmasked and masked: each choice leaks or steps to a strictly lower
+    layer of ``_trapped``, and it is the choice of the old attractor loop."""
+    for Q, valid in zip(*stack):
+        for ok in (np.ones_like(valid), valid):
+            trapped, layer = _trapped(Q, ok)
+            if trapped.any():
+                with pytest.raises(sm.NotTransientError) as err:
+                    _witness(Q, ok)
+                assert err.value.trapped == tuple(np.flatnonzero(trapped))
+                continue
+            states = np.arange(Q.shape[0])
+            choice = _witness(Q, ok)
+            row = Q[states, choice]
+            assert ok[states, choice].all()
+            steps_down = ((row > 0.0) & (layer < layer[:, None])).any(axis=1)
+            assert (steps_down | (row.sum(axis=1) < 1.0 - 1e-12)).all()
+            assert exit_is_sure(row).all()
+            assert np.array_equal(choice, attractor_witness(Q, ok))
 
 
 def test_witness_steps_down_the_layers():
