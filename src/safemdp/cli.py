@@ -7,11 +7,11 @@ values.  Every command prints a JSON report to stdout with sorted keys
 and floats rounded to 12 significant digits; everything except the
 ``timings`` block is a pure function of the inputs and the seed.
 
-Exit codes: 0 success, 1 every other solver error (MaxIterationsError,
-LpNumericalError), 2 validation or parameter problems, 3 unreadable
-input files, 4 non-transient chain, including taboo states that no
-policy can lead out (reported before any sweep), 5 infeasible
-constraint, 6 enumeration cap exceeded.
+Exit codes: 0 success, 1 every other solver error (MaxIterationsError),
+2 validation or parameter problems, 3 unreadable input files, 4
+non-transient chain, including taboo states that no policy can lead out
+(reported before any sweep), 5 infeasible constraint, 6 enumeration cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -350,8 +350,10 @@ def cmd_solve(args, report: dict, started: float) -> int:
             results.update(
                 l=_labeled(model, solution.l),
                 objective=solution.objective,
-                simplex_iterations=solution.iterations,
                 multiplier_level=level,
+                certified=solution.certified,
+                duality_gap=solution.gap,
+                failed_checks=list(solution.failed),
             )
         else:
             level, value, gap = rep.info["level"], rep.value, None

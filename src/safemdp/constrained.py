@@ -5,7 +5,9 @@ bound on the probability of absorption in a forbidden state:
 
 * the Lagrangian dual over one multiplier level, maximized by walking
   the breakpoints where its optimal policy changes,
-* a linear program over pure-policy constraint rows,
+* a linear program over pure-policy constraint rows, whose optimum the
+  same walk reads off the dual's kink and a primal-dual certificate
+  checks against the program's own rows,
 * exact enumeration of the admissible pure policies and the brute-force
   optimum over them, the reference oracle of the other routes,
 * value iteration over the per-state projection of the admissible set.
@@ -21,9 +23,9 @@ feasible models.
 
 Shared machinery: every solver here reads the stage costs, taboo block
 and exit masses from the model view on :class:`~safemdp.model.MdpModel`;
-``dual_ascent`` starts from the policy iteration of
-:mod:`safemdp.bellman` over the actions and prices every candidate with
-its candidate-major rows, ``constrained_vi_pure`` runs its sweep kernel
+``dual_ascent`` and ``solve_lp`` share one breakpoint walk (``_walk``),
+which prices every candidate with the candidate-major rows of
+:mod:`safemdp.bellman`, ``constrained_vi_pure`` runs its sweep kernel
 over the admissible actions, and ``relative_vi`` value iteration's
 sweeps and certificate (``bellman._settle``) over the vertices; every
 exact policy evaluation goes through the evaluation core of
@@ -36,17 +38,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .bellman import _bellman, _candidate_major, _greedy_policy, _improve, _settle, _sweep
 from .bellman import safest_policy
-from .evaluate import _pure_blocks, _solve
-from .exceptions import InfeasibleError, MaxIterationsError
+from .evaluate import _SUBNORMAL, _gamma, _pure_blocks, _solve, _witness
+from .exceptions import InfeasibleError, LpUnboundedError, MaxIterationsError, NotTransientError
 from .model import MdpModel, Policy, _taboo_policy
-from .simplex import solve_min
 
 ADMISSIBLE_TOL = 1e-10
+INNER_TOL = 1e-10  # the walk's improvement threshold and count cut, dual_ascent's default
 RELATIVE_TOL = 1e-12
 _INNER_ROUNDS = 100_000  # policy-iteration rounds, and solves of the dual's walk
 
@@ -106,31 +109,89 @@ def _check_level(level, name: str = "p") -> None:
         raise ValueError(f"{name} must be finite, got {level}")
 
 
+class _Step(NamedTuple):
+    """A policy of the walk, whether it is the kink, and the rounds so far."""
+
+    t: float
+    choice: np.ndarray
+    v: np.ndarray
+    s: np.ndarray
+    visits: np.ndarray
+    kink: bool
+    solves: int
+
+
+def _walk(model: MdpModel, p: float, choice: np.ndarray, inner_tol: float, safe=None):
+    """Walk the breakpoints of the summed dual from the proper ``choice``.
+
+    D(t) = sum_i min_pi [V(i) + t (S(i) - p)] is concave and piecewise
+    linear in t.  Each round solves V, S and the visits 1^T G at once.
+    Rounds run policy iteration on rho at t = 0 by ``bellman._round``'s
+    rule until none switches, then each yields its policy as a ``_Step``
+    and steps on by README's rules (Numerical notes) for candidates that
+    cost a + t b over the state's choice, a = rho + QV - V and b = K +
+    QS - S; where none counts, to ``safe`` (``safest_policy``'s choice
+    when None), the t = inf piece.
+    ``kink`` marks the first policy with sum(S) <= |H| (p +
+    ADMISSIBLE_TOL); its level, as that of a policy entered from the
+    t = inf piece, is where its summed line V + t S crosses the last
+    one's.  The t = inf piece before the kink raises LpUnboundedError,
+    more than _INNER_ROUNDS rounds MaxIterationsError.
+    """
+    h, states = model.n_taboo, np.arange(model.n_taboo)
+    rows, cost = _candidate_major(model.stage_costs, model.taboo_block)
+    risk = model.forbidden_exit.T.ravel()
+    rhs, ones = np.stack([cost, risk], axis=1), np.ones(h)
+    bound = h * (p + ADMISSIBLE_TOL)
+    t, kinked, started = 0.0, False, False
+    for solves in range(1, _INNER_ROUNDS + 1):
+        at = choice * h + states
+        X, visits = _solve(rows[at], rhs[at], ones)
+        v, s = X.T
+        a = _bellman(rows, cost, v)
+        if not started:
+            greedy = a.argmin(axis=0)
+            switch = a[choice, states] - a[greedy, states] > inner_tol * np.maximum(1.0, np.abs(v))
+            if switch.any():
+                choice = np.where(switch, greedy, choice)
+                continue
+            started = True
+        kink = not kinked and s.sum() <= bound
+        if t == np.inf or (kink and t > 0.0):
+            if not (kinked or kink):
+                raise LpUnboundedError("objective improves along an unbounded ray")
+            # entered where the summed lines of this policy and the last cross
+            t = max(last[2], float((v - last[0]).sum() / (last[1] - s).sum()))
+        kinked |= kink
+        yield _Step(t, choice, v, s, visits, kink, solves)
+        b = _bellman(rows, risk, s)
+        a, b = a - a[choice, states], b - b[choice, states]
+        drop = visits * b < -inner_tol
+        last = v, s, t
+        if drop.any():
+            cross = np.full(b.shape, np.inf)
+            cross[drop] = -a[drop] / b[drop]
+            t = max(t, float(cross.min()))
+            tied = cross <= t * (1.0 + inner_tol)
+            choice = np.where(tied.any(axis=0), np.where(tied, b, np.inf).argmin(axis=0), choice)
+        else:  # the t = inf piece: the safest policy
+            if safe is None:
+                safe = safest_policy(model)[1].assignment()[:h]
+            choice, t = safe, np.inf
+    raise MaxIterationsError(f"the walk did not end within {_INNER_ROUNDS} solves", last=v)
+
+
 def dual_ascent(
     model: MdpModel,
     p: float,
-    inner_tol: float = 1e-10,
+    inner_tol: float = INNER_TOL,
 ) -> ConstrainedSolveReport:
     """Maximize the summed dual over multiplier levels t >= 0 at its kink.
 
-    D(t) = sum_i min_pi [V(i) + t (S(i) - p)] over proper policies is
-    concave and piecewise linear: the policy optimal for the stage cost
-    rho + t K changes only at breakpoints.  The walk starts at t = 0 from
-    ``_improve``'s policy, begun from the safest policy's choice; each
-    step solves its policy for V and S at once, and a candidate costs
-    a + t b over the state's own choice, a = rho + QV - V and
-    b = K + QS - S.  A candidate counts when b times the state's expected
-    visits (summed over the starts) is below -inner_tol.  The next level
-    is the least -a/b of those, at least t, and each state moves to the
-    counting candidate with the least b whose -a/b is within the factor
-    1 + inner_tol of it (README, Numerical notes); where none counts, to
-    the safest policy, the t = inf piece.  Past _INNER_ROUNDS solves,
-    steps at an unchanged level included, raises MaxIterationsError.
-
-    The kink is the first policy with sum(S) <= |H| (p + ADMISSIBLE_TOL),
-    entered where its summed line V + t S crosses the last policy's;
-    ``value`` is its V + t (S - p), the dual's maximum.  ``policy`` is
-    the first policy walked within p + ADMISSIBLE_TOL at every state,
+    The breakpoint walk (``_walk``) starts at t = 0 from ``_improve``'s
+    policy, begun from the safest policy's choice, and ``value`` is the
+    V + t (S - p) of its kink, the dual's maximum.  ``policy`` is the
+    first policy walked within p + ADMISSIBLE_TOL at every state,
     walking on past a kink at t > 0 to find it, and after a kink at
     t = 0 outside p the safest policy.
     ``info`` holds the ``level``, the policies solved
@@ -142,7 +203,7 @@ def dual_ascent(
     at t = 0, and ``policy`` the safest policy.
     """
     _check_level(p)
-    h, states = model.n_taboo, np.arange(model.n_taboo)
+    h = model.n_taboo
     s_star, safe_pol = safest_policy(model)
     safe = safe_pol.assignment()[:h]
     v0, choice = _improve(model.stage_costs, model.taboo_block, safe, inner_tol, _INNER_ROUNDS)
@@ -150,45 +211,21 @@ def dual_ascent(
         info = {"min_safety": s_star, "p": p}
         return ConstrainedSolveReport(v0, safe_pol, "dual-ascent", False, None, info)
 
-    rows, cost = _candidate_major(model.stage_costs, model.taboo_block)
-    risk = model.forbidden_exit.T.ravel()
-    rhs = np.stack([cost, risk], axis=1)
-    bound = h * (p + ADMISSIBLE_TOL)
-    t, kink, steps = 0.0, None, []
-    for solves in range(1, _INNER_ROUNDS + 1):
-        at = choice * h + states
-        v, s = _solve(rows[at], rhs[at]).T
-        within = bool((s <= p + ADMISSIBLE_TOL).all())
-        if t == np.inf or (kink is None and t > 0.0 and s.sum() <= bound):
-            # entered where the summed lines of this policy and the last cross
-            t = steps[-1] = max(last[2], float((v - last[0]).sum() / (last[1] - s).sum()))
-        if kink is None and s.sum() <= bound:
-            kink = t, v + t * (s - p), within
-        if kink is not None and (within or t == 0.0):
+    levels, kink = [], None
+    for step in _walk(model, p, choice, inner_tol, safe):
+        levels.append(step.t)
+        within = bool((step.s <= p + ADMISSIBLE_TOL).all())
+        if step.kink:
+            kink = step.t, step.v + step.t * (step.s - p), within
+        if kink is not None and (within or step.t == 0.0):
             break
-        a, b = _bellman(rows, cost, v), _bellman(rows, risk, s)
-        a, b = a - a[choice, states], b - b[choice, states]
-        visits = np.linalg.solve(np.eye(h) - rows[at].T, np.ones(h))
-        drop = visits * b < -inner_tol
-        last = v, s, t
-        if drop.any():
-            cross = np.full(b.shape, np.inf)
-            cross[drop] = -a[drop] / b[drop]
-            t = max(t, float(cross.min()))
-            tied = cross <= t * (1.0 + inner_tol)
-            choice = np.where(tied.any(axis=0), np.where(tied, b, np.inf).argmin(axis=0), choice)
-        else:  # the t = inf piece: the safest policy
-            choice, t = safe, np.inf
-        steps.append(t)
-    else:
-        raise MaxIterationsError(f"the walk did not end within {_INNER_ROUNDS} solves", last=v)
 
     level, value, feasible = kink
-    policy = _greedy_policy(model, choice) if within else safe_pol
+    policy = _greedy_policy(model, step.choice) if within else safe_pol
     info = {
         "level": level,
-        "outer_iterations": solves,
-        "breakpoints": steps,
+        "outer_iterations": len(levels),
+        "breakpoints": levels[1:],
         "exit": "kink" if level > 0.0 else "unconstrained",
         "inner_policy_feasible": feasible,
     }
@@ -197,12 +234,13 @@ def dual_ascent(
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Maximize ``objective @ x`` over ``rows @ x <= rhs``, ``x >= 0``.
+    """Maximize ``objective @ z`` over ``rows @ z <= rhs``, ``z >= 0``.
 
     Variables are the value candidates l, one per taboo state, followed
     by the multiplier level t when the model has forbidden states.  One
     row per (taboo state, action), except rows whose coefficients all
     vanish (a self-looping action that never leaves its state).
+    ``model`` is the model ``build_lp`` assembled the program from.
     """
 
     objective: np.ndarray
@@ -212,6 +250,7 @@ class LpProblem:
     column_labels: tuple[str, ...]
     n_taboo: int
     p: float
+    model: MdpModel = field(repr=False, compare=False)
 
     @property
     def has_multiplier(self) -> bool:
@@ -239,13 +278,27 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Optimal l, the multiplier level t, and the penalized value l - p*t."""
+    """Optimal l, the multiplier level t and the penalized value l - p*t, from
+    ``iterations`` exact solves; ``certified`` where none of ``_certify``'s
+    checks fails, with the duality ``gap`` and the ``failed`` checks."""
 
     l: np.ndarray
     level: float
     value: np.ndarray
     objective: float
     iterations: int
+    certified: bool
+    gap: float
+    failed: tuple[str, ...]
+
+
+def _kept(model: MdpModel) -> np.ndarray:
+    """The mask, state-major over (taboo state, action), of the rows ``build_lp``
+    keeps: those with a coefficient above 1e-15 in magnitude."""
+    Q, states = model.taboo_block, np.arange(model.n_taboo)
+    big = Q > 1e-15
+    big[states, :, states] = np.abs(1.0 - Q[states, :, states]) > 1e-15
+    return (big.any(axis=2) | (model.forbidden_exit > 1e-15)).ravel()
 
 
 def build_lp(model: MdpModel, p: float) -> LpProblem:
@@ -267,8 +320,7 @@ def build_lp(model: MdpModel, p: float) -> LpProblem:
     rows[np.arange(h), :, np.arange(h)] += 1.0
     if with_t:
         rows[:, :, h] = -model.forbidden_exit
-    rows = rows.reshape(h * m, width)
-    keep = np.abs(rows).max(axis=1) > 1e-15
+    keep = _kept(model)
     labels = tuple(
         f"{model.states[k // m]}:{model.actions[k % m]}" for k in np.flatnonzero(keep)
     )
@@ -281,35 +333,86 @@ def build_lp(model: MdpModel, p: float) -> LpProblem:
         columns.append("t")
     return LpProblem(
         objective=objective,
-        rows=rows[keep],
+        rows=rows.reshape(h * m, width)[keep],
         rhs=model.stage_costs.reshape(h * m)[keep],
         row_labels=labels,
         column_labels=tuple(columns),
         n_taboo=h,
         p=p,
+        model=model,
     )
+
+
+def _certify(problem: LpProblem, z: np.ndarray, x: np.ndarray) -> tuple[float, tuple[str, ...]]:
+    """The duality gap of ``z`` and ``x`` on ``problem``, and the checks they fail.
+
+    ``z`` is a point of max c.z over A z <= b, z >= 0 (``problem``'s
+    objective, rows and right-hand side) and ``x`` of its dual, min b.x
+    over A^T x >= c, x >= 0.  The checks: every row and z >= 0; x >= 0;
+    the flow equations, A^T x = 1 on the l columns; the mean constraint,
+    A^T x >= -p |H| on t; and the gap b.x - c.z = 0.  A residual passes
+    within gamma_k times the sum of the magnitudes of its k terms, the
+    bound of its rounding (Higham 2002, §3.5), as in
+    ``evaluate._transience_residual``.
+    """
+    A, b, c = problem.rows, problem.rhs, problem.objective
+    r, w = A.shape
+    absA, tiny = np.abs(A), 4 * (r + w + 1) * _SUBNORMAL
+    slack = b - A @ z
+    slack_tol = _gamma(w + 1) * (absA @ np.abs(z) + np.abs(b)) + tiny
+    flow = A.T @ x - c
+    flow_tol = _gamma(r + 1) * (absA.T @ np.abs(x) + np.abs(c)) + tiny
+    gap = float(b @ x - c @ z)
+    gap_tol = _gamma(r + w + 1) * float(np.abs(b) @ np.abs(x) + np.abs(c) @ np.abs(z)) + tiny
+
+    h, rows, columns = problem.n_taboo, problem.row_labels, problem.column_labels
+    failed = [f"row {rows[i]}" for i in np.flatnonzero(~(slack >= -slack_tol))]
+    failed += [f"{columns[j]} >= 0" for j in np.flatnonzero(~(z >= 0.0))]
+    failed += [f"x[{rows[i]}] >= 0" for i in np.flatnonzero(~(x >= 0.0))]
+    failed += [f"flow {columns[j]}" for j in np.flatnonzero(~(np.abs(flow[:h]) <= flow_tol[:h]))]
+    if w > h and not flow[h] >= -flow_tol[h]:
+        failed.append("mean constraint")
+    if not abs(gap) <= gap_tol:
+        failed.append("duality gap")
+    return gap, tuple(failed)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the assembled program with the in-package simplex.
+    """The program's optimum, read off the dual's kink and certified.
 
-    An unbounded program means no multiplier level can discharge the
-    penalty: the summed minimal safety exceeds |H| p, so p is infeasible;
-    the LpUnboundedError from the solver propagates to the caller.  A
-    bounded program does not make p feasible at every state, which
-    ``dual_ascent`` decides.
+    The optimum is the summed dual's maximum, at the kink of ``_walk``
+    begun from ``evaluate._witness``: l = V + t S and the value
+    V + t (S - p) of the kink policy at its level t.  The dual point x
+    is that policy's occupation measure, at t > 0 mixed with the last
+    policy's so that sum x K = p |H|, and ``_certify`` checks the pair
+    (README, Numerical notes).  A summed minimal safety above
+    |H| (p + ADMISSIBLE_TOL), or taboo states that no policy leads out
+    of H, make the program unbounded: LpUnboundedError.
     """
-    res = solve_min(-problem.objective, problem.rows, problem.rhs)
-    h = problem.n_taboo
-    l = res.x[:h]
-    t = float(res.x[h]) if problem.has_multiplier else 0.0
-    return LpSolution(
-        l=l,
-        level=t,
-        value=l - problem.p * t,
-        objective=float(-res.objective),
-        iterations=res.iterations,
-    )
+    model, p, h = problem.model, problem.p, problem.n_taboo
+    try:
+        start = _witness(model.taboo_block)
+    except NotTransientError as exc:  # l rises freely on states that never leave H
+        raise LpUnboundedError("objective improves along an unbounded ray") from exc
+    last = None
+    for step in _walk(model, p, start, INNER_TOL):
+        if step.kink:
+            break
+        last = step
+
+    t, states = step.t, np.arange(h)
+    measure = np.zeros((h, model.n_actions))
+    measure[states, step.choice] = step.visits
+    if t > 0.0:
+        mix = (p * h - step.s.sum()) / (last.s.sum() - step.s.sum())
+        mix = min(max(mix, 0.0), 1.0)
+        measure *= 1.0 - mix
+        measure[states, last.choice] += mix * last.visits
+    x = measure.ravel()[_kept(model)]
+    l, value = step.v + t * step.s, step.v + t * (step.s - p)
+    z = np.append(l, t) if problem.has_multiplier else l
+    gap, failed = _certify(problem, z, x)
+    return LpSolution(l, t, value, float(value.sum()), step.solves, not failed, gap, failed)
 
 
 def _admissible_blocks(model: MdpModel, p: float, cap: int):

@@ -304,7 +304,7 @@ def _induce(model: MdpModel, policy: Policy):
     return P, blocks, inputs
 
 
-def _solve(Q: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+def _solve(Q: np.ndarray, rhs: np.ndarray | None = None, left: np.ndarray | None = None):
     """The core's solve: ``(I - Q) X = rhs``, the identity when ``rhs`` is None.
 
     One LU factorization serves every column of ``rhs``.  Where every
@@ -315,27 +315,29 @@ def _solve(Q: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
     more column of a matrix ``rhs``, which leaves the other columns'
     bits as they were.  A vector ``rhs`` keeps its own solve and tau
     gets a second one: the BLAS solves a single column with another
-    kernel than several, and its bits would change.
+    kernel than several, and its bits would change.  ``left`` (h,) adds y,
+    ``y (I - Q) = left`` by an LU of the transpose once Q is proven: ``(X, y)``.
     """
     h = Q.shape[0]
     A, leaks = np.eye(h) - Q, _leaks(Q)
     try:
         if leaks.all():
-            return np.linalg.solve(A, np.eye(h) if rhs is None else rhs)
-        if rhs is None:
-            X = np.linalg.solve(A, np.eye(h))
-            tau = X.sum(axis=1)
-        elif rhs.ndim == 1:
-            X, tau = np.linalg.solve(A, rhs), np.linalg.solve(A, np.ones(h))
+            X = np.linalg.solve(A, np.eye(h) if rhs is None else rhs)
         else:
-            X = np.linalg.solve(A, np.column_stack((rhs, np.ones(h))))
-            X, tau = X[:, :-1], X[:, -1]
+            if rhs is None:
+                X = np.linalg.solve(A, np.eye(h))
+                tau = X.sum(axis=1)
+            elif rhs.ndim == 1:
+                X, tau = np.linalg.solve(A, rhs), np.linalg.solve(A, np.ones(h))
+            else:
+                X = np.linalg.solve(A, np.column_stack((rhs, np.ones(h))))
+                X, tau = X[:, :-1], X[:, -1]
+            if not _proves_transient(Q, tau, leaks):
+                _witness(Q)
     except np.linalg.LinAlgError:  # I - Q is singular where a state is trapped
         _witness(Q)
         raise
-    if not _proves_transient(Q, tau, leaks):
-        _witness(Q)
-    return X
+    return X if left is None else (X, np.linalg.solve(A.T, left))
 
 
 def _exact(model: MdpModel, policy: Policy) -> np.ndarray:

@@ -79,4 +79,4 @@ class LpUnboundedError(SafeMdpError):
 
 
 class LpNumericalError(SafeMdpError):
-    """A simplex pivot fell below the stability threshold."""
+    """A simplex pivot fell below the stability threshold (no package solver pivots)."""

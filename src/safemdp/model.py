@@ -79,6 +79,7 @@ SIMPLEX_TOL = 1e-12
 # nested object takes it about 160 bytes of C stack, so 2**15 levels fit
 # in an 8 MB stack with room to spare.
 ORJSON_MAX_BRACKETS = 1 << 15
+_BRACKET_CHUNK = 1 << 18
 # The only int that an integer literal below -2**63 can round to.
 _INT64_MIN = -(1 << 63)
 
@@ -497,7 +498,7 @@ def _load_orjson(text: str) -> MdpModel | None:
     The module docstring gives the rules; None sends the text through
     ``json.loads``, which then gives the model or the error.
     """
-    brackets = text.count("{") + text.count("[")
+    brackets = _brackets(text)
     if brackets > ORJSON_MAX_BRACKETS:
         return None
     try:
@@ -510,6 +511,15 @@ def _load_orjson(text: str) -> MdpModel | None:
     if brackets > entries + 9 or _INT64_MIN in labels or float in set(map(type, labels)):
         return None
     return model
+
+
+def _brackets(text: str) -> int:
+    """The "{" and "[" in ``text``: the UTF-8 bytes that ``| 0x20`` maps to
+    0x7B ("surrogatepass" keeps lone surrogates, as bytes above 0x7F),
+    counted ``_BRACKET_CHUNK`` bytes at a time to keep temporaries small."""
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    chunks = (data[k : k + _BRACKET_CHUNK] for k in range(0, data.size, _BRACKET_CHUNK))
+    return sum(int(np.count_nonzero((chunk | 0x20) == 0x7B)) for chunk in chunks)
 
 
 def _build(doc) -> MdpModel:

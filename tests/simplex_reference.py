@@ -1,13 +1,18 @@
 """Dense one-phase primal simplex with Bland's rule on a condensed tableau.
 
+The tests' reference LP solver: ``test_simplex`` checks it on
+hand-checkable programs and against its earlier forms, and it runs the
+programs of ``safemdp.build_lp``.  The package itself answers
+``solve_lp`` from the dual's kink and pivots no tableau.
+
 Solves   min c.x   subject to   A x <= b,  x >= 0,  for b >= 0.
 
 With a nonnegative right-hand side the slack basis (x = 0, slacks = b)
 is feasible, so the simplex starts there and needs no phase one.  The
-only programs this package builds come from ``constrained.build_lp``,
-whose right-hand sides are stage costs, and ``validate_model`` rejects
-negative costs.  A negative (or NaN) right-hand side, or a non-finite
-cost or constraint coefficient, raises ValueError.
+programs of ``build_lp`` have stage costs as right-hand sides, and
+``validate_model`` rejects negative costs.  A negative (or NaN)
+right-hand side, or a non-finite cost or constraint coefficient, raises
+ValueError.
 
 The tableau is the condensed ("dictionary") one (Chvatal, *Linear
 Programming*, 1983, ch. 2-3).  The variables are the n originals,
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import LpNumericalError, LpUnboundedError
+from safemdp.exceptions import LpNumericalError, LpUnboundedError
 
 RED_COST_TOL = 1e-9
 PIVOT_MIN = 1e-9

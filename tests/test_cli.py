@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 import safemdp as sm
 from corpus import EDGE_FLOATS, relabeled
-from safemdp import cli, evaluate, simplex
+from safemdp import cli, constrained, evaluate
 from safemdp.cli import _indented, _report_tokens, build_parser, main
 from safemdp.constrained import ADMISSIBLE_TOL
+from test_constrained import lazy_gamble, one_state_dual, one_state_model
 
 
 def run(capsys, *argv):
@@ -543,6 +544,25 @@ def test_solve_lp_policy_keeps_every_state_within_p(capsys, tmp_path, solver_cor
         assert (sm.safety(model, policy) <= p + ADMISSIBLE_TOL).all(), k
 
 
+def test_solve_lp_on_the_lazy_gamble_exits_0(capsys, tmp_path):
+    """At the lazy gamble's minimal safety, where a pivoting simplex loses
+    its 5e-11 pivot, ``lp`` reports the certified optimum at the kink,
+    entered at t = 2e10: the dual's exact maximum, timid's value, up to
+    the report's 12 digits."""
+    model = one_state_model(lazy_gamble())
+    p = float(sm.safest_policy(model)[0][0])
+    path = tmp_path / "lazy.json"
+    path.write_text(sm.serialize_model(model))
+    code, report = run_json(capsys, "solve", str(path), "--mode", "lp", "--p", repr(p))
+    assert code == 0
+    results = report["results"]
+    assert results["certified"] is True and results["failed_checks"] == []
+    assert results["multiplier_level"] == pytest.approx(2e10, rel=1e-9)
+    assert results["value"]["h0"] == pytest.approx(float(one_state_dual(lazy_gamble(), p)),
+                                                   rel=1e-11)
+    assert results["policy"] == {"h0": {"timid": 1.0}}
+
+
 def test_solve_lp_infeasible_exits_5(capsys, model_path):
     code, report = run_json(capsys, "solve", model_path, "--mode", "lp", "--p", "0.3")
     assert code == 5
@@ -651,11 +671,14 @@ def test_solve_relative_requires_q_or_p(capsys, model_path):
 
 
 def test_solve_other_package_error_exits_1(capsys, monkeypatch, model_path):
-    """An error with no exit code of its own exits 1 under its class name."""
-    monkeypatch.setattr(simplex, "ITER_CAP", 0)
+    """An error with no exit code of its own exits 1 under its class name:
+    the policy iteration at t = 0 needs two rounds on ex1, past a cap of one."""
+    monkeypatch.setattr(constrained, "_INNER_ROUNDS", 1)
     code, report = run_json(capsys, "solve", model_path, "--mode", "lp", "--p", "0.5")
     assert code == 1
-    assert report["error"] == {"kind": "LpNumericalError", "message": "pivot cap exceeded"}
+    assert report["error"] == {
+        "kind": "MaxIterationsError", "message": "no policy is stable within 1 rounds"
+    }
 
 
 def test_solve_cap_exceeded_exits_6(capsys, tmp_path):

@@ -1,4 +1,5 @@
 """Constrained solvers: Lagrangian machinery, LP, enumeration, relative safety."""
+import dataclasses
 import itertools
 import json
 import re
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 import safemdp as sm
 from safemdp import constrained
-from safemdp.bellman import _greedy_policy, _improve, _sweep
+from safemdp.bellman import _bellman, _candidate_major, _greedy_policy, _improve, _sweep
 from safemdp.constrained import ADMISSIBLE_TOL, RELATIVE_TOL
-from safemdp.evaluate import _exact, _trapped
-from corpus import _fill, corridor_model
+from safemdp.evaluate import _exact, _solve, _trapped
+from corpus import _fill, corridor_model, sparse_model
 from test_policy_iteration import finish, improve_penalized
 
 GOLDEN = np.array([1.0, 3.6, 4.0])
@@ -135,6 +136,7 @@ def reference_build_lp(model, p):
         column_labels=tuple(columns),
         n_taboo=h,
         p=p,
+        model=model,
     )
 
 
@@ -224,6 +226,145 @@ def test_lp_raw_variables_can_exceed_members():
     assert sol.l[0] > best_pure
     assert sol.value[0] == pytest.approx(7.5, abs=1e-6)
     assert sol.value[0] <= best_pure + 1e-9
+
+
+def highs_objective(problem):
+    """HiGHS's optimum of the program, or None where it finds it unbounded."""
+    optimize = pytest.importorskip("scipy.optimize")
+    res = optimize.linprog(-problem.objective, A_ub=problem.rows, b_ub=problem.rhs,
+                           method="highs")
+    assert res.status in (0, 3), res.message
+    return -res.fun if res.status == 0 else None
+
+
+def benchmark_size_models():
+    """A 100-state dense model and a 100-state corridor, both at p = 0.5."""
+    rng = np.random.default_rng(31)
+    return [(_fill(rng, 100, 1, 2, 3, 0.1), 0.5), (corridor_model(rng, 100, 0.002), 0.5)]
+
+
+def test_solve_lp_matches_highs(solver_corpus, oracle_cases):
+    """The kink's certified optimum is HiGHS's within 1e-9, and the program
+    is unbounded exactly where HiGHS finds it so, models with states that
+    no policy leads out of H among them.  Among the sparse draws are
+    programs where some state's minimal safety exceeds p but the summed
+    one does not: ``dual_ascent`` calls them infeasible, the walk goes on
+    to the kink."""
+    rng = np.random.default_rng(2026)
+    cases = solver_corpus + oracle_cases + benchmark_size_models()
+    cases += [(sparse_model(rng), 0.5) for _ in range(300)]
+    solved = unbounded = outside = trapped = 0
+    for model, p in cases:
+        trapped += bool(_trapped(model.taboo_block)[0].any())
+        problem = sm.build_lp(model, p)
+        want = highs_objective(problem)
+        if want is None:
+            with pytest.raises(sm.LpUnboundedError):
+                sm.solve_lp(problem)
+            unbounded += 1
+            continue
+        sol = sm.solve_lp(problem)
+        assert sol.certified, sol.failed
+        assert abs(sol.objective - want) <= 1e-9 * max(1.0, abs(want))
+        assert abs(sol.gap) <= 1e-9 * max(1.0, abs(want))
+        solved += 1
+        outside += not sm.dual_ascent(model, p).feasible
+    assert solved >= 300 and unbounded >= 100 and outside >= 20 and trapped >= 4
+
+
+def test_solve_lp_on_lazy_gambles():
+    """On the lazy gambles the optimum is the dual's exact rational maximum
+    within 1e-12, certified, and HiGHS's within 1e-9 where HiGHS solves the
+    program; at the minimal safety itself HiGHS calls it unbounded."""
+    plain, mid = lazy_gamble(), lazy_gamble(mid=True)
+    cases = [(plain, float(sm.safest_policy(one_state_model(plain))[0][0]))]
+    cases += [(mid, p) for p in (0.499975, 0.49999, 0.4999625)]
+    for actions, p in cases:
+        problem = sm.build_lp(one_state_model(actions), p)
+        sol = sm.solve_lp(problem)
+        assert sol.certified, sol.failed
+        want = one_state_dual(actions, p)
+        assert abs(Fraction(sol.objective) - want) <= 1e-12 * want
+        highs = highs_objective(problem)
+        if highs is not None:
+            assert abs(sol.objective - highs) <= 1e-9 * abs(highs)
+
+
+def test_solve_lp_names_the_failing_check(ex1_model):
+    """The certificate checks the caller's own program: a right-hand side
+    lowered under the optimum breaks that row, and an objective that
+    prices l differently breaks the flow equations and the duality gap."""
+    problem = sm.build_lp(ex1_model, 0.5)
+    assert sm.solve_lp(problem).certified
+    rhs = problem.rhs.copy()
+    rhs[problem.row_labels.index("a:u1")] -= 1e-9
+    sol = sm.solve_lp(dataclasses.replace(problem, rhs=rhs))
+    assert not sol.certified and sol.failed == ("row a:u1", "duality gap")
+    objective = problem.objective.copy()
+    objective[0] = 2.0
+    sol = sm.solve_lp(dataclasses.replace(problem, objective=objective))
+    assert sol.failed == ("flow l[a]", "duality gap")
+
+
+def previous_dual_ascent(model, p, inner_tol=1e-10):
+    """``dual_ascent`` with its breakpoint walk inline, as it was before
+    ``solve_lp`` came to share the walk, and its visits from their own
+    solve.  The shared walk must agree bit for bit."""
+    h, states = model.n_taboo, np.arange(model.n_taboo)
+    s_star, safe_pol = sm.safest_policy(model)
+    safe = safe_pol.assignment()[:h]
+    v0, choice = _improve(model.stage_costs, model.taboo_block, safe, inner_tol, 100_000)
+    if (s_star > p + ADMISSIBLE_TOL).any():
+        info = {"min_safety": s_star, "p": p}
+        return sm.ConstrainedSolveReport(v0, safe_pol, "dual-ascent", False, None, info)
+    rows, cost = _candidate_major(model.stage_costs, model.taboo_block)
+    risk = model.forbidden_exit.T.ravel()
+    rhs = np.stack([cost, risk], axis=1)
+    bound = h * (p + ADMISSIBLE_TOL)
+    t, kink, steps = 0.0, None, []
+    for solves in range(1, 100_001):
+        at = choice * h + states
+        v, s = _solve(rows[at], rhs[at]).T
+        within = bool((s <= p + ADMISSIBLE_TOL).all())
+        if t == np.inf or (kink is None and t > 0.0 and s.sum() <= bound):
+            t = steps[-1] = max(last[2], float((v - last[0]).sum() / (last[1] - s).sum()))
+        if kink is None and s.sum() <= bound:
+            kink = t, v + t * (s - p), within
+        if kink is not None and (within or t == 0.0):
+            break
+        a, b = _bellman(rows, cost, v), _bellman(rows, risk, s)
+        a, b = a - a[choice, states], b - b[choice, states]
+        visits = np.linalg.solve(np.eye(h) - rows[at].T, np.ones(h))
+        drop = visits * b < -inner_tol
+        last = v, s, t
+        if drop.any():
+            cross = np.full(b.shape, np.inf)
+            cross[drop] = -a[drop] / b[drop]
+            t = max(t, float(cross.min()))
+            tied = cross <= t * (1.0 + inner_tol)
+            choice = np.where(tied.any(axis=0), np.where(tied, b, np.inf).argmin(axis=0), choice)
+        else:
+            choice, t = safe, np.inf
+        steps.append(t)
+    level, value, feasible = kink
+    policy = _greedy_policy(model, choice) if within else safe_pol
+    info = {"level": level, "outer_iterations": solves, "breakpoints": steps,
+            "exit": "kink" if level > 0.0 else "unconstrained",
+            "inner_policy_feasible": feasible}
+    return sm.ConstrainedSolveReport(value, policy, "dual-ascent", True, None, info)
+
+
+def test_dual_ascent_matches_the_inline_walk(solver_corpus, oracle_cases):
+    """The walk's one solve of V and S against the matrix right-hand side
+    and the tau column gives the inline walk's bits, as does its visits'
+    LU of the transpose."""
+    cases = solver_corpus + list(feasible_cases(oracle_cases)) + benchmark_size_models()
+    cases += [(one_state_model(lazy_gamble(mid=True)), p) for p in (0.499975, 0.4999625)]
+    for model, p in cases:
+        got, want = sm.dual_ascent(model, p), previous_dual_ascent(model, p)
+        assert got.value.tobytes() == want.value.tobytes()
+        assert np.array_equal(got.policy.matrix, want.policy.matrix)
+        assert repr(got.info) == repr(want.info)
 
 
 # ----------------------------------------------------------------- dual ascent
@@ -405,6 +546,8 @@ def test_dual_ascent_at_the_tolerance_edge():
 
     The safe action's slope sum(S - p) = 5e-11 is positive but inside the
     tolerance, so the walk's kink is the safe action, at the mixing level.
+    The program itself is unbounded there: the certificate fails on the
+    mean constraint and on the duality gap.
     """
     model = risky_safe_model()
     p = 0.1 - 5e-11
@@ -412,6 +555,7 @@ def test_dual_ascent_at_the_tolerance_edge():
     rep = sm.dual_ascent(model, p)
     assert rep.feasible
     assert abs(float(rep.value.sum()) - sol.objective) <= 1e-8
+    assert sol.failed == ("mean constraint", "duality gap")
     assert rep.info["outer_iterations"] <= 60
 
 

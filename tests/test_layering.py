@@ -3,9 +3,10 @@ cycle, one loop sweeps for every fixed-point solver, one lockstep loop
 draws every Monte Carlo batch, one function keys numpy's Philox, one
 table holds the sampling rule, only ``model`` builds and checks policies,
 the command line runs the dual once for both Lagrangian modes, the
-relative-safety route runs on arrays, and the evaluation core has one
+relative-safety route runs on arrays, the evaluation core has one
 support-graph search, which it runs, like eigenvalues, only where its
-proofs from the Green operator fail."""
+proofs from the Green operator fail, no module pivots a tableau, and
+``solve_lp`` solves only through that core."""
 import ast
 from pathlib import Path
 
@@ -234,3 +235,47 @@ def test_one_support_graph_search():
             if graph and any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(func)):
                 searches.append(f"{module}:{func.name}")
     assert searches == ["evaluate:_trapped"], searches
+
+
+def test_no_tableau_in_the_package():
+    """No module pivots a tableau: there is no ``simplex`` module, no
+    ``solve_min``, and no rank-one ``outer`` update anywhere."""
+    assert "simplex" not in MODULES
+    defs = [
+        f"{module}:{node.lineno}"
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.FunctionDef) and node.name == "solve_min"
+    ]
+    assert not defs and not _call_sites("outer"), defs + _call_sites("outer")
+
+
+def test_solve_lp_solves_only_through_the_core():
+    """``solve_lp`` reaches a linear solve only through ``evaluate._solve``,
+    the one exact evaluation core: ``_solve`` is among the package
+    functions it calls, directly or through others, and no other of them
+    calls a ``linalg`` routine."""
+    functions = {
+        node.name: (module, node)
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.FunctionDef)
+    }
+    seen, todo, direct = set(), ["solve_lp"], []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        if name == "_solve":
+            continue
+        module, func = functions[name]
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if "linalg" in ast.unparse(node.func):
+                direct.append(f"{module}.{name}:{node.lineno}")
+            elif callee in functions:
+                todo.append(callee)
+    assert "_solve" in seen and not direct, direct

@@ -197,6 +197,25 @@ def test_bracket_count_caps_orjson(orjson_module, data_dir, monkeypatch):
     assert model_module._load_orjson(text) is None
 
 
+def test_bracket_bytes_match_str_count(data_dir):
+    """``_brackets`` counts the "{" and "[" that two ``str.count`` scans
+    count: on ASCII and non-ASCII labels, on lone surrogates, across
+    chunk borders, and at ORJSON_MAX_BRACKETS and one past it."""
+    ex1 = _ex1_text(data_dir)
+    cap = model_module.ORJSON_MAX_BRACKETS
+    texts = [
+        ex1,
+        _relabel(ex1, "a", '"\u00e9t\u00e9 [\u4e2d{\U0001f600"'),
+        '{"states": ["\ud800", "[\udfff{", "\udbff\udc00"]}',
+        "\u00e9[{\ud83d" * (3 * model_module._BRACKET_CHUNK // 7),
+        "[" * cap + "]" * cap,
+        "{" * (cap + 1) + "}" * (cap + 1),
+        "",
+    ]
+    for text in texts:
+        assert model_module._brackets(text) == text.count("{") + text.count("[")
+
+
 def test_nesting_past_orjson_stack_raises(orjson_module, tmp_path):
     """orjson 3.8.3 overflows the C stack on 60,000 nested objects; the cap keeps
     such a text from it, so ``json.loads`` gives up and ``load_model`` raises

@@ -1,4 +1,4 @@
-"""Dense one-phase simplex on hand-checkable programs and against its earlier forms."""
+"""The reference simplex on hand-checkable programs and against its earlier forms."""
 import tracemalloc
 
 import numpy as np
@@ -6,8 +6,8 @@ import pytest
 
 import safemdp as sm
 from corpus import _fill, corridor_model
-from safemdp import simplex
-from safemdp.simplex import SimplexResult, solve_min
+import simplex_reference as simplex
+from simplex_reference import SimplexResult, solve_min
 from test_constrained import lazy_gamble, one_state_model
 
 
@@ -497,8 +497,8 @@ def test_condensed_matches_full_tableau_on_lazy_gambles():
     """The lazy gambles fail on a tiny pivot, with the same message.
 
     The LP's pivots of 5e-11 and 2.5e-11 are the safety differences of
-    the gamble's actions, below PIVOT_MIN; that failure is the known
-    one of ``solve --mode lp`` on these models.
+    the gamble's actions, below PIVOT_MIN.  ``solve_lp`` reads these
+    programs' optimum off the dual's kink instead (``test_constrained``).
     """
     plain = one_state_model(lazy_gamble())
     cases = [(plain, float(sm.safest_policy(plain)[0][0]))]
